@@ -8,6 +8,7 @@ from .assignment import (
     relocate_servers,
     server_profile,
     total_correlation,
+    user_correlations,
 )
 from .cache import (
     CacheConfig,

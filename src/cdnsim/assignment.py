@@ -5,6 +5,19 @@ server's would-be profile (the user's own profile always counted in), then
 applies all proposed reassignments at once. A batch only sticks if the total
 correlation strictly improves; otherwise it is rolled back and the search
 stops, which keeps the simultaneous update from oscillating.
+
+Every coefficient in this module comes from one batched kernel (`_CorrEval`),
+and it is exact, not approximate, so that ties in the ranks are reproducible:
+
+- a server's sum vector accumulates its members' profiles with `+=` in
+  user-id order and is rebuilt from scratch for every assignment, never
+  updated by subtraction, because float rounding can create or break exact
+  ties and ties change ranks;
+- each candidate row is normalized on its own (`row / row.sum()`), which is
+  bit for bit the one-vector computation;
+- midranks are multiples of 0.5, so sum(d^2) is exact in any order;
+- the users x servers matrix is built one server column at a time, so memory
+  stays at users x universe rather than users x servers x universe.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .placement import Assignment, Placement
-from .profiles import Profile, UserGroup, aggregate, spearman
+from .profiles import Profile, UserGroup, aggregate, midranks_descending
 from .topology import DistanceMatrix, NodeId
 
 
@@ -47,6 +60,92 @@ def server_profile(users: list[UserGroup], assignment: Assignment, server: NodeI
     return aggregate(member_profiles)
 
 
+class _CorrEval:
+    """Batched rank correlations of users against candidate server profiles.
+
+    The users' own ranks are computed once per evaluator; server sums are
+    rebuilt for every assignment (see the module docstring for why).
+    """
+
+    def __init__(self, users: list[UserGroup], placement: Placement):
+        if not users:
+            raise ValidationError("no users to assign")
+        self.users = sorted(users, key=lambda u: u.node)
+        self.servers = tuple(sorted(placement))
+        self.server_index = {s: j for j, s in enumerate(self.servers)}
+        self.user_index = {u.node: i for i, u in enumerate(self.users)}
+        universe = self.users[0].profile.universe
+        for u in self.users:
+            if u.profile.universe != universe:
+                raise ValidationError(f"user {u.node!r} has a different universe")
+        n = len(universe)
+        if n < 2:
+            raise ValidationError("need at least 2 services for rank correlation")
+        self.denom = n * (n * n - 1)
+        self.P = np.stack([u.profile.probs for u in self.users])
+        self.R = midranks_descending(self.P)
+
+    def owners(self, assignment: Assignment) -> np.ndarray:
+        """Server index of every user, in user-id order."""
+        return np.array([self.server_index[assignment[u.node]] for u in self.users])
+
+    def _sums(self, owner: np.ndarray) -> np.ndarray:
+        sums = np.zeros((len(self.servers), self.P.shape[1]))
+        for i, j in enumerate(owner):
+            sums[j] += self.P[i]
+        return sums
+
+    @staticmethod
+    def _ranks(candidates: np.ndarray) -> np.ndarray:
+        """Midranks of each candidate vector, normalized to a profile first."""
+        return midranks_descending(candidates / candidates.sum(axis=1, keepdims=True))
+
+    def _rho(self, ranks: np.ndarray, rows) -> np.ndarray:
+        """Coefficients of users `rows` against one row of candidate ranks each."""
+        d = ranks - self.R[rows]
+        return 1.0 - 6.0 * (d * d).sum(axis=1) / self.denom
+
+    def _column(self, sums: np.ndarray, owner: np.ndarray, j: int,
+                rows: np.ndarray) -> np.ndarray:
+        """Coefficients of users `rows` with server j, each user counted in."""
+        candidates = sums[j] + self.P[rows]
+        candidates[owner[rows] == j] = sums[j]
+        return self._rho(self._ranks(candidates), rows)
+
+    def matrix(self, assignment: Assignment) -> np.ndarray:
+        """rho[user, server], users and servers in id order."""
+        owner = self.owners(assignment)
+        sums = self._sums(owner)
+        rows = np.arange(len(self.users))
+        return np.column_stack(
+            [self._column(sums, owner, j, rows) for j in range(len(self.servers))]
+        )
+
+    def own(self, assignment: Assignment) -> np.ndarray:
+        """Each user's coefficient with its own server, in user-id order.
+
+        Members of a server share one candidate row, so only the occupied
+        servers' rows are ranked.
+        """
+        owner = self.owners(assignment)
+        occupied, slot = np.unique(owner, return_inverse=True)
+        return self._rho(self._ranks(self._sums(owner)[occupied])[slot], slice(None))
+
+    def total(self, assignment: Assignment) -> float:
+        return sum(self.own(assignment).tolist())
+
+    def proposals(self, assignment: Assignment) -> list[tuple[NodeId, NodeId]]:
+        rho = self.matrix(assignment)
+        rows = np.arange(len(self.users))
+        current = rho[rows, self.owners(assignment)]
+        # the own server never passes: its coefficient equals `current`
+        better = (rho > 0) & (rho > current[:, None])
+        # argmax takes the first maximum, i.e. the lowest server id
+        best = np.where(better, rho, -np.inf).argmax(axis=1)
+        return [(u.node, self.servers[j])
+                for u, j, ok in zip(self.users, best, better.any(axis=1)) if ok]
+
+
 def candidate_corr(
     users: list[UserGroup], assignment: Assignment, user: UserGroup, server: NodeId
 ) -> float:
@@ -56,57 +155,25 @@ def candidate_corr(
     so current-server and new-server coefficients are directly comparable. For
     an empty server this degrades to the user's self-correlation.
     """
-    member_profiles = [u.profile for u in users if assignment[u.node] == server]
-    if assignment[user.node] != server:
-        member_profiles.append(user.profile)
-    return spearman(user.profile, aggregate(member_profiles))
+    ev = _CorrEval(users, tuple(set(assignment.values()) | {server}))
+    owner = ev.owners(assignment)
+    row = np.array([ev.user_index[user.node]])
+    return float(ev._column(ev._sums(owner), owner, ev.server_index[server], row)[0])
 
 
-class _CorrEval:
-    """Incremental candidate-correlation evaluation via per-server profile sums."""
+def user_correlations(users: list[UserGroup], assignment: Assignment) -> dict[NodeId, float]:
+    """Each user's correlation with its own server's profile, in user-id order.
 
-    def __init__(self, users: list[UserGroup], placement: Placement):
-        if not users:
-            raise ValidationError("no users to assign")
-        self.users = sorted(users, key=lambda u: u.node)
-        self.servers = tuple(sorted(placement))
-        self.universe = self.users[0].profile.universe
-        for u in self.users:
-            if u.profile.universe != self.universe:
-                raise ValidationError(f"user {u.node!r} has a different universe")
-        self.P = np.stack([u.profile.probs for u in self.users])
-        self.user_index = {u.node: i for i, u in enumerate(self.users)}
-
-    def _server_sums(self, assignment: Assignment) -> tuple[dict, dict]:
-        sums = {s: np.zeros(len(self.universe)) for s in self.servers}
-        counts = {s: 0 for s in self.servers}
-        for u in self.users:
-            s = assignment[u.node]
-            sums[s] += self.P[self.user_index[u.node]]
-            counts[s] += 1
-        return sums, counts
-
-    def corr(self, sums, counts, assignment: Assignment, user: UserGroup,
-             server: NodeId) -> float:
-        vec = sums[server]
-        n = counts[server]
-        if assignment[user.node] != server:
-            vec = vec + self.P[self.user_index[user.node]]
-            n += 1
-        candidate = Profile(self.universe, vec / vec.sum())
-        return spearman(user.profile, candidate)
-
-    def total(self, assignment: Assignment) -> float:
-        sums, counts = self._server_sums(assignment)
-        return sum(
-            self.corr(sums, counts, assignment, u, assignment[u.node]) for u in self.users
-        )
+    These are the coefficients the greedy optimizes; their sum in this order
+    is total_correlation.
+    """
+    ev = _CorrEval(users, tuple(set(assignment.values())))
+    return dict(zip((u.node for u in ev.users), ev.own(assignment).tolist()))
 
 
 def total_correlation(users: list[UserGroup], assignment: Assignment) -> float:
     """Sum over users of the correlation with their own server profile."""
-    placement = tuple(sorted(set(assignment.values())))
-    return _CorrEval(users, placement).total(assignment)
+    return _CorrEval(users, tuple(set(assignment.values()))).total(assignment)
 
 
 def proposal_set(
@@ -118,23 +185,7 @@ def proposal_set(
     both positive and strictly above its current one; ties go to the lower
     server id. Users with no improving server propose nothing.
     """
-    ev = _CorrEval(users, placement)
-    sums, counts = ev._server_sums(assignment)
-    proposals: list[tuple[NodeId, NodeId]] = []
-    for u in ev.users:
-        current = ev.corr(sums, counts, assignment, u, assignment[u.node])
-        best: tuple[float, NodeId] | None = None
-        for s in ev.servers:
-            if s == assignment[u.node]:
-                continue
-            rho = ev.corr(sums, counts, assignment, u, s)
-            if rho <= 0 or rho <= current:
-                continue
-            if best is None or rho > best[0]:
-                best = (rho, s)
-        if best is not None:
-            proposals.append((u.node, best[1]))
-    return proposals
+    return _CorrEval(users, placement).proposals(assignment)
 
 
 def greedy_correlation(
@@ -160,7 +211,7 @@ def greedy_correlation(
     iteration = 0
     while True:
         iteration += 1
-        proposals = proposal_set(users, placement, assignment)
+        proposals = ev.proposals(assignment)
         if not proposals:
             log.append(BatchRecord(iteration, 0, total, total, False))
             break

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .assignment import candidate_corr, greedy_correlation, relocate_servers
+from .assignment import greedy_correlation, relocate_servers, user_correlations
 from .cache import CacheConfig, POLICIES
 from .errors import InfeasibleError, ValidationError
 from .placement import closest_assignment, dragoon, one_center
@@ -211,13 +211,17 @@ def cmd_assign(args) -> int:
     placement = _load_placement(args.placement, topo)
     initial = closest_assignment(dm, users, placement)
     assignment, objective, log = greedy_correlation(dm, users, placement, initial)
+    first = log[0]
+    if first.moves_proposed and not first.accepted:
+        print(f"warning: the correlation greedy rejected its first batch of "
+              f"{first.moves_proposed} moves (total_corr {first.total_corr_before!r} -> "
+              f"{first.total_corr_after!r}); the assignment stays closest-server",
+              file=sys.stderr)
     placement, assignment = relocate_servers(dm, users, placement, assignment)
     out = _outdir(args)
-    rows = []
-    for u in sorted(users, key=lambda u: u.node):
-        server = assignment[u.node]
-        rho = candidate_corr(users, assignment, u, server)
-        rows.append([u.node, server, repr(rho), repr(dm.get(u.node, server))])
+    rhos = user_correlations(users, assignment)
+    rows = [[node, assignment[node], repr(rho), repr(dm.get(node, assignment[node]))]
+            for node, rho in rhos.items()]
     _write_csv(out / "assignment.csv",
                ["user_node", "server_node", "rho", "distance"], rows)
     _write_csv(

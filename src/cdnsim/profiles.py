@@ -242,18 +242,27 @@ def aggregate(profiles: list[Profile]) -> Profile:
 
 
 def midranks_descending(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, largest value first, ties sharing their average rank."""
+    """1-based ranks, largest value first, ties sharing their average rank.
+
+    Takes one vector or a 2-D array of rows and ranks each row on its own. A
+    tie group spans sorted positions i..j and gets (i + j) / 2 + 1, which is
+    exact in float64, so the ranks do not depend on how many rows share a call.
+    """
     v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    order = np.argsort(-v, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
+    n = v.shape[-1]
+    if n == 0:
+        return np.empty(v.shape, dtype=np.float64)
+    order = np.argsort(-v, axis=-1, kind="stable")
+    ordered = np.take_along_axis(v, order, axis=-1)
+    starts = np.ones(v.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(v.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    pos = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(v.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=-1)
     return ranks
 
 

@@ -46,6 +46,18 @@ def random_connected_topology(seed: int, n: int, weighted: bool = False) -> Topo
     return Topology([(i, i, 1.0) for i in ids], edges)
 
 
+def desk_topology() -> Topology:
+    """Criterion 10's instance: a random tree on 124 nodes plus 2 extra edges."""
+    rng = make_rng(derive_seed(124, "desk-topo"))
+    ids = [f"n{i:03d}" for i in range(124)]
+    edges = [(ids[int(rng.integers(0, i))], ids[i], 1.0) for i in range(1, 124)]
+    while len(edges) < 126:
+        a, b = int(rng.integers(0, 124)), int(rng.integers(0, 124))
+        if a != b:
+            edges.append((ids[min(a, b)], ids[max(a, b)], 1.0))
+    return Topology([(i, i, 1.0) for i in ids], edges)
+
+
 def dummy_profile(universe=("x", "y")) -> Profile:
     return Profile.from_dict({universe[0]: 1.0}, tuple(universe))
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cdnsim.cli import main
-from conftest import random_connected_topology
+from conftest import desk_topology, random_connected_topology
 
 GRAPHML_3 = """<?xml version="1.0" encoding="utf-8"?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
@@ -126,6 +126,44 @@ class TestAssign:
         rows = read_csv(out / "assignment.csv")[1:]
         servers = {u: s for u, s, _, _ in rows}
         assert servers["A"] == servers["B"] != servers["C"]
+
+    def test_accepted_batch_prints_no_warning(self, topo3, tmp_path, capsys):
+        out = tmp_path / "out"
+        placement_file = tmp_path / "placement.json"
+        placement_file.write_text('["A", "C"]')
+        trace = tmp_path / "trace.csv"
+        # B is equidistant and goes to A first, but shares C's interest
+        trace.write_text(
+            "node_id,service_id,count\n"
+            "A,x,9\nA,y,1\nB,y,9\nB,x,1\nC,y,9\nC,x,1\n"
+        )
+        code = main(["assign", "--topology", str(topo3),
+                     "--placement", str(placement_file),
+                     "--trace", str(trace), "--out", str(out)])
+        assert code == 0
+        assert read_csv(out / "assignment_log.csv")[1][1:] == ["1", "2.0", "3.0", "True"]
+        assert capsys.readouterr().err == ""
+
+    def test_desk_instance_rho_column_and_rejected_batch_warning(self, tmp_path, capsys):
+        topology = tmp_path / "desk.graphml"
+        topology.write_text(graphml_for(desk_topology()))
+        common = ["--topology", str(topology), "--seed", "124", "--out", str(tmp_path)]
+        assert main(["place", "--k", "10", *common]) == 0
+        capsys.readouterr()
+        assert main(["assign", "--placement", str(tmp_path / "placement.json"),
+                     *common]) == 0
+        captured = capsys.readouterr()
+        # the column reports the optimized coefficients: in file order they
+        # sum to the printed objective exactly
+        total = float(captured.out.split("total_corr: ")[1].split()[0])
+        rows = read_csv(tmp_path / "assignment.csv")[1:]
+        assert sum(float(rho) for _, _, rho, _ in rows) == total
+        assert rows[0][:3] == ["n000", "n001", "0.501023102310231"]
+        # the first batch proposes 118 moves, lowers the total and is rolled back
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: the correlation greedy rejected "
+                                      "its first batch of 118 moves")
 
     def test_bad_placement_reference(self, topo3, tmp_path):
         placement_file = tmp_path / "placement.json"

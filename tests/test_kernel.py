@@ -1,0 +1,175 @@
+"""Differential tests: the batched rank-correlation kernel against the per-pair oracles.
+
+Every comparison is exact (==): the kernel is meant to reproduce the
+reference bit for bit, ties included.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cdnsim import (
+    Profile,
+    UserGroup,
+    ZipfModel,
+    candidate_corr,
+    closest_assignment,
+    dragoon,
+    generate_profile,
+    generate_users,
+    greedy_correlation,
+    make_universe,
+    proposal_set,
+    total_correlation,
+    user_correlations,
+)
+from cdnsim.assignment import _CorrEval
+from cdnsim.profiles import midranks_descending
+from cdnsim.rng import derive_seed, make_rng
+from conftest import random_connected_topology, ring_topology
+from oracles import PairwiseCorr, midranks_loop
+
+EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def tie_heavy_row(rng, n: int, kind: str) -> np.ndarray:
+    counts = rng.integers(0, 4, n).astype(np.float64)
+    counts[rng.integers(n)] += 1  # never all zero
+    if kind == "counts":
+        return counts / rng.integers(1, 4)
+    if kind == "equal":
+        return np.full(n, counts[0])
+    if kind == "normalized":
+        return counts / counts.sum()
+    # a server-style sum of normalized vectors, normalized again: rounding in
+    # the sum can create or break exact ties
+    total = np.zeros(n)
+    for _ in range(int(rng.integers(2, 6))):
+        c = rng.integers(0, 3, n).astype(np.float64)
+        c[rng.integers(n)] += 1
+        total += c / c.sum()
+    return total / total.sum()
+
+
+@st.composite
+def row_batches(draw):
+    n = draw(st.one_of(st.just(2), st.integers(2, 40), st.integers(120, 260)))
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["counts", "equal", "normalized", "summed"]))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    return np.stack([tie_heavy_row(rng, n, kind) for _ in range(m)])
+
+
+class TestMidranks:
+    @EXACT
+    @given(row_batches())
+    def test_batched_matches_loop(self, rows):
+        batched = midranks_descending(rows)
+        for row, ranks in zip(rows, batched):
+            assert np.array_equal(ranks, midranks_loop(row))
+            assert np.array_equal(midranks_descending(row), ranks)
+
+    def test_length_two_and_all_equal(self):
+        rows = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]])
+        assert midranks_descending(rows).tolist() == [[1.5, 1.5], [1.0, 2.0], [2.0, 1.0]]
+        assert midranks_descending(np.full(5, 0.2)).tolist() == [3.0] * 5
+
+    def test_profile_ranks_use_the_kernel(self):
+        p = Profile(("a", "b", "c", "d"), np.array([0.25, 0.5, 0.25, 0.0]))
+        assert p.ranks().tolist() == [2.5, 1.0, 2.5, 4.0]
+
+    def test_empty(self):
+        assert midranks_descending(np.array([])).shape == (0,)
+
+
+def _users_from_counts(seed: int, nodes: list[str], universe_size: int) -> list[UserGroup]:
+    rng = make_rng(derive_seed(seed, "kernel-counts"))
+    universe = make_universe(universe_size)
+    users = []
+    for node in nodes:
+        counts = rng.integers(0, 4, universe_size).astype(np.float64)
+        counts[rng.integers(universe_size)] += 1
+        users.append(UserGroup(node=node, profile=Profile(universe, counts / counts.sum())))
+    return users
+
+
+def _users_from_zipf(seed: int, nodes: list[str], universe_size: int,
+                     alpha: float) -> list[UserGroup]:
+    model = ZipfModel(alpha, universe_size, max(1, universe_size // 2))
+    universe = make_universe(universe_size)
+    return [UserGroup(node=n, profile=generate_profile(model, derive_seed(seed, n), universe))
+            for n in nodes]
+
+
+@st.composite
+def instances(draw):
+    """(topology, users, placement, assignment): random, tie-heavy, empty servers allowed."""
+    seed = draw(st.integers(0, 2**32))
+    n = draw(st.integers(2, 14))
+    topo = random_connected_topology(seed, n)
+    nodes = list(topo.node_ids)
+    universe_size = draw(st.one_of(st.integers(2, 12), st.integers(120, 160)))
+    if draw(st.booleans()):
+        users = _users_from_counts(seed, nodes, universe_size)
+    else:
+        users = _users_from_zipf(seed, nodes, universe_size,
+                                 draw(st.sampled_from([0.0, 0.3, 1.0])))
+    k = draw(st.integers(1, min(4, n)))
+    placement = tuple(sorted(draw(st.permutations(nodes))[:k]))
+    assignment = {node: placement[draw(st.integers(0, k - 1))] for node in nodes}
+    return topo, users, placement, assignment
+
+
+class TestAgainstPairwiseOracle:
+    @EXACT
+    @given(instances())
+    def test_matrix_total_and_own(self, inst):
+        _, users, placement, assignment = inst
+        oracle = PairwiseCorr(users, placement)
+        assert np.array_equal(_CorrEval(users, placement).matrix(assignment),
+                              oracle.matrix(assignment))
+        assert total_correlation(users, assignment) == oracle.total(assignment)
+        assert list(user_correlations(users, assignment).values()) == oracle.own(assignment)
+
+    @EXACT
+    @given(instances())
+    def test_candidate_corr_is_the_kernel(self, inst):
+        _, users, placement, assignment = inst
+        expected = PairwiseCorr(users, placement).matrix(assignment)
+        got = [[candidate_corr(users, assignment, u, s) for s in placement]
+               for u in sorted(users, key=lambda u: u.node)]
+        assert np.array_equal(np.array(got), expected)
+
+    @EXACT
+    @given(instances())
+    def test_proposals_and_greedy_log(self, inst):
+        topo, users, placement, assignment = inst
+        oracle = PairwiseCorr(users, placement)
+        assert proposal_set(users, placement, assignment) == oracle.proposals(assignment)
+        final, objective, log = greedy_correlation(topo.distance_matrix(), users,
+                                                   placement, assignment)
+        expected_final, expected_log = oracle.greedy(assignment)
+        assert [tuple(b) for b in log] == expected_log
+        assert final == expected_final
+        assert objective.total_corr == oracle.total(final)
+
+
+def test_ring_instance_matches_oracle():
+    """60-node ring, alpha 0.3, universe 40, profile size 10, k=6, seed 5: the
+    instance where the old fsum-based rho path disagreed with the optimizer."""
+    topo = ring_topology(60)
+    users = generate_users(topo, ZipfModel(0.3, 40, 10), master_seed=5)
+    dm = topo.distance_matrix()
+    placement, _, _ = dragoon(dm, topo, users, 6)
+    a0 = closest_assignment(dm, users, placement)
+    oracle = PairwiseCorr(users, placement)
+    matrix = _CorrEval(users, placement).matrix(a0)
+    assert np.array_equal(matrix, oracle.matrix(a0))
+    ordered = sorted(users, key=lambda u: u.node)
+    assert all(candidate_corr(users, a0, u, s) == matrix[i, j]
+               for i, u in enumerate(ordered) for j, s in enumerate(placement))
+    assert proposal_set(users, placement, a0) == oracle.proposals(a0)
+    final, objective, log = greedy_correlation(dm, users, placement, a0)
+    expected_final, expected_log = oracle.greedy(a0)
+    assert [tuple(b) for b in log] == expected_log
+    assert final == expected_final
+    assert objective.total_corr == total_correlation(users, final) == oracle.total(final)
