@@ -4,9 +4,9 @@ from .assignment import (
     AssignmentObjective,
     candidate_corr,
     greedy_correlation,
+    optimize,
     proposal_set,
     relocate_servers,
-    server_profile,
     total_correlation,
     user_correlations,
 )
@@ -30,12 +30,12 @@ from .placement import (
     evaluate_placement,
     farthest_first_init,
     one_center,
+    weighted_distances,
 )
 from .profiles import (
     Profile,
     UserGroup,
     ZipfModel,
-    aggregate,
     generate_profile,
     generate_users,
     load_trace,

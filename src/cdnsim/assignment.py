@@ -28,9 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .placement import Assignment, Placement
-from .profiles import Profile, UserGroup, aggregate, midranks_descending
-from .topology import DistanceMatrix, NodeId
+from .placement import Assignment, Placement, closest_assignment, dragoon, weighted_distances
+from .profiles import UserGroup, midranks_descending
+from .topology import DistanceMatrix, NodeId, Topology
+
+OPTIMIZERS = ("distance", "correlation")
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,6 @@ class BatchRecord(NamedTuple):
     total_corr_before: float
     total_corr_after: float
     accepted: bool
-
-
-def server_profile(users: list[UserGroup], assignment: Assignment, server: NodeId) -> Profile:
-    """Mean profile of the users currently assigned to `server`."""
-    member_profiles = [u.profile for u in users if assignment[u.node] == server]
-    if not member_profiles:
-        raise ValidationError(f"server {server!r} has no assigned users")
-    return aggregate(member_profiles)
 
 
 class _CorrEval:
@@ -224,7 +218,7 @@ def greedy_correlation(
         if not accepted:
             break
         assignment, total = candidate, new_total
-    weighted = np.array([u.priority * dm.get(u.node, assignment[u.node]) for u in users])
+    weighted = weighted_distances(dm, users, assignment)
     objective = AssignmentObjective(total, float(weighted.max()), float(weighted.mean()))
     return assignment, objective, log
 
@@ -269,3 +263,31 @@ def relocate_servers(
     new_placement = tuple(sorted(new_location.values()))
     new_assignment = {u.node: new_location[assignment[u.node]] for u in users}
     return new_placement, new_assignment
+
+
+def optimize(
+    topo: Topology,
+    users: list[UserGroup],
+    k: int | None = None,
+    placement: Placement | None = None,
+    optimizer: str = "distance",
+) -> tuple[Placement, Assignment, list[BatchRecord]]:
+    """The planning pipeline: placement, closest assignment, optional greedy.
+
+    Without a `placement`, dragoon places `k` servers. Users go to their
+    closest server; the "correlation" optimizer then runs greedy_correlation
+    and relocate_servers. The log is the greedy's, empty for "distance".
+    """
+    if optimizer not in OPTIMIZERS:
+        raise ValidationError(f"unknown optimizer {optimizer!r}")
+    dm = topo.distance_matrix()
+    if placement is None:
+        if k is None:
+            raise ValidationError("optimize needs k or a placement")
+        placement, _, _ = dragoon(dm, topo, users, k)
+    assignment = closest_assignment(dm, users, placement)
+    log: list[BatchRecord] = []
+    if optimizer == "correlation":
+        assignment, _, log = greedy_correlation(dm, users, placement, assignment)
+        placement, assignment = relocate_servers(dm, users, placement, assignment)
+    return placement, assignment, log

@@ -13,10 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .assignment import greedy_correlation, relocate_servers, user_correlations
+from .assignment import OPTIMIZERS, BatchRecord, optimize, user_correlations
 from .cache import CacheConfig, POLICIES
 from .errors import InfeasibleError, ValidationError
-from .placement import closest_assignment, dragoon, one_center
+from .placement import dragoon, one_center
 from .profiles import UserGroup, ZipfModel, generate_users, load_trace
 from .simulation import (
     Scenario,
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="LRU", choices=POLICIES)
     p.add_argument("--capacity", type=int, default=10)
     p.add_argument("--origin", default=None, help="origin node (default: 1-center)")
-    p.add_argument("--optimizer", default="distance", choices=["distance", "correlation"])
+    p.add_argument("--optimizer", default="distance", choices=OPTIMIZERS)
     p.add_argument("--sweep", default=None, choices=SWEEP_AXES)
     p.add_argument("--values", default=None,
                    help="comma-separated sweep values, e.g. 1,2,4,8")
@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_users(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--policy", default="LRU", choices=POLICIES)
-    p.add_argument("--capacity", type=int, default=10)
-    p.add_argument("--origin", default=None)
 
     return parser
 
@@ -204,20 +201,24 @@ def cmd_place(args) -> int:
     return EXIT_OK
 
 
-def cmd_assign(args) -> int:
-    topo = _load_topology(args)
-    users = _load_users(args, topo)
-    dm = topo.distance_matrix()
-    placement = _load_placement(args.placement, topo)
-    initial = closest_assignment(dm, users, placement)
-    assignment, objective, log = greedy_correlation(dm, users, placement, initial)
-    first = log[0]
-    if first.moves_proposed and not first.accepted:
+def _warn_if_stalled(log: list[BatchRecord]):
+    """One stderr line when the correlation greedy rolled back its first batch."""
+    if log and log[0].moves_proposed and not log[0].accepted:
+        first = log[0]
         print(f"warning: the correlation greedy rejected its first batch of "
               f"{first.moves_proposed} moves (total_corr {first.total_corr_before!r} -> "
               f"{first.total_corr_after!r}); the assignment stays closest-server",
               file=sys.stderr)
-    placement, assignment = relocate_servers(dm, users, placement, assignment)
+
+
+def cmd_assign(args) -> int:
+    topo = _load_topology(args)
+    users = _load_users(args, topo)
+    placement, assignment, log = optimize(topo, users,
+                                          placement=_load_placement(args.placement, topo),
+                                          optimizer="correlation")
+    _warn_if_stalled(log)
+    dm = topo.distance_matrix()
     out = _outdir(args)
     rhos = user_correlations(users, assignment)
     rows = [[node, assignment[node], repr(rho), repr(dm.get(node, assignment[node]))]
@@ -233,25 +234,20 @@ def cmd_assign(args) -> int:
     )
     _write_text(out / "assignment_placement.json",
                 json.dumps(sorted(placement), indent=2) + "\n")
-    print(f"total_corr: {objective.total_corr}")
+    # the greedy's log always ends on a rejected or empty round, at the final total
+    print(f"total_corr: {log[-1].total_corr_before}")
     print(f"relocated placement: {' '.join(placement)}")
     return EXIT_OK
 
 
 def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario:
-    dm = topo.distance_matrix()
-    if args.placement:
-        placement = _load_placement(args.placement, topo)
-        assignment = closest_assignment(dm, users, placement)
-    elif args.k is not None:
-        placement, _, _ = dragoon(dm, topo, users, args.k)
-        assignment = closest_assignment(dm, users, placement)
-        if args.optimizer == "correlation":
-            assignment, _, _ = greedy_correlation(dm, users, placement, assignment)
-            placement, assignment = relocate_servers(dm, users, placement, assignment)
-    else:
+    if not args.placement and args.k is None:
         raise ValidationError("simulate needs --scenario, --placement or --k")
-    origin = args.origin if args.origin else one_center(dm, users)
+    placement = _load_placement(args.placement, topo) if args.placement else None
+    placement, assignment, log = optimize(topo, users, k=args.k, placement=placement,
+                                          optimizer=args.optimizer)
+    _warn_if_stalled(log)
+    origin = args.origin if args.origin else one_center(topo.distance_matrix(), users)
     return Scenario(
         topology=topo,
         users=users,
@@ -309,26 +305,14 @@ def cmd_simulate(args) -> int:
 def cmd_pareto(args) -> int:
     topo = _load_topology(args)
     users = _load_users(args, topo)
-    dm = topo.distance_matrix()
-    origin = args.origin if args.origin else one_center(dm, users)
-    scenario = Scenario(
-        topology=topo,
-        users=users,
-        placement=(topo.node_ids[0],),  # front_sweep derives its own placements
-        assignment={u.node: topo.node_ids[0] for u in users},
-        cache=CacheConfig(capacity=args.capacity, policy=args.policy),
-        origin=origin,
-        master_seed=args.seed,
-        requests_per_user=args.requests,
-    )
-    front = front_sweep(scenario, args.k, args.steps)
+    front = front_sweep(topo, users, args.k, args.steps, args.seed)
     out = _outdir(args)
     _write_csv(
         out / "pareto.csv",
         ["avg_dist", "total_corr", "max_dist", "miss_ratio", "placement",
          "seed", "step"],
         [[repr(p.avg_dist), repr(p.total_corr), repr(p.max_dist),
-          repr(p.sim.miss_ratio) if p.sim else "",
+          "",  # miss_ratio: the front is not simulated; the column keeps readers working
           " ".join(p.placement), args.seed, p.step] for p in front],
     )
     print(f"front size: {len(front)}")

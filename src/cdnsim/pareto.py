@@ -12,18 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import (
-    greedy_correlation,
-    proposal_set,
-    relocate_servers,
-    total_correlation,
-)
+from .assignment import optimize, proposal_set, total_correlation
 from .errors import ValidationError
-from .placement import Assignment, Placement, closest_assignment, dragoon
+from .placement import Assignment, Placement, weighted_distances
 from .profiles import UserGroup
 from .rng import derive_seed, make_rng
-from .simulation import Scenario, SimulationResult, run
-from .topology import DistanceMatrix
+from .topology import DistanceMatrix, Topology
 
 
 @dataclass(frozen=True)
@@ -34,7 +28,6 @@ class SolutionPoint:
     total_corr: float
     max_dist: float
     step: int
-    sim: SimulationResult | None = None
 
     def assignment_dict(self) -> Assignment:
         return dict(self.assignment)
@@ -73,7 +66,7 @@ def _evaluate(
     assignment: Assignment,
     step: int,
 ) -> SolutionPoint:
-    weighted = np.array([u.priority * dm.get(u.node, assignment[u.node]) for u in users])
+    weighted = weighted_distances(dm, users, assignment)
     return SolutionPoint(
         placement=tuple(sorted(placement)),
         assignment=tuple(sorted(assignment.items())),
@@ -85,28 +78,24 @@ def _evaluate(
 
 
 def front_sweep(
-    scenario: Scenario, k: int, steps: int, simulate: bool = False
+    topo: Topology, users: list[UserGroup], k: int, steps: int, master_seed: int
 ) -> ParetoFront:
     """Pareto front from a seeded walk between the two single-objective optima.
 
-    Point 0 is the dragoon placement with closest assignment; the final point
-    is the correlation-greedy fixpoint with relocated servers. Interior points
-    apply one randomly chosen improving reassignment per step, drawn from the
-    greedy proposal set under the walk seed derived from the scenario's master
-    seed. With simulate=True every surviving front point also gets a cache
-    simulation attached.
+    Point 0 is optimize's "distance" solution (dragoon placement, closest
+    assignment); the final point is its "correlation" solution on the same
+    placement (greedy fixpoint, relocated servers). Interior points apply one
+    randomly chosen improving reassignment per step, drawn from the greedy
+    proposal set under the walk seed derived from `master_seed`.
     """
     if steps < 2:
         raise ValidationError("steps must be at least 2")
-    topo = scenario.topology
-    users = scenario.users
     dm = topo.distance_matrix()
 
-    place0, _, _ = dragoon(dm, topo, users, k)
-    a0 = closest_assignment(dm, users, place0)
+    place0, a0, _ = optimize(topo, users, k=k)
     recorded = [_evaluate(dm, users, place0, a0, step=0)]
 
-    rng = make_rng(derive_seed(scenario.master_seed, "pareto-walk"))
+    rng = make_rng(derive_seed(master_seed, "pareto-walk"))
     assignment = dict(a0)
     for step in range(1, steps - 1):
         proposals = proposal_set(users, place0, assignment)
@@ -116,23 +105,6 @@ def front_sweep(
         assignment[user_node] = server
         recorded.append(_evaluate(dm, users, place0, assignment, step=step))
 
-    a_greedy, _, _ = greedy_correlation(dm, users, place0, a0)
-    place_end, a_end = relocate_servers(dm, users, place0, a_greedy)
+    place_end, a_end, _ = optimize(topo, users, placement=place0, optimizer="correlation")
     recorded.append(_evaluate(dm, users, place_end, a_end, step=steps - 1))
-
-    front = non_dominated(recorded)
-    if simulate:
-        from dataclasses import replace as dc_replace
-
-        front = [
-            dc_replace(
-                p,
-                sim=run(
-                    dc_replace(
-                        scenario, placement=p.placement, assignment=p.assignment_dict()
-                    )
-                ),
-            )
-            for p in front
-        ]
-    return front
+    return non_dominated(recorded)

@@ -89,6 +89,13 @@ def closest_assignment(
     return out
 
 
+def weighted_distances(
+    dm: DistanceMatrix, users: list[UserGroup], assignment: Assignment
+) -> np.ndarray:
+    """Priority * distance to the assigned server, in the order of `users`."""
+    return np.array([u.priority * dm.get(u.node, assignment[u.node]) for u in users])
+
+
 def evaluate_placement(
     dm: DistanceMatrix, users: list[UserGroup], placement: Placement
 ) -> PlacementObjective:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,24 +220,6 @@ def load_trace(data: bytes) -> list[UserGroup]:
         probs = np.array([per_node.get(s, 0) / total for s in universe])
         users.append(UserGroup(node=node, profile=Profile(universe, probs)))
     return users
-
-
-def aggregate(profiles: list[Profile]) -> Profile:
-    """Unweighted arithmetic mean of profiles over a shared universe.
-
-    Columns are summed with math.fsum, so the result does not depend on the
-    order of the input profiles.
-    """
-    if not profiles:
-        raise ValidationError("cannot aggregate zero profiles")
-    universe = profiles[0].universe
-    for p in profiles[1:]:
-        if p.universe != universe:
-            raise ValidationError("profiles have different universes")
-    k = len(profiles)
-    stacked = [p.probs for p in profiles]
-    mean = np.array([math.fsum(row[i] for row in stacked) / k for i in range(len(universe))])
-    return Profile(universe, mean)
 
 
 def midranks_descending(values: np.ndarray) -> np.ndarray:

@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cache import CacheConfig, CacheStats, belady_misses, make_cache
+from .assignment import OPTIMIZERS, optimize
+from .cache import CacheConfig, CacheStats, replay
 from .errors import ValidationError
-from .placement import Assignment, Placement, closest_assignment, dragoon
+from .placement import Assignment, Placement, weighted_distances
 from .profiles import Profile, ServiceId, UserGroup
 from .rng import derive_seed, make_rng
 from .topology import NodeId, Topology
@@ -117,25 +118,16 @@ def run(scenario: Scenario) -> SimulationResult:
     network_load = 0.0
     for server in sorted(s.placement):
         stream = per_server_stream[server]
-        to_origin = dm.get(server, s.origin)
         for user_node, _ in stream:
             network_load += dm.get(user_node, server)
-        if s.cache.policy == "BELADY":
-            stats = belady_misses([item for _, item in stream], s.cache.capacity)
-        else:
-            cache = make_cache(s.cache)
-            for _, item in stream:
-                cache.access(item)
-            stats = cache.stats
-        network_load += stats.misses * to_origin
+        stats = replay([item for _, item in stream], s.cache)
+        network_load += stats.misses * dm.get(server, s.origin)
         per_server[server] = stats
 
     overall = CacheStats()
     for stats in per_server.values():
         overall = overall.add(stats)
-    weighted = np.array(
-        [u.priority * dm.get(u.node, s.assignment[u.node]) for u in users]
-    )
+    weighted = weighted_distances(dm, users, s.assignment)
     return SimulationResult(
         per_server=per_server,
         overall=overall,
@@ -154,16 +146,14 @@ def experiment_sweep(
 ) -> list[tuple[object, SimulationResult]]:
     """One run per axis value under a shared master seed.
 
-    server_count re-optimizes placement per value (distance: dragoon plus
-    closest assignment; correlation: additionally the correlation greedy and
-    server relocation). cache_size and policy keep the base placement and
-    assignment fixed.
+    server_count re-plans each value through optimize with `optimizer`.
+    cache_size and policy keep the base placement and assignment fixed.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"unknown sweep axis {axis!r}; one of {SWEEP_AXES}")
     if not values:
         raise ValidationError("sweep needs at least one value")
-    if optimizer not in ("distance", "correlation"):
+    if optimizer not in OPTIMIZERS:
         raise ValidationError(f"unknown optimizer {optimizer!r}")
 
     results = []
@@ -173,21 +163,11 @@ def experiment_sweep(
         elif axis == "policy":
             scenario = replace(base, cache=replace(base.cache, policy=str(value)))
         else:
-            scenario = _reoptimized(base, int(value), optimizer)
+            placement, assignment, _ = optimize(base.topology, base.users, k=int(value),
+                                                optimizer=optimizer)
+            scenario = replace(base, placement=placement, assignment=assignment)
         results.append((value, run(scenario)))
     return results
-
-
-def _reoptimized(base: Scenario, k: int, optimizer: str) -> Scenario:
-    from .assignment import greedy_correlation, relocate_servers
-
-    dm = base.topology.distance_matrix()
-    placement, _, _ = dragoon(dm, base.topology, base.users, k)
-    assignment = closest_assignment(dm, base.users, placement)
-    if optimizer == "correlation":
-        assignment, _, _ = greedy_correlation(dm, base.users, placement, assignment)
-        placement, assignment = relocate_servers(dm, base.users, placement, assignment)
-    return replace(base, placement=placement, assignment=assignment)
 
 
 def scenario_to_json(s: Scenario) -> str:

@@ -9,9 +9,10 @@ from cdnsim import (
     ValidationError,
     candidate_corr,
     closest_assignment,
+    dragoon,
     greedy_correlation,
+    optimize,
     relocate_servers,
-    server_profile,
     spearman,
     total_correlation,
 )
@@ -27,31 +28,6 @@ def two_user_example(nodes=("u1", "u2")):
         UserGroup(node=nodes[0], profile=p1),
         UserGroup(node=nodes[1], profile=p2),
     ]
-
-
-class TestServerProfile:
-    def test_worked_example(self):
-        users = two_user_example()
-        a = {"u1": "s", "u2": "s"}
-        srv = server_profile(users, a, "s")
-        assert srv.entries == pytest.approx({"A": 0.4, "B": 0.25, "C": 0.35})
-
-    def test_single_user(self):
-        users = two_user_example()
-        a = {"u1": "s", "u2": "t"}
-        assert server_profile(users, a, "s") == users[0].profile
-
-    def test_order_invariant(self):
-        users = [UserGroup(node=f"u{i}", profile=random_profile(i, UNIVERSE_ABC))
-                 for i in range(5)]
-        a = {u.node: "s" for u in users}
-        forward = server_profile(users, a, "s")
-        backward = server_profile(list(reversed(users)), a, "s")
-        assert forward == backward
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValidationError):
-            server_profile(two_user_example(), {"u1": "s", "u2": "s"}, "t")
 
 
 class TestCandidateCorr:
@@ -214,3 +190,30 @@ class TestRelocateServers:
         mapping = {a[u.node]: new_a[u.node] for u in users}
         for old_server, new_server in mapping.items():
             assert new_max[new_server] <= old_max[old_server] + 1e-12
+
+
+class TestOptimize:
+    """optimize is the composition of the stages it documents, nothing more."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_composes_the_stages(self, seed):
+        topo = random_connected_topology(seed, 12)
+        universe = tuple(f"s{i}" for i in range(6))
+        users = [UserGroup(node=n, profile=random_profile(seed * 17 + i, universe))
+                 for i, n in enumerate(topo.node_ids)]
+        dm = topo.distance_matrix()
+        placement, _, _ = dragoon(dm, topo, users, 3)
+        closest = closest_assignment(dm, users, placement)
+        assert optimize(topo, users, k=3) == (placement, closest, [])
+        greedy, _, log = greedy_correlation(dm, users, placement, closest)
+        expected = (*relocate_servers(dm, users, placement, greedy), log)
+        # a given placement wins over k
+        assert optimize(topo, users, k=1, placement=placement,
+                        optimizer="correlation") == expected
+
+    def test_rejects_unknown_optimizer_and_missing_plan(self, path3):
+        users = [UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC))]
+        with pytest.raises(ValidationError):
+            optimize(path3, users, k=1, optimizer="latency")
+        with pytest.raises(ValidationError):
+            optimize(path3, users)

@@ -44,6 +44,13 @@ def topo12(tmp_path):
     return path
 
 
+@pytest.fixture
+def desk(tmp_path):
+    path = tmp_path / "desk.graphml"
+    path.write_text(graphml_for(desk_topology()))
+    return path
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -144,10 +151,8 @@ class TestAssign:
         assert read_csv(out / "assignment_log.csv")[1][1:] == ["1", "2.0", "3.0", "True"]
         assert capsys.readouterr().err == ""
 
-    def test_desk_instance_rho_column_and_rejected_batch_warning(self, tmp_path, capsys):
-        topology = tmp_path / "desk.graphml"
-        topology.write_text(graphml_for(desk_topology()))
-        common = ["--topology", str(topology), "--seed", "124", "--out", str(tmp_path)]
+    def test_desk_instance_rho_column_and_rejected_batch_warning(self, desk, tmp_path, capsys):
+        common = ["--topology", str(desk), "--seed", "124", "--out", str(tmp_path)]
         assert main(["place", "--k", "10", *common]) == 0
         capsys.readouterr()
         assert main(["assign", "--placement", str(tmp_path / "placement.json"),
@@ -204,6 +209,28 @@ class TestSimulate:
         assert main(["simulate", "--topology", str(topo12),
                      "--out", str(tmp_path)]) == 1
 
+    def test_desk_placement_runs_the_correlation_optimizer(self, desk, tmp_path):
+        # --placement with --optimizer correlation simulates the plan `assign` writes
+        common = ["--topology", str(desk), "--seed", "124"]
+        assert main(["place", "--k", "10", *common, "--out", str(tmp_path)]) == 0
+        placement = str(tmp_path / "placement.json")
+        assert main(["assign", "--placement", placement, *common,
+                     "--out", str(tmp_path)]) == 0
+        out = tmp_path / "sim"
+        assert main(["simulate", "--placement", placement, "--optimizer", "correlation",
+                     *common, "--out", str(out)]) == 0
+        avg_dist = float(read_csv(out / "simulation.csv")[1][3])
+        distances = [float(r[3]) for r in read_csv(tmp_path / "assignment.csv")[1:]]
+        assert avg_dist == sum(distances) / len(distances) == 1.9193548387096775
+
+    def test_desk_correlation_warns_once_when_the_greedy_stalls(self, desk, tmp_path, capsys):
+        assert main(["simulate", "--k", "10", "--optimizer", "correlation",
+                     "--topology", str(desk), "--seed", "124", "--out", str(tmp_path)]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: the correlation greedy rejected "
+                                      "its first batch of 118 moves")
+
     def test_scenario_file_round_trip(self, topo12, tmp_path):
         out1 = tmp_path / "a"
         code = main(["simulate", "--topology", str(topo12), "--k", "2",
@@ -223,6 +250,14 @@ class TestPareto:
         assert rows[0] == ["avg_dist", "total_corr", "max_dist", "miss_ratio",
                            "placement", "seed", "step"]
         assert len(rows) - 1 <= 2
+        assert all(r[3] == "" for r in rows[1:])  # miss_ratio stays empty
+
+    @pytest.mark.parametrize("flag", [["--policy", "LRU"], ["--capacity", "5"],
+                                      ["--origin", "n0"]])
+    def test_simulation_flags_rejected(self, topo12, tmp_path, flag):
+        # the front is not simulated, so pareto takes no cache or origin settings
+        assert main(["pareto", "--topology", str(topo12), "--k", "2",
+                     *flag, "--out", str(tmp_path)]) == 1
 
     def test_output_has_no_dominated_pair(self, topo12, tmp_path):
         out = tmp_path / "out"

@@ -129,6 +129,11 @@ class TestAgainstPairwiseOracle:
                               oracle.matrix(assignment))
         assert total_correlation(users, assignment) == oracle.total(assignment)
         assert list(user_correlations(users, assignment).values()) == oracle.own(assignment)
+        # the input order of the users never changes a coefficient
+        backward = list(reversed(users))
+        assert total_correlation(backward, assignment) == oracle.total(assignment)
+        assert (list(user_correlations(backward, assignment).items())
+                == list(user_correlations(users, assignment).items()))
 
     @EXACT
     @given(instances())

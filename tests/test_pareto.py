@@ -13,6 +13,7 @@ from cdnsim import (
     dominates,
     front_sweep,
     non_dominated,
+    run,
     total_correlation,
 )
 from cdnsim.pareto import SolutionPoint
@@ -100,44 +101,35 @@ class TestNonDominated:
         assert all(corrs[i] < corrs[i + 1] for i in range(len(corrs) - 1))
 
 
-def walk_scenario(seed=0, n=10, k=2):
+def walk_instance(seed=0, n=10):
+    """(topology, users) with random profiles on a random connected graph."""
     topo = random_connected_topology(seed, n)
     universe = tuple(f"s{i}" for i in range(8))
     users = [
         UserGroup(node=node, profile=random_profile(seed * 101 + i, universe))
         for i, node in enumerate(topo.node_ids)
     ]
-    return Scenario(
-        topology=topo,
-        users=users,
-        placement=(topo.node_ids[0],),
-        assignment={u.node: topo.node_ids[0] for u in users},
-        cache=CacheConfig(3, "LRU"),
-        origin=topo.node_ids[0],
-        master_seed=seed,
-        requests_per_user=100,
-    )
+    return topo, users
 
 
 class TestFrontSweep:
     def test_steps_two_gives_endpoints_only(self):
-        front = front_sweep(walk_scenario(1), k=2, steps=2)
+        front = front_sweep(*walk_instance(1), k=2, steps=2, master_seed=1)
         assert 1 <= len(front) <= 2
         assert {p.step for p in front} <= {0, 1}
 
     def test_no_dominated_pairs(self):
-        front = front_sweep(walk_scenario(2), k=2, steps=20)
+        front = front_sweep(*walk_instance(2), k=2, steps=20, master_seed=2)
         for a, b in itertools.permutations(front, 2):
             assert not dominates(a, b)
 
     def test_deterministic(self):
-        assert front_sweep(walk_scenario(3), 2, 15) == front_sweep(walk_scenario(3), 2, 15)
+        assert (front_sweep(*walk_instance(3), 2, 15, 3)
+                == front_sweep(*walk_instance(3), 2, 15, 3))
 
     def test_seed_changes_interior_not_endpoints(self):
-        s1, s2 = walk_scenario(4), walk_scenario(4)
-        s2.master_seed = 999
-        f1 = front_sweep(s1, 2, 25)
-        f2 = front_sweep(s2, 2, 25)
+        f1 = front_sweep(*walk_instance(4), 2, 25, 4)
+        f2 = front_sweep(*walk_instance(4), 2, 25, 999)
         # the distance endpoint (step 0) is seed-independent
         first1 = min(f1, key=lambda p: p.step)
         first2 = min(f2, key=lambda p: p.step)
@@ -146,12 +138,12 @@ class TestFrontSweep:
             assert first1.assignment == first2.assignment
 
     def test_endpoints_span_the_tradeoff(self):
-        s = walk_scenario(5)
-        front = front_sweep(s, 2, 30)
-        dm = s.topology.distance_matrix()
-        place0, _, _ = dragoon(dm, s.topology, s.users, 2)
-        a0 = closest_assignment(dm, s.users, place0)
-        w = [u.priority * dm.get(u.node, a0[u.node]) for u in s.users]
+        topo, users = walk_instance(5)
+        front = front_sweep(topo, users, 2, 30, 5)
+        dm = topo.distance_matrix()
+        place0, _, _ = dragoon(dm, topo, users, 2)
+        a0 = closest_assignment(dm, users, place0)
+        w = [u.priority * dm.get(u.node, a0[u.node]) for u in users]
         min_avg = float(np.mean(w))
         assert front[0].avg_dist == pytest.approx(min_avg)
         # recorded correlation endpoint is the best correlation on the front
@@ -167,17 +159,7 @@ class TestFrontSweep:
             UserGroup(node=f"n{i}", profile=(c1 if i in (0, 2, 4) else c2))
             for i in range(6)
         ]
-        s = Scenario(
-            topology=topo,
-            users=users,
-            placement=("n0",),
-            assignment={u.node: "n0" for u in users},
-            cache=CacheConfig(2, "LRU"),
-            origin="n0",
-            master_seed=7,
-            requests_per_user=100,
-        )
-        front = front_sweep(s, 2, 2)
+        front = front_sweep(topo, users, 2, 2, 7)
         dm = topo.distance_matrix()
 
         # distance endpoint: dragoon meets the exact k-center optimum here
@@ -197,14 +179,18 @@ class TestFrontSweep:
 
     def test_steps_below_two_rejected(self):
         with pytest.raises(ValidationError):
-            front_sweep(walk_scenario(6), 2, 1)
+            front_sweep(*walk_instance(6), 2, 1, 6)
 
     def test_simulate_attaches_results(self):
-        front = front_sweep(walk_scenario(8), 2, 5, simulate=True)
-        assert all(p.sim is not None for p in front)
-        assert all(0.0 <= p.sim.miss_ratio <= 1.0 for p in front)
+        # front points are plain plans: each one replays through the public run()
+        topo, users = walk_instance(8)
+        for p in front_sweep(topo, users, 2, 5, 8):
+            result = run(Scenario(topology=topo, users=users, placement=p.placement,
+                                  assignment=p.assignment_dict(), cache=CacheConfig(3, "LRU"),
+                                  origin=topo.node_ids[0], master_seed=8))
+            assert 0.0 <= result.miss_ratio <= 1.0
 
     def test_front_is_finer_grained_than_four_points(self):
         # enough walk steps on a desk-size scenario produce a rich front
-        front = front_sweep(walk_scenario(9, n=16, k=3), k=3, steps=60)
+        front = front_sweep(*walk_instance(9, n=16), k=3, steps=60, master_seed=9)
         assert len(front) >= 4

@@ -6,7 +6,6 @@ from cdnsim import (
     UserGroup,
     ValidationError,
     ZipfModel,
-    aggregate,
     generate_profile,
     generate_requests,
     load_trace,
@@ -126,34 +125,6 @@ class TestLoadTrace:
             load_trace(b"node_id,service_id,count\n,a,3\n")
         with pytest.raises(ValidationError, match="no data"):
             load_trace(b"node_id,service_id,count\n")
-
-
-class TestAggregate:
-    def test_worked_example(self):
-        u1 = Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
-        u2 = Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
-        srv = aggregate([u1, u2])
-        assert srv.entries == pytest.approx({"A": 0.4, "B": 0.25, "C": 0.35})
-
-    def test_identity_and_idempotence(self):
-        p = random_profile(4, make_universe(9))
-        assert aggregate([p]) == p
-        many = aggregate([p] * 5)
-        assert np.allclose(many.probs, p.probs)
-
-    def test_preserves_probability_sum(self):
-        universe = make_universe(15)
-        ps = [random_profile(s, universe) for s in range(8)]
-        assert abs(aggregate(ps).probs.sum() - 1.0) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate([])
-
-    def test_universe_mismatch(self):
-        with pytest.raises(ValidationError):
-            aggregate([random_profile(0, make_universe(4)),
-                       random_profile(0, make_universe(5))])
 
 
 class TestSpearman:
