@@ -28,7 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .placement import Assignment, Placement, closest_assignment, dragoon, weighted_distances
+from .placement import (
+    Assignment,
+    Placement,
+    closest_assignment,
+    dragoon,
+    one_center,
+    weighted_distances,
+)
 from .profiles import UserGroup, midranks_descending
 from .topology import DistanceMatrix, NodeId, Topology
 
@@ -243,22 +250,13 @@ def relocate_servers(
             raise ValidationError(f"user {u.node!r} assigned outside placement")
         groups[s].append(u)
 
-    new_location: dict[NodeId, NodeId] = {}
-    taken = {s for s, members in groups.items() if not members}
+    new_location = {s: s for s, members in groups.items() if not members}
+    taken = set(new_location)
     for s in sorted(groups):
-        members = groups[s]
-        if not members:
-            new_location[s] = s
-            continue
-        rows = [dm.index(u.node) for u in members]
-        prios = np.array([u.priority for u in members])
-        weighted = prios[:, None] * dm.matrix[rows, :]
-        maxs = weighted.max(axis=0)
-        avgs = weighted.mean(axis=0)
-        ranked = sorted(range(len(dm.ids)), key=lambda i: (maxs[i], avgs[i], dm.ids[i]))
-        target = next(dm.ids[i] for i in ranked if dm.ids[i] not in taken)
-        new_location[s] = target
-        taken.add(target)
+        if groups[s]:
+            free = tuple(n for n in dm.ids if n not in taken)
+            new_location[s] = one_center(dm, groups[s], candidates=free)
+            taken.add(new_location[s])
 
     new_placement = tuple(sorted(new_location.values()))
     new_assignment = {u.node: new_location[assignment[u.node]] for u in users}

@@ -55,31 +55,20 @@ class CacheStats:
 
 
 class OnlineCache:
-    """Shared bookkeeping; subclasses implement residency and victim choice."""
+    """Decides what stays resident; subclasses implement residency and victim
+    choice. Statistics are derived from the misses by `replay`."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.stats = CacheStats()
-        self._seen: set[ServiceId] = set()
         self._clock = 0
 
     def access(self, item: ServiceId) -> tuple[bool, ServiceId | None]:
         """Request one item; returns (hit, evicted item if any)."""
         self._clock += 1
-        self.stats.requests += 1
         if self._contains(item):
-            self.stats.hits += 1
             self._on_hit(item)
             return True, None
-        self.stats.misses += 1
-        if item not in self._seen:
-            self.stats.cold_misses += 1
-            self._seen.add(item)
-        evicted = self._insert(item)
-        return False, evicted
-
-    def resident_count(self) -> int:
-        raise NotImplementedError
+        return False, self._insert(item)
 
     def _contains(self, item: ServiceId) -> bool:
         raise NotImplementedError
@@ -95,9 +84,6 @@ class LRUCache(OnlineCache):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._order: OrderedDict[ServiceId, None] = OrderedDict()
-
-    def resident_count(self) -> int:
-        return len(self._order)
 
     def _contains(self, item):
         return item in self._order
@@ -128,9 +114,6 @@ class LRU2Cache(OnlineCache):
         self._resident: set[ServiceId] = set()
         self._last: dict[ServiceId, int] = {}
         self._prev: dict[ServiceId, int] = {}
-
-    def resident_count(self) -> int:
-        return len(self._resident)
 
     def _touch(self, item):
         if item in self._last:
@@ -167,9 +150,6 @@ class LFUCache(OnlineCache):
         self._resident: set[ServiceId] = set()
         self._count: dict[ServiceId, int] = {}
         self._last: dict[ServiceId, int] = {}
-
-    def resident_count(self) -> int:
-        return len(self._resident)
 
     def _touch(self, item):
         self._count[item] = self._count.get(item, 0) + 1
@@ -296,27 +276,21 @@ def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
         positions.setdefault(item, []).append(i)
     cursor = {item: 0 for item in positions}
 
-    stats = CacheStats()
+    misses = 0
     resident: dict[ServiceId, float] = {}  # item -> next use position
-    seen: set[ServiceId] = set()
-    for i, item in enumerate(trace):
+    for item in trace:
         occurrences = positions[item]
         cursor[item] += 1
         next_use = occurrences[cursor[item]] if cursor[item] < len(occurrences) else _NEVER
-        stats.requests += 1
         if item in resident:
-            stats.hits += 1
             resident[item] = next_use
             continue
-        stats.misses += 1
-        if item not in seen:
-            stats.cold_misses += 1
-            seen.add(item)
+        misses += 1
         if len(resident) >= capacity:
             victim = min(resident, key=lambda x: (-resident[x], x))
             del resident[victim]
         resident[item] = next_use
-    return stats
+    return _stats(trace, misses)
 
 
 def replay(trace: list[ServiceId], config: CacheConfig) -> CacheStats:
@@ -324,9 +298,13 @@ def replay(trace: list[ServiceId], config: CacheConfig) -> CacheStats:
     if config.policy == "BELADY":
         return belady_misses(list(trace), config.capacity)
     cache = make_cache(config)
-    for item in trace:
-        cache.access(item)
-    return cache.stats
+    return _stats(trace, sum(not cache.access(item)[0] for item in trace))
+
+
+def _stats(trace: list[ServiceId], misses: int) -> CacheStats:
+    """Every policy loads an item only on a miss, so an item's first request is
+    its only cold miss: cold misses are the distinct items of the trace."""
+    return CacheStats(len(trace), len(trace) - misses, misses, len(set(trace)))
 
 
 def read_trace(data: bytes) -> list[ServiceId]:

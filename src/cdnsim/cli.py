@@ -60,7 +60,9 @@ def _add_users(p: argparse.ArgumentParser):
     p.add_argument("--universe", type=int, default=100, help="number of services")
     p.add_argument("--profile-size", type=int, default=15,
                    help="services per generated profile")
-    p.add_argument("--requests", type=int, default=100, help="requests per user")
+    p.add_argument("--requests", type=int, default=100,
+                   help="requests per user; only simulate reads it, the other "
+                        "commands accept it so one set of flags works for all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,20 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
-
-
-class _IOFailure(Exception):
-    pass
-
-
 def _load_topology(args) -> Topology:
     return parse_topology(
-        _read_bytes(args.topology),
+        Path(args.topology).read_bytes(),
         weight_key=args.weight_key,
         priority_key=args.priority_key,
     )
@@ -124,21 +115,20 @@ def _load_topology(args) -> Topology:
 
 def _load_users(args, topo: Topology) -> list[UserGroup]:
     if args.trace:
-        users = load_trace(_read_bytes(args.trace))
+        users = load_trace(Path(args.trace).read_bytes())
         for u in users:
             if u.node not in topo:
                 raise ValidationError(f"trace user {u.node!r} not in topology")
             u.priority = topo.priorities[u.node]
-            u.request_count = args.requests
         return users
     model = ZipfModel(alpha=args.alpha, universe_size=args.universe,
                       profile_size=args.profile_size)
-    return generate_users(topo, model, args.seed, request_count=args.requests)
+    return generate_users(topo, model, args.seed)
 
 
 def _load_placement(path: str, topo: Topology) -> tuple[str, ...]:
     try:
-        servers = json.loads(_read_bytes(path))
+        servers = json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad placement JSON: {exc}") from exc
     if not isinstance(servers, list) or not servers:
@@ -153,28 +143,15 @@ def _load_placement(path: str, topo: Topology) -> tuple[str, ...]:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
-    try:
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
-
-
-def _write_text(path: Path, text: str):
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_validate(args) -> int:
@@ -189,7 +166,7 @@ def cmd_place(args) -> int:
     dm = topo.distance_matrix()
     placement, objective, log = dragoon(dm, topo, users, args.k)
     out = _outdir(args)
-    _write_text(out / "placement.json", json.dumps(sorted(placement), indent=2) + "\n")
+    (out / "placement.json").write_text(json.dumps(sorted(placement), indent=2) + "\n")
     _write_csv(
         out / "placement_log.csv",
         ["iteration", "server", "from", "to", "max_dist", "avg_dist"],
@@ -232,8 +209,8 @@ def cmd_assign(args) -> int:
         [[b.iteration, b.moves_proposed, repr(b.total_corr_before),
           repr(b.total_corr_after), b.accepted] for b in log],
     )
-    _write_text(out / "assignment_placement.json",
-                json.dumps(sorted(placement), indent=2) + "\n")
+    (out / "assignment_placement.json").write_text(
+        json.dumps(sorted(placement), indent=2) + "\n")
     # the greedy's log always ends on a rejected or empty round, at the final total
     print(f"total_corr: {log[-1].total_corr_before}")
     print(f"relocated placement: {' '.join(placement)}")
@@ -244,20 +221,22 @@ def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario
     if not args.placement and args.k is None:
         raise ValidationError("simulate needs --scenario, --placement or --k")
     placement = _load_placement(args.placement, topo) if args.placement else None
-    placement, assignment, log = optimize(topo, users, k=args.k, placement=placement,
-                                          optimizer=args.optimizer)
-    _warn_if_stalled(log)
+    assignment = {}
+    if args.sweep != "server_count":  # that sweep plans every swept k itself
+        placement, assignment, log = optimize(topo, users, k=args.k, placement=placement,
+                                              optimizer=args.optimizer)
+        _warn_if_stalled(log)
     origin = args.origin if args.origin else one_center(topo.distance_matrix(), users)
     return Scenario(
         topology=topo,
         users=users,
-        placement=placement,
+        placement=placement or (),
         assignment=assignment,
         cache=CacheConfig(capacity=args.capacity, policy=args.policy),
         origin=origin,
         master_seed=args.seed,
         requests_per_user=args.requests,
-    ).validate()
+    )
 
 
 _SIM_HEADER = ["axis_value", "miss_ratio", "max_dist", "avg_dist",
@@ -272,7 +251,7 @@ def _sim_row(value, result) -> list:
 
 def cmd_simulate(args) -> int:
     if args.scenario:
-        scenario = scenario_from_json(_read_bytes(args.scenario).decode())
+        scenario = scenario_from_json(Path(args.scenario).read_bytes().decode())
     else:
         topo = _load_topology(args)
         users = _load_users(args, topo)
@@ -339,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _IOFailure as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ PROB_SUM_TOL = 1e-9
 class Profile:
     """Immutable probability map over an ordered service universe."""
 
-    __slots__ = ("universe", "probs", "_ranks")
+    __slots__ = ("universe", "probs")
 
     def __init__(self, universe: tuple[ServiceId, ...], probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
@@ -41,7 +40,6 @@ class Profile:
         self.universe = tuple(universe)
         self.probs = probs
         self.probs.flags.writeable = False
-        self._ranks: np.ndarray | None = None
 
     @classmethod
     def from_dict(
@@ -63,17 +61,6 @@ class Profile:
     def support(self) -> list[ServiceId]:
         return [s for s, p in zip(self.universe, self.probs) if p > 0]
 
-    def ranks(self) -> np.ndarray:
-        """Descending midranks over the full universe (cached)."""
-        if self._ranks is None:
-            self._ranks = midranks_descending(self.probs)
-        return self._ranks
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {s: float(p) for s, p in zip(self.universe, self.probs)}, sort_keys=True
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Profile)
@@ -93,13 +80,10 @@ class UserGroup:
     node: NodeId
     priority: float = 1.0
     profile: Profile | None = None
-    request_count: int = 100
 
     def __post_init__(self):
         if not self.priority > 0:
             raise ValidationError(f"user {self.node!r}: non-positive priority")
-        if self.request_count < 1:
-            raise ValidationError(f"user {self.node!r}: non-positive request count")
 
 
 @dataclass(frozen=True)
@@ -159,18 +143,13 @@ def generate_profile(model: ZipfModel, rng_seed: int,
     return Profile(universe, probs)
 
 
-def generate_users(
-    topo: Topology, model: ZipfModel, master_seed: int, request_count: int = 100
-) -> list[UserGroup]:
+def generate_users(topo: Topology, model: ZipfModel, master_seed: int) -> list[UserGroup]:
     """One user group per topology node, profile seeded per node id."""
     universe = make_universe(model.universe_size)
     users = []
     for node in topo.node_ids:
         profile = generate_profile(model, derive_seed(master_seed, "profile", node), universe)
-        users.append(
-            UserGroup(node=node, priority=topo.priorities[node],
-                      profile=profile, request_count=request_count)
-        )
+        users.append(UserGroup(node=node, priority=topo.priorities[node], profile=profile))
     return users
 
 
@@ -260,5 +239,6 @@ def spearman(p: Profile, q: Profile) -> float:
     n = len(p.universe)
     if n < 2:
         raise ValidationError("need at least 2 services for rank correlation")
-    d = p.ranks() - q.ranks()
+    ranks = midranks_descending(np.stack([p.probs, q.probs]))
+    d = ranks[0] - ranks[1]
     return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1)))

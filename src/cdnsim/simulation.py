@@ -78,10 +78,8 @@ class SimulationResult:
     network_load: float
 
 
-def generate_requests(
-    user: UserGroup, master_seed: int, count: int | None = None
-) -> list[ServiceId]:
-    """Seeded i.i.d. draws from the user's profile.
+def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[ServiceId]:
+    """`count` seeded i.i.d. draws from the user's profile.
 
     The stream is pinned by PCG64 under the seed derived from
     (master_seed, "requests", node): inverse-CDF over the profile's
@@ -89,10 +87,9 @@ def generate_requests(
     """
     if user.profile is None:
         raise ValidationError(f"user {user.node!r} has no profile")
-    n = count if count is not None else user.request_count
     rng = make_rng(derive_seed(master_seed, "requests", user.node))
     cdf = np.cumsum(user.profile.probs)
-    draws = rng.random(n)
+    draws = rng.random(count)
     idx = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
     return [user.profile.universe[i] for i in idx]
 
@@ -179,7 +176,6 @@ def scenario_to_json(s: Scenario) -> str:
             {
                 "node": u.node,
                 "priority": u.priority,
-                "request_count": u.request_count,
                 "profile": {
                     svc: float(p)
                     for svc, p in zip(u.profile.universe, u.profile.probs)
@@ -203,6 +199,8 @@ def scenario_to_json(s: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
+    """Load a scenario_to_json dump. A per-user "request_count" key, which older
+    dumps carry, is ignored: requests_per_user is the only per-user count."""
     try:
         doc = json.loads(text)
         topo = Topology.from_json(json.dumps(doc["topology"]))
@@ -212,7 +210,6 @@ def scenario_from_json(text: str) -> Scenario:
                 node=u["node"],
                 priority=float(u.get("priority", 1.0)),
                 profile=Profile.from_dict(u["profile"], universe),
-                request_count=int(u.get("request_count", 100)),
             )
             for u in doc["users"]
         ]

@@ -2,7 +2,9 @@
 
 These are the straightforward versions the kernel replaced: a per-element
 midrank loop and a per-(user, server) evaluator that rebuilds and ranks one
-candidate vector at a time. They live here as test oracles only.
+candidate vector at a time. They live here as test oracles only, next to the
+server relocation that ranked every node itself before it called
+`placement.one_center`.
 """
 
 from __future__ import annotations
@@ -102,3 +104,29 @@ class PairwiseCorr:
             if not accepted:
                 return assignment, log
             assignment, total = candidate, new_total
+
+
+def relocate_servers_ranking(dm, users, placement, assignment):
+    """Each server moves to its group's best free node by (max, avg, id) of the
+    priority-weighted distances, ranked over every node; empty servers stay."""
+    groups = {s: [] for s in placement}
+    for u in users:
+        groups[assignment[u.node]].append(u)
+    new_location = {}
+    taken = {s for s, members in groups.items() if not members}
+    for s in sorted(groups):
+        members = groups[s]
+        if not members:
+            new_location[s] = s
+            continue
+        rows = [dm.index(u.node) for u in members]
+        prios = np.array([u.priority for u in members])
+        weighted = prios[:, None] * dm.matrix[rows, :]
+        maxs = weighted.max(axis=0)
+        avgs = weighted.mean(axis=0)
+        ranked = sorted(range(len(dm.ids)), key=lambda i: (maxs[i], avgs[i], dm.ids[i]))
+        target = next(dm.ids[i] for i in ranked if dm.ids[i] not in taken)
+        new_location[s] = target
+        taken.add(target)
+    new_placement = tuple(sorted(new_location.values()))
+    return new_placement, {u.node: new_location[assignment[u.node]] for u in users}

@@ -383,8 +383,7 @@ def test_criterion_10_desk_scale_performance(tmp_path):
 
     from cdnsim import ZipfModel, generate_users
 
-    users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124,
-                           request_count=100)
+    users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124)
     dm = topo.distance_matrix()
     placement, _, _ = dragoon(dm, topo, users, 10)                     # place
     a0 = closest_assignment(dm, users, placement)

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
     Profile,
+    Topology,
     UserGroup,
     ValidationError,
     candidate_corr,
@@ -16,7 +18,9 @@ from cdnsim import (
     spearman,
     total_correlation,
 )
+from cdnsim.rng import make_rng
 from conftest import path_topology, random_connected_topology, random_profile
+from oracles import relocate_servers_ranking
 
 UNIVERSE_ABC = ("A", "B", "C")
 
@@ -121,7 +125,54 @@ class TestGreedyCorrelation:
             greedy_correlation(path3.distance_matrix(), users, ("B",), {"A": "C"})
 
 
+@st.composite
+def relocation_instances(draw):
+    """A weighted topology, priorities other than 1 and an arbitrary assignment
+    onto k servers, so that groups are scattered and some are empty.
+
+    Edge weights and priorities are decimals that binary floats cannot hold, so
+    two candidates whose averages tie exactly on paper can differ in the last
+    bit, depending on the order in which the members are summed. Rings with one
+    shared weight and one shared priority make such ties common: every node of
+    the ring sees the same multiset of distances.
+    """
+    n = draw(st.integers(2, 16))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    ids = [f"n{i:02d}" for i in range(n)]
+    weights = [0.1, 0.2, 0.3, 0.7]
+    priorities = [0.1, 0.3, 0.7, 1.1, 2.2]
+    if draw(st.booleans()):
+        w = float(rng.choice(weights))
+        edges = [(ids[i], ids[(i + 1) % n], w) for i in range(n)]
+        priorities = [float(rng.choice(priorities))]
+    else:
+        edges = [(ids[int(rng.integers(i))], ids[i], float(rng.choice(weights)))
+                 for i in range(1, n)]
+        for _ in range(draw(st.integers(0, n))):
+            a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
+            edges.append((ids[a], ids[b], float(rng.choice(weights))))
+    topo = Topology([(i, i, 1.0) for i in ids], edges)
+    users = [UserGroup(node=node, priority=float(rng.choice(priorities)),
+                       profile=random_profile(i, ("s0", "s1")))
+             for i, node in enumerate(ids)]
+    k = draw(st.integers(1, n))
+    servers = tuple(sorted(rng.choice(ids, size=k, replace=False).tolist()))
+    assignment = {u.node: servers[int(rng.integers(k))] for u in users}
+    shuffled = [users[i] for i in rng.permutation(n)]
+    return topo.distance_matrix(), users, servers, assignment, shuffled
+
+
 class TestRelocateServers:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(relocation_instances())
+    def test_matches_the_full_ranking_oracle(self, instance):
+        # every caller passes users in node-id order, as the oracle gets them here;
+        # the one_center path gives the same result for any user order
+        dm, users, servers, assignment, shuffled = instance
+        expected = relocate_servers_ranking(dm, users, servers, assignment)
+        assert relocate_servers(dm, users, servers, assignment) == expected
+        assert relocate_servers(dm, shuffled, servers, assignment) == expected
+
     def test_group_on_path_moves_to_middle(self, path3):
         users = [
             UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC)),

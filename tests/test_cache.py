@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cdnsim import (
     CacheConfig,
@@ -13,6 +14,10 @@ from cdnsim import (
 from cdnsim.cache import LFUCache, LIRSCache, LRU2Cache, LRUCache, POLICIES
 
 ONLINE = [p for p in POLICIES if p != "BELADY"]
+
+# traces over alphabets of 1..6 items
+small_traces = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.sampled_from("abcdef"[:n]), max_size=40))
 
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float = 0.8) -> list[str]:
@@ -47,7 +52,7 @@ class TestLFU:
         assert [hit for hit, _ in results] == [False, True, False, False, False]
         assert results[3] == (False, "b")
         assert results[4] == (False, "c")
-        assert cache.stats.misses == 4
+        assert sum(not hit for hit, _ in results) == 4
 
     def test_counters_persist_after_eviction(self):
         cache = LFUCache(2)
@@ -93,9 +98,8 @@ class TestLIRS:
 
     def test_capacity_one(self):
         cache = LIRSCache(1)
-        for x in "ababab":
-            cache.access(x)
-        assert cache.stats.misses == 6  # single slot thrashes on alternation
+        misses = sum(not cache.access(x)[0] for x in "ababab")
+        assert misses == 6  # single slot thrashes on alternation
 
     def test_loop_pattern_beats_lru(self):
         # cyclic scan of capacity+1 items: LRU misses forever, LIRS locks a
@@ -166,12 +170,27 @@ class TestReplayAndStats:
         assert stats.cold_misses == distinct
 
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("capacity", [1, 3, 7])
-    def test_cold_misses_equal_distinct_items(self, policy, capacity):
-        trace = zipf_trace(11, 300, 20)
+    @pytest.mark.parametrize("capacity", range(1, 9))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(trace=small_traces)
+    @example(trace=zipf_trace(11, 300, 20))
+    def test_cold_misses_equal_distinct_items(self, policy, capacity, trace):
         stats = replay(trace, CacheConfig(capacity, policy))
         assert stats.cold_misses == len(set(trace))
-        assert stats.requests == stats.hits + stats.misses
+        assert stats.requests == len(trace) == stats.hits + stats.misses
+        if policy == "BELADY":
+            return
+        # replay derives its statistics from the misses alone; count them, and
+        # the first-request misses, from the cache's own answers
+        cache = make_cache(CacheConfig(capacity, policy))
+        seen, misses, cold = set(), 0, 0
+        for item in trace:
+            hit, _ = cache.access(item)
+            misses += not hit
+            cold += not hit and item not in seen
+            seen.add(item)
+        assert stats.misses == misses
+        assert stats.cold_misses == cold
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

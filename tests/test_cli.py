@@ -3,6 +3,9 @@ import json
 
 import pytest
 
+import cdnsim.cli
+import cdnsim.simulation
+from cdnsim import optimize
 from cdnsim.cli import main
 from conftest import desk_topology, random_connected_topology
 
@@ -204,6 +207,28 @@ class TestSimulate:
         assert main(["simulate", "--topology", str(topo12), "--k", "2",
                      "--sweep", "cache_size", "--values", ",",
                      "--out", str(tmp_path)]) == 1
+
+    def test_server_count_sweep_plans_each_value_once(self, topo12, tmp_path, monkeypatch):
+        planned = []
+
+        def counting_optimize(*args, **kwargs):
+            planned.append(kwargs["k"])
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(cdnsim.cli, "optimize", counting_optimize)
+        monkeypatch.setattr(cdnsim.simulation, "optimize", counting_optimize)
+        assert main(["simulate", "--topology", str(topo12), "--k", "2",
+                     "--optimizer", "correlation", "--universe", "20", "--profile-size", "5",
+                     "--sweep", "server_count", "--values", "1,2,3",
+                     "--out", str(tmp_path)]) == 0
+        assert planned == [1, 2, 3]
+
+    @pytest.mark.parametrize("flag", ["--placement", "--trace", "--scenario"])
+    def test_missing_input_file_is_an_io_failure(self, topo12, tmp_path, flag, capsys):
+        missing = tmp_path / "gone"
+        assert main(["simulate", "--topology", str(topo12), "--k", "2", flag, str(missing),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_needs_some_placement_source(self, topo12, tmp_path):
         assert main(["simulate", "--topology", str(topo12),

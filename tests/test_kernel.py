@@ -19,6 +19,7 @@ from cdnsim import (
     greedy_correlation,
     make_universe,
     proposal_set,
+    spearman,
     total_correlation,
     user_correlations,
 )
@@ -26,7 +27,7 @@ from cdnsim.assignment import _CorrEval
 from cdnsim.profiles import midranks_descending
 from cdnsim.rng import derive_seed, make_rng
 from conftest import random_connected_topology, ring_topology
-from oracles import PairwiseCorr, midranks_loop
+from oracles import PairwiseCorr, midranks_loop, spearman_loop
 
 EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -75,7 +76,9 @@ class TestMidranks:
 
     def test_profile_ranks_use_the_kernel(self):
         p = Profile(("a", "b", "c", "d"), np.array([0.25, 0.5, 0.25, 0.0]))
-        assert p.ranks().tolist() == [2.5, 1.0, 2.5, 4.0]
+        q = Profile(("a", "b", "c", "d"), np.array([0.1, 0.2, 0.3, 0.4]))
+        assert midranks_descending(p.probs).tolist() == [2.5, 1.0, 2.5, 4.0]
+        assert spearman(p, q) == spearman_loop(p.probs, q.probs)
 
     def test_empty(self):
         assert midranks_descending(np.array([])).shape == (0,)

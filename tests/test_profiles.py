@@ -170,8 +170,8 @@ def test_sampled_frequencies_match_pmf_within_3_sigma():
     n = 100_000
     universe = make_universe(20)
     pmf = zipf_pmf(0.3, 20)
-    user = UserGroup(node="u", profile=Profile(universe, pmf), request_count=n)
-    draws = generate_requests(user, master_seed=123)
+    user = UserGroup(node="u", profile=Profile(universe, pmf))
+    draws = generate_requests(user, master_seed=123, count=n)
     counts = {s: 0 for s in universe}
     for item in draws:
         counts[item] += 1

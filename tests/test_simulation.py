@@ -239,8 +239,7 @@ def test_server_count_sweep_desk_scale_shape():
         if a != b:
             edges.append((ids[min(a, b)], ids[max(a, b)], 1.0))
     topo = Topology([(i, i, 1.0) for i in ids], edges)
-    users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124,
-                           request_count=100)
+    users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124)
     base = Scenario(topology=topo, users=users, placement=(ids[0],),
                     assignment={u.node: ids[0] for u in users},
                     cache=CacheConfig(10, "BELADY"), origin=ids[0],
