@@ -16,6 +16,8 @@ and it is exact, not approximate, so that ties in the ranks are reproducible:
 - each candidate row is normalized on its own (`row / row.sum()`), which is
   bit for bit the one-vector computation;
 - midranks are multiples of 0.5, so sum(d^2) is exact in any order;
+- the total adds the users' coefficients left to right in user-id order
+  (`rng.left_sum`), whatever the Python version;
 - the users x servers matrix is built one server column at a time, so memory
   stays at users x universe rather than users x servers x universe.
 """
@@ -37,6 +39,7 @@ from .placement import (
     weighted_distances,
 )
 from .profiles import UserGroup, midranks_descending
+from .rng import left_sum
 from .topology import DistanceMatrix, NodeId, Topology
 
 OPTIMIZERS = ("distance", "correlation")
@@ -133,7 +136,7 @@ class _CorrEval:
         return self._rho(self._ranks(self._sums(owner)[occupied])[slot], slice(None))
 
     def total(self, assignment: Assignment) -> float:
-        return sum(self.own(assignment).tolist())
+        return left_sum(self.own(assignment).tolist())
 
     def proposals(self, assignment: Assignment) -> list[tuple[NodeId, NodeId]]:
         rho = self.matrix(assignment)

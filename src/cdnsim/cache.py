@@ -8,6 +8,7 @@ policy here. Items have uniform size; capacity counts items.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -99,7 +100,53 @@ class LRUCache(OnlineCache):
         return evicted
 
 
-class LRU2Cache(OnlineCache):
+class _HeapCache(OnlineCache):
+    """Evicts the resident with the smallest `_key`, popped from a min-heap
+    with lazy deletion: each touch pushes a fresh key, and a popped key counts
+    only while its item is resident and the key is current (keys hold the
+    clock, which never repeats). Rebuilt from the residents once it outgrows
+    twice the capacity, the heap stays O(C): an access costs amortised O(log C).
+    """
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self._resident: set[ServiceId] = set()
+        self._heap: list[tuple] = []
+
+    def _key(self, item: ServiceId) -> tuple:
+        """Eviction order as of the last `_record`, ending with the item."""
+        raise NotImplementedError
+
+    def _record(self, item: ServiceId):
+        raise NotImplementedError
+
+    def _contains(self, item):
+        return item in self._resident
+
+    def _on_hit(self, item):
+        self._record(item)
+        if len(self._heap) > 2 * self.capacity:
+            # the rebuild reads the residents, so `item` must be one already
+            self._heap = [self._key(x) for x in self._resident]
+            heapq.heapify(self._heap)
+        else:
+            heapq.heappush(self._heap, self._key(item))
+
+    def _insert(self, item):
+        evicted = None
+        if len(self._resident) >= self.capacity:
+            while True:
+                key = heapq.heappop(self._heap)
+                evicted = key[-1]
+                if evicted in self._resident and key == self._key(evicted):
+                    break
+            self._resident.remove(evicted)
+        self._resident.add(item)
+        self._on_hit(item)
+        return evicted
+
+
+class LRU2Cache(_HeapCache):
     """LRU-2: evict the resident whose second-most-recent access is oldest.
 
     Residents referenced fewer than twice have infinite backward-2 distance
@@ -111,64 +158,34 @@ class LRU2Cache(OnlineCache):
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
-        self._resident: set[ServiceId] = set()
         self._last: dict[ServiceId, int] = {}
         self._prev: dict[ServiceId, int] = {}
 
-    def _touch(self, item):
+    def _record(self, item):
         if item in self._last:
             self._prev[item] = self._last[item]
         self._last[item] = self._clock
 
-    def _contains(self, item):
-        return item in self._resident
-
-    def _on_hit(self, item):
-        self._touch(item)
-
-    def _victim(self) -> ServiceId:
-        once = [x for x in self._resident if x not in self._prev]
-        if once:
-            return min(once, key=lambda x: (self._last[x], x))
-        return min(self._resident, key=lambda x: (self._prev[x], x))
-
-    def _insert(self, item):
-        evicted = None
-        if len(self._resident) >= self.capacity:
-            evicted = self._victim()
-            self._resident.remove(evicted)
-        self._touch(item)
-        self._resident.add(item)
-        return evicted
+    def _key(self, item):
+        if item in self._prev:
+            return (1, self._prev[item], item)
+        return (0, self._last[item], item)
 
 
-class LFUCache(OnlineCache):
+class LFUCache(_HeapCache):
     """Perfect LFU: frequency counters survive eviction; ties fall back to LRU."""
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
-        self._resident: set[ServiceId] = set()
         self._count: dict[ServiceId, int] = {}
         self._last: dict[ServiceId, int] = {}
 
-    def _touch(self, item):
+    def _record(self, item):
         self._count[item] = self._count.get(item, 0) + 1
         self._last[item] = self._clock
 
-    def _contains(self, item):
-        return item in self._resident
-
-    def _on_hit(self, item):
-        self._touch(item)
-
-    def _insert(self, item):
-        evicted = None
-        if len(self._resident) >= self.capacity:
-            evicted = min(self._resident, key=lambda x: (self._count[x], self._last[x], x))
-            self._resident.remove(evicted)
-        self._touch(item)
-        self._resident.add(item)
-        return evicted
+    def _key(self, item):
+        return (self._count[item], self._last[item], item)
 
 
 class LIRSCache(OnlineCache):
@@ -263,41 +280,38 @@ def make_cache(config: CacheConfig) -> OnlineCache:
     raise ValidationError(f"{config.policy} is not an online policy")
 
 
+class _BeladyCache(_HeapCache):
+    """Belady's choice on one known trace, which must be accessed in order."""
+
+    def __init__(self, capacity: int, trace: list[ServiceId]):
+        super().__init__(capacity)
+        self._next_use: list[float] = [_NEVER] * len(trace)
+        later: dict[ServiceId, int] = {}
+        for i in range(len(trace) - 1, -1, -1):
+            self._next_use[i] = later.get(trace[i], _NEVER)
+            later[trace[i]] = i
+        self._next: dict[ServiceId, float] = {}
+
+    def _record(self, item):
+        self._next[item] = self._next_use[self._clock - 1]
+
+    def _key(self, item):
+        return (-self._next[item], item)
+
+
 def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
     """Offline optimum: evict the resident reused farthest in the future.
 
     Items never used again beat any finite horizon; remaining ties break by
     the lexicographically smallest service id.
     """
-    if capacity < 1:
-        raise ValidationError("cache capacity must be >= 1")
-    positions: dict[ServiceId, list[int]] = {}
-    for i, item in enumerate(trace):
-        positions.setdefault(item, []).append(i)
-    cursor = {item: 0 for item in positions}
-
-    misses = 0
-    resident: dict[ServiceId, float] = {}  # item -> next use position
-    for item in trace:
-        occurrences = positions[item]
-        cursor[item] += 1
-        next_use = occurrences[cursor[item]] if cursor[item] < len(occurrences) else _NEVER
-        if item in resident:
-            resident[item] = next_use
-            continue
-        misses += 1
-        if len(resident) >= capacity:
-            victim = min(resident, key=lambda x: (-resident[x], x))
-            del resident[victim]
-        resident[item] = next_use
-    return _stats(trace, misses)
+    return replay(trace, CacheConfig(capacity, "BELADY"))
 
 
 def replay(trace: list[ServiceId], config: CacheConfig) -> CacheStats:
     """Run a whole trace through one cache and return its statistics."""
-    if config.policy == "BELADY":
-        return belady_misses(list(trace), config.capacity)
-    cache = make_cache(config)
+    cache = (_BeladyCache(config.capacity, trace) if config.policy == "BELADY"
+             else make_cache(config))
     return _stats(trace, sum(not cache.access(item)[0] for item in trace))
 
 

@@ -218,11 +218,11 @@ def cmd_assign(args) -> int:
 
 
 def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario:
-    if not args.placement and args.k is None:
-        raise ValidationError("simulate needs --scenario, --placement or --k")
     placement = _load_placement(args.placement, topo) if args.placement else None
     assignment = {}
     if args.sweep != "server_count":  # that sweep plans every swept k itself
+        if placement is None and args.k is None:
+            raise ValidationError("simulate needs --scenario, --placement or --k")
         placement, assignment, log = optimize(topo, users, k=args.k, placement=placement,
                                               optimizer=args.optimizer)
         _warn_if_stalled(log)

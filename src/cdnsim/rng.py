@@ -8,6 +8,8 @@ derivation is stable across platforms, processes and Python hash randomization.
 from __future__ import annotations
 
 import hashlib
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -41,22 +43,26 @@ def weighted_sample_without_replacement(
     """
     if k > len(weights):
         raise ValueError(f"cannot draw {k} items from {len(weights)} weights")
-    items = list(range(len(weights)))
-    remaining = list(weights)
+    remaining = np.array(weights, dtype=np.float64)  # drawn items weigh 0
+    n = len(remaining)
     out: list[int] = []
     for _ in range(k):
-        total = sum(remaining)
-        x = rng.random() * total
-        acc = 0.0
-        pick = len(remaining) - 1  # guard against float round-off at the top end
-        for j, w in enumerate(remaining):
-            acc += w
-            if x < acc:
-                pick = j
-                break
-        out.append(items.pop(pick))
-        remaining.pop(pick)
+        # cumsum adds left to right (sum does not): each sum is the running
+        # total of the weights left, as a drawn item's 0 adds nothing
+        cumulative = remaining.cumsum()
+        # the first j whose cumulative[j] exceeds the drawn point
+        pick = int(cumulative.searchsorted(rng.random() * cumulative[-1], "right"))
+        if pick == n:  # round-off at the top end: the last item left
+            pick = max(set(range(n)) - set(out))
+        out.append(pick)
+        remaining[pick] = 0.0
     return out
+
+
+def left_sum(values) -> float:
+    """Float sum accumulated strictly left to right, as `sum()` was before
+    Python 3.12 compensated its round-off, so totals match across versions."""
+    return reduce(operator.add, values, 0.0)
 
 
 def shuffled(rng: np.random.Generator, seq: list) -> list:

@@ -1,15 +1,25 @@
-"""Reference implementations that the batched correlation kernel is checked against.
+"""Reference implementations that the fast paths in `src/` are checked against.
 
-These are the straightforward versions the kernel replaced: a per-element
-midrank loop and a per-(user, server) evaluator that rebuilds and ranks one
-candidate vector at a time. They live here as test oracles only, next to the
-server relocation that ranked every node itself before it called
-`placement.one_center`.
+These are the straightforward versions the fast paths replaced:
+
+- for the batched correlation kernel, a per-element midrank loop and a
+  per-(user, server) evaluator that rebuilds and ranks one candidate vector
+  at a time;
+- the server relocation that ranked every node itself before it called
+  `placement.one_center`;
+- for the heap-based caches, LRU-2, LFU and Belady replacement that scan
+  every resident on each miss;
+- for the bisection over cumulative weights, weighted sampling by a linear
+  scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from cdnsim.cache import _NEVER, OnlineCache, _stats
+from cdnsim.errors import ValidationError
+from cdnsim.profiles import ServiceId
 
 
 def midranks_loop(values) -> np.ndarray:
@@ -64,7 +74,10 @@ class PairwiseCorr:
         return [self.corr(sums, assignment, u, assignment[u.node]) for u in self.users]
 
     def total(self, assignment) -> float:
-        return sum(self.own(assignment))
+        total = 0.0  # left to right, as sum() before Python 3.12
+        for rho in self.own(assignment):
+            total += rho
+        return total
 
     def proposals(self, assignment) -> list[tuple[str, str]]:
         sums = self.sums(assignment)
@@ -130,3 +143,127 @@ def relocate_servers_ranking(dm, users, placement, assignment):
         taken.add(target)
     new_placement = tuple(sorted(new_location.values()))
     return new_placement, {u.node: new_location[assignment[u.node]] for u in users}
+
+
+class LRU2Cache(OnlineCache):
+    """LRU-2: evict the resident whose second-most-recent access is oldest.
+
+    Residents referenced fewer than twice have infinite backward-2 distance
+    and are preferred victims, oldest single access first. Access history
+    persists across evictions (no correlated-reference or retention cutoff),
+    so an item's second touch gives it a finite distance even after it was
+    dropped in between.
+    """
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self._resident: set[ServiceId] = set()
+        self._last: dict[ServiceId, int] = {}
+        self._prev: dict[ServiceId, int] = {}
+
+    def _touch(self, item):
+        if item in self._last:
+            self._prev[item] = self._last[item]
+        self._last[item] = self._clock
+
+    def _contains(self, item):
+        return item in self._resident
+
+    def _on_hit(self, item):
+        self._touch(item)
+
+    def _victim(self) -> ServiceId:
+        once = [x for x in self._resident if x not in self._prev]
+        if once:
+            return min(once, key=lambda x: (self._last[x], x))
+        return min(self._resident, key=lambda x: (self._prev[x], x))
+
+    def _insert(self, item):
+        evicted = None
+        if len(self._resident) >= self.capacity:
+            evicted = self._victim()
+            self._resident.remove(evicted)
+        self._touch(item)
+        self._resident.add(item)
+        return evicted
+
+
+class LFUCache(OnlineCache):
+    """Perfect LFU: frequency counters survive eviction; ties fall back to LRU."""
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self._resident: set[ServiceId] = set()
+        self._count: dict[ServiceId, int] = {}
+        self._last: dict[ServiceId, int] = {}
+
+    def _touch(self, item):
+        self._count[item] = self._count.get(item, 0) + 1
+        self._last[item] = self._clock
+
+    def _contains(self, item):
+        return item in self._resident
+
+    def _on_hit(self, item):
+        self._touch(item)
+
+    def _insert(self, item):
+        evicted = None
+        if len(self._resident) >= self.capacity:
+            evicted = min(self._resident, key=lambda x: (self._count[x], self._last[x], x))
+            self._resident.remove(evicted)
+        self._touch(item)
+        self._resident.add(item)
+        return evicted
+
+
+def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
+    """Offline optimum: evict the resident reused farthest in the future.
+
+    Items never used again beat any finite horizon; remaining ties break by
+    the lexicographically smallest service id.
+    """
+    if capacity < 1:
+        raise ValidationError("cache capacity must be >= 1")
+    positions: dict[ServiceId, list[int]] = {}
+    for i, item in enumerate(trace):
+        positions.setdefault(item, []).append(i)
+    cursor = {item: 0 for item in positions}
+
+    misses = 0
+    resident: dict[ServiceId, float] = {}  # item -> next use position
+    for item in trace:
+        occurrences = positions[item]
+        cursor[item] += 1
+        next_use = occurrences[cursor[item]] if cursor[item] < len(occurrences) else _NEVER
+        if item in resident:
+            resident[item] = next_use
+            continue
+        misses += 1
+        if len(resident) >= capacity:
+            victim = min(resident, key=lambda x: (-resident[x], x))
+            del resident[victim]
+        resident[item] = next_use
+    return _stats(trace, misses)
+
+
+def weighted_sample_scan(rng, weights, k) -> list[int]:
+    """Inverse-CDF draws by a linear scan; the total is summed left to right."""
+    items = list(range(len(weights)))
+    remaining = list(weights)
+    out = []
+    for _ in range(k):
+        total = 0.0
+        for w in remaining:
+            total += w
+        x = rng.random() * total
+        acc = 0.0
+        pick = len(remaining) - 1
+        for j, w in enumerate(remaining):
+            acc += w
+            if x < acc:
+                pick = j
+                break
+        out.append(items.pop(pick))
+        remaining.pop(pick)
+    return out

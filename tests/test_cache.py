@@ -13,11 +13,23 @@ from cdnsim import (
 )
 from cdnsim.cache import LFUCache, LIRSCache, LRU2Cache, LRUCache, POLICIES
 
+import oracles
+
 ONLINE = [p for p in POLICIES if p != "BELADY"]
 
 # traces over alphabets of 1..6 items
 small_traces = st.integers(1, 6).flatmap(
     lambda n: st.lists(st.sampled_from("abcdef"[:n]), max_size=40))
+
+# (trace, capacity): alphabets of 1..40 items, capacities 1..alphabet+2. Half
+# the requests go to the first three items, so hits grow the eviction heaps
+# past their rebuild size (twice the capacity) while the cache is still
+# filling as well as after; the longer traces rebuild them many times.
+traces_and_capacities = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.one_of(st.integers(0, min(n, 3) - 1), st.integers(0, n - 1)).map(str),
+                 max_size=400),
+        st.integers(1, n + 2)))
 
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float = 0.8) -> list[str]:
@@ -148,6 +160,37 @@ class TestBelady:
         for policy in ONLINE:
             online = replay(trace, CacheConfig(3, policy))
             assert optimal.misses <= online.misses, policy
+
+
+class TestHeapsAgainstScans:
+    """The heap-based LRU-2, LFU and Belady against the per-miss scans they replaced."""
+
+    @pytest.mark.parametrize("fast, scan", [(LRU2Cache, oracles.LRU2Cache),
+                                            (LFUCache, oracles.LFUCache)],
+                             ids=["LRU2", "LFU"])
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=traces_and_capacities)
+    @example(case=(zipf_trace(3, 3000, 40), 1))
+    @example(case=(zipf_trace(4, 3000, 40), 7))
+    @example(case=(zipf_trace(5, 3000, 40), 25))
+    # hits outgrow the heap before the cache is full, so inserting b rebuilds
+    # it, and b, the true victim at c, must be among the residents by then
+    @example(case=(list("aaaaabc"), 2))
+    def test_online_access_for_access(self, fast, scan, case):
+        trace, capacity = case
+        heap_cache, scan_cache = fast(capacity), scan(capacity)
+        for item in trace:
+            assert heap_cache.access(item) == scan_cache.access(item)
+            assert len(heap_cache._heap) <= 2 * capacity + 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=traces_and_capacities)
+    @example(case=(zipf_trace(3, 3000, 40), 1))
+    @example(case=(zipf_trace(4, 3000, 40), 7))
+    @example(case=(zipf_trace(5, 3000, 40), 25))
+    def test_belady(self, case):
+        trace, capacity = case
+        assert belady_misses(trace, capacity) == oracles.belady_misses(trace, capacity)
 
 
 class TestReplayAndStats:

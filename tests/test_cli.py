@@ -7,6 +7,7 @@ import cdnsim.cli
 import cdnsim.simulation
 from cdnsim import optimize
 from cdnsim.cli import main
+from cdnsim.rng import left_sum
 from conftest import desk_topology, random_connected_topology
 
 GRAPHML_3 = """<?xml version="1.0" encoding="utf-8"?>
@@ -165,7 +166,7 @@ class TestAssign:
         # sum to the printed objective exactly
         total = float(captured.out.split("total_corr: ")[1].split()[0])
         rows = read_csv(tmp_path / "assignment.csv")[1:]
-        assert sum(float(rho) for _, _, rho, _ in rows) == total
+        assert left_sum(float(rho) for _, _, rho, _ in rows) == total
         assert rows[0][:3] == ["n000", "n001", "0.501023102310231"]
         # the first batch proposes 118 moves, lowers the total and is rolled back
         warnings = captured.err.splitlines()
@@ -222,6 +223,18 @@ class TestSimulate:
                      "--sweep", "server_count", "--values", "1,2,3",
                      "--out", str(tmp_path)]) == 0
         assert planned == [1, 2, 3]
+
+    def test_server_count_sweep_needs_no_k(self, topo12, tmp_path):
+        common = ["simulate", "--topology", str(topo12), "--universe", "20",
+                  "--profile-size", "5", "--sweep", "server_count", "--values", "1,2,3"]
+        assert main([*common, "--k", "3", "--out", str(tmp_path / "k")]) == 0
+        assert main([*common, "--out", str(tmp_path / "none")]) == 0
+        assert ((tmp_path / "none" / "simulation.csv").read_bytes()
+                == (tmp_path / "k" / "simulation.csv").read_bytes())
+
+    def test_server_count_sweep_checks_its_values(self, topo12, tmp_path):
+        assert main(["simulate", "--topology", str(topo12), "--sweep", "server_count",
+                     "--values", "999", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("flag", ["--placement", "--trace", "--scenario"])
     def test_missing_input_file_is_an_io_failure(self, topo12, tmp_path, flag, capsys):
