@@ -2,10 +2,8 @@
 
 from .assignment import (
     AssignmentObjective,
-    candidate_corr,
     greedy_correlation,
     optimize,
-    proposal_set,
     relocate_servers,
     total_correlation,
     user_correlations,
@@ -14,8 +12,6 @@ from .cache import (
     CacheConfig,
     CacheStats,
     belady_misses,
-    make_cache,
-    read_trace,
     replay,
     stats_to_csv,
 )
@@ -27,7 +23,6 @@ from .placement import (
     brute_force_placement,
     closest_assignment,
     dragoon,
-    evaluate_placement,
     farthest_first_init,
     one_center,
     weighted_distances,

@@ -77,7 +77,6 @@ class _CorrEval:
         self.users = sorted(users, key=lambda u: u.node)
         self.servers = tuple(sorted(placement))
         self.server_index = {s: j for j, s in enumerate(self.servers)}
-        self.user_index = {u.node: i for i, u in enumerate(self.users)}
         universe = self.users[0].profile.universe
         for u in self.users:
             if u.profile.universe != universe:
@@ -117,7 +116,7 @@ class _CorrEval:
         return self._rho(self._ranks(candidates), rows)
 
     def matrix(self, assignment: Assignment) -> np.ndarray:
-        """rho[user, server], users and servers in id order."""
+        """rho[user, server], each user counted in, users and servers in id order."""
         owner = self.owners(assignment)
         sums = self._sums(owner)
         rows = np.arange(len(self.users))
@@ -139,6 +138,8 @@ class _CorrEval:
         return left_sum(self.own(assignment).tolist())
 
     def proposals(self, assignment: Assignment) -> list[tuple[NodeId, NodeId]]:
+        """(user, server) for each user whose best coefficient is positive and
+        strictly above its current one; ties go to the lower server id."""
         rho = self.matrix(assignment)
         rows = np.arange(len(self.users))
         current = rho[rows, self.owners(assignment)]
@@ -148,21 +149,6 @@ class _CorrEval:
         best = np.where(better, rho, -np.inf).argmax(axis=1)
         return [(u.node, self.servers[j])
                 for u, j, ok in zip(self.users, best, better.any(axis=1)) if ok]
-
-
-def candidate_corr(
-    users: list[UserGroup], assignment: Assignment, user: UserGroup, server: NodeId
-) -> float:
-    """Correlation of `user` with the profile `server` would have after joining.
-
-    The user's own profile is included whether or not it is already a member,
-    so current-server and new-server coefficients are directly comparable. For
-    an empty server this degrades to the user's self-correlation.
-    """
-    ev = _CorrEval(users, tuple(set(assignment.values()) | {server}))
-    owner = ev.owners(assignment)
-    row = np.array([ev.user_index[user.node]])
-    return float(ev._column(ev._sums(owner), owner, ev.server_index[server], row)[0])
 
 
 def user_correlations(users: list[UserGroup], assignment: Assignment) -> dict[NodeId, float]:
@@ -180,18 +166,6 @@ def total_correlation(users: list[UserGroup], assignment: Assignment) -> float:
     return _CorrEval(users, tuple(set(assignment.values()))).total(assignment)
 
 
-def proposal_set(
-    users: list[UserGroup], placement: Placement, assignment: Assignment
-) -> list[tuple[NodeId, NodeId]]:
-    """Improving reassignments, one per user: (user node, best new server).
-
-    A user proposes the server with the highest candidate coefficient that is
-    both positive and strictly above its current one; ties go to the lower
-    server id. Users with no improving server propose nothing.
-    """
-    return _CorrEval(users, placement).proposals(assignment)
-
-
 def greedy_correlation(
     dm: DistanceMatrix,
     users: list[UserGroup],
@@ -200,7 +174,7 @@ def greedy_correlation(
 ) -> tuple[Assignment, AssignmentObjective, list[BatchRecord]]:
     """Simultaneous-reassignment greedy for total profile correlation.
 
-    Rounds of proposal_set are applied as a batch; a batch that does not
+    Each round's proposals are applied as a batch; a batch that does not
     strictly raise the total correlation is reverted and the loop ends.
     """
     for u in users:

@@ -268,18 +268,6 @@ class LIRSCache(OnlineCache):
         return evicted
 
 
-def make_cache(config: CacheConfig) -> OnlineCache:
-    if config.policy == "LRU":
-        return LRUCache(config.capacity)
-    if config.policy == "LRU2":
-        return LRU2Cache(config.capacity)
-    if config.policy == "LFU":
-        return LFUCache(config.capacity)
-    if config.policy == "LIRS":
-        return LIRSCache(config.capacity, config.lirs_hir_fraction)
-    raise ValidationError(f"{config.policy} is not an online policy")
-
-
 class _BeladyCache(_HeapCache):
     """Belady's choice on one known trace, which must be accessed in order."""
 
@@ -310,8 +298,13 @@ def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
 
 def replay(trace: list[ServiceId], config: CacheConfig) -> CacheStats:
     """Run a whole trace through one cache and return its statistics."""
-    cache = (_BeladyCache(config.capacity, trace) if config.policy == "BELADY"
-             else make_cache(config))
+    if config.policy == "BELADY":
+        cache = _BeladyCache(config.capacity, trace)
+    elif config.policy == "LIRS":
+        cache = LIRSCache(config.capacity, config.lirs_hir_fraction)
+    else:
+        policy = {"LRU": LRUCache, "LRU2": LRU2Cache, "LFU": LFUCache}[config.policy]
+        cache = policy(config.capacity)
     return _stats(trace, sum(not cache.access(item)[0] for item in trace))
 
 
@@ -319,12 +312,6 @@ def _stats(trace: list[ServiceId], misses: int) -> CacheStats:
     """Every policy loads an item only on a miss, so an item's first request is
     its only cold miss: cold misses are the distinct items of the trace."""
     return CacheStats(len(trace), len(trace) - misses, misses, len(set(trace)))
-
-
-def read_trace(data: bytes) -> list[ServiceId]:
-    """Trace file format: one service id per line; blank lines ignored."""
-    return [line.strip() for line in data.decode("utf-8-sig").splitlines()
-            if line.strip()]
 
 
 STATS_CSV_HEADER = "policy,capacity,requests,hits,misses,cold_misses,miss_ratio"

@@ -134,6 +134,8 @@ def _load_placement(path: str, topo: Topology) -> tuple[str, ...]:
     if not isinstance(servers, list) or not servers:
         raise ValidationError("placement JSON must be a non-empty list of node ids")
     for s in servers:
+        if not isinstance(s, str):
+            raise ValidationError(f"placement entries must be node id strings, not {s!r}")
         if s not in topo:
             raise ValidationError(f"placement references unknown node {s!r}")
     if len(set(servers)) != len(servers):

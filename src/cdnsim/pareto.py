@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import optimize, proposal_set, total_correlation
+from .assignment import _CorrEval, optimize, total_correlation
 from .errors import ValidationError
 from .placement import Assignment, Placement, weighted_distances
 from .profiles import UserGroup
@@ -28,9 +28,6 @@ class SolutionPoint:
     total_corr: float
     max_dist: float
     step: int
-
-    def assignment_dict(self) -> Assignment:
-        return dict(self.assignment)
 
 
 ParetoFront = list[SolutionPoint]
@@ -59,11 +56,12 @@ def non_dominated(points: list[SolutionPoint]) -> ParetoFront:
     return front
 
 
-def _evaluate(
+def _point(
     dm: DistanceMatrix,
     users: list[UserGroup],
     placement: Placement,
     assignment: Assignment,
+    total_corr: float,
     step: int,
 ) -> SolutionPoint:
     weighted = weighted_distances(dm, users, assignment)
@@ -72,7 +70,7 @@ def _evaluate(
         assignment=tuple(sorted(assignment.items())),
         avg_dist=float(weighted.mean()),
         max_dist=float(weighted.max()),
-        total_corr=total_correlation(users, assignment),
+        total_corr=total_corr,
         step=step,
     )
 
@@ -93,18 +91,20 @@ def front_sweep(
     dm = topo.distance_matrix()
 
     place0, a0, _ = optimize(topo, users, k=k)
-    recorded = [_evaluate(dm, users, place0, a0, step=0)]
+    ev = _CorrEval(users, place0)
+    recorded = [_point(dm, users, place0, a0, ev.total(a0), step=0)]
 
     rng = make_rng(derive_seed(master_seed, "pareto-walk"))
     assignment = dict(a0)
     for step in range(1, steps - 1):
-        proposals = proposal_set(users, place0, assignment)
+        proposals = ev.proposals(assignment)
         if not proposals:
             break
         user_node, server = proposals[int(rng.integers(len(proposals)))]
         assignment[user_node] = server
-        recorded.append(_evaluate(dm, users, place0, assignment, step=step))
+        recorded.append(_point(dm, users, place0, assignment, ev.total(assignment), step))
 
     place_end, a_end, _ = optimize(topo, users, placement=place0, optimizer="correlation")
-    recorded.append(_evaluate(dm, users, place_end, a_end, step=steps - 1))
+    recorded.append(_point(dm, users, place_end, a_end, total_correlation(users, a_end),
+                           steps - 1))
     return non_dominated(recorded)

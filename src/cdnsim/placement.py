@@ -96,15 +96,6 @@ def weighted_distances(
     return np.array([u.priority * dm.get(u.node, assignment[u.node]) for u in users])
 
 
-def evaluate_placement(
-    dm: DistanceMatrix, users: list[UserGroup], placement: Placement
-) -> PlacementObjective:
-    """Objective of a placement under closest assignment."""
-    if not placement:
-        raise ValidationError("empty placement")
-    return _Eval(dm, users).objective(tuple(placement))
-
-
 def one_center(
     dm: DistanceMatrix,
     users: list[UserGroup],

@@ -58,9 +58,6 @@ class Profile:
     def entries(self) -> dict[ServiceId, float]:
         return {s: float(p) for s, p in zip(self.universe, self.probs)}
 
-    def support(self) -> list[ServiceId]:
-        return [s for s, p in zip(self.universe, self.probs) if p > 0]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Profile)

@@ -95,29 +95,29 @@ def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[Ser
 
 
 def run(scenario: Scenario) -> SimulationResult:
-    """Replay the scenario's full request workload and collect statistics."""
+    """Replay the scenario's full request workload and collect statistics.
+
+    The network load adds, server by server in id order, one user-to-server
+    distance per request in stream order, then misses x the origin distance."""
     s = scenario.validate()
     dm = s.topology.distance_matrix()
     users = sorted(s.users, key=lambda u: u.node)
-
-    streams = {
-        u.node: generate_requests(u, s.master_seed, s.requests_per_user) for u in users
-    }
-    # round-robin interleaving, then a deterministic per-server partition
-    per_server_stream: dict[NodeId, list[tuple[NodeId, ServiceId]]] = {
-        srv: [] for srv in s.placement
-    }
-    for r in range(s.requests_per_user):
-        for u in users:
-            per_server_stream[s.assignment[u.node]].append((u.node, streams[u.node][r]))
+    members: dict[NodeId, list[UserGroup]] = {srv: [] for srv in s.placement}
+    for u in users:
+        members[s.assignment[u.node]].append(u)
 
     per_server: dict[NodeId, CacheStats] = {}
     network_load = 0.0
-    for server in sorted(s.placement):
-        stream = per_server_stream[server]
-        for user_node, _ in stream:
-            network_load += dm.get(user_node, server)
-        stats = replay([item for _, item in stream], s.cache)
+    for server in sorted(members):
+        streams = [generate_requests(u, s.master_seed, s.requests_per_user)
+                   for u in members[server]]
+        # round-robin over the members: request r of every member, then r + 1
+        stream = [item for requests in zip(*streams) for item in requests]
+        distances = [dm.get(u.node, server) for u in members[server]]
+        # one addition per request, in stream order: count x distance rounds differently
+        for distance in distances * s.requests_per_user:
+            network_load += distance
+        stats = replay(stream, s.cache)
         network_load += stats.misses * dm.get(server, s.origin)
         per_server[server] = stats
 
@@ -227,6 +227,8 @@ def scenario_from_json(text: str) -> Scenario:
             master_seed=int(doc["master_seed"]),
             requests_per_user=int(doc.get("requests_per_user", 100)),
         )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad scenario JSON: {exc}") from exc
     return scenario.validate()

@@ -10,16 +10,24 @@ These are the straightforward versions the fast paths replaced:
 - for the heap-based caches, LRU-2, LFU and Belady replacement that scan
   every resident on each miss;
 - for the bisection over cumulative weights, weighted sampling by a linear
-  scan.
+  scan;
+- for the per-server request streams of the simulation, one loop over every
+  user's interleaved requests with a distance lookup per request;
+- for the Pareto walk's one evaluator, a fresh pairwise evaluator per step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cdnsim.cache import _NEVER, OnlineCache, _stats
+from cdnsim.assignment import optimize
+from cdnsim.cache import _NEVER, CacheStats, OnlineCache, _stats, replay
 from cdnsim.errors import ValidationError
+from cdnsim.pareto import SolutionPoint, non_dominated
+from cdnsim.placement import weighted_distances
 from cdnsim.profiles import ServiceId
+from cdnsim.rng import derive_seed, make_rng
+from cdnsim.simulation import SimulationResult, generate_requests
 
 
 def midranks_loop(values) -> np.ndarray:
@@ -27,14 +35,17 @@ def midranks_loop(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     n = v.size
     order = np.argsort(-v, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
+    ordered = v[order].tolist()
+    in_order = [0.0] * n
     i = 0
     while i < n:
         j = i
-        while j + 1 < n and v[order[j + 1]] == v[order[i]]:
+        while j + 1 < n and ordered[j + 1] == ordered[i]:
             j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        in_order[i : j + 1] = [(i + j) / 2 + 1] * (j - i + 1)
         i = j + 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = in_order
     return ranks
 
 
@@ -51,6 +62,7 @@ class PairwiseCorr:
         self.users = sorted(users, key=lambda u: u.node)
         self.servers = tuple(sorted(placement))
         self.P = {u.node: u.profile.probs for u in self.users}
+        self.R = {u.node: midranks_loop(u.profile.probs) for u in self.users}
 
     def sums(self, assignment) -> dict:
         sums = {s: np.zeros(len(self.users[0].profile.universe)) for s in self.servers}
@@ -62,7 +74,9 @@ class PairwiseCorr:
         vec = sums[server]
         if assignment[user.node] != server:
             vec = vec + self.P[user.node]
-        return spearman_loop(user.profile.probs, vec / vec.sum())
+        n = len(vec)
+        d = self.R[user.node] - midranks_loop(vec / vec.sum())
+        return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1)))
 
     def matrix(self, assignment) -> np.ndarray:
         sums = self.sums(assignment)
@@ -267,3 +281,64 @@ def weighted_sample_scan(rng, weights, k) -> list[int]:
         out.append(items.pop(pick))
         remaining.pop(pick)
     return out
+
+
+def run_per_request(scenario) -> SimulationResult:
+    """`simulation.run` as one loop over the interleaved requests of all users,
+    with a distance lookup and a network-load addition per request."""
+    s = scenario.validate()
+    dm = s.topology.distance_matrix()
+    users = sorted(s.users, key=lambda u: u.node)
+    streams = {u.node: generate_requests(u, s.master_seed, s.requests_per_user)
+               for u in users}
+    per_server_stream = {srv: [] for srv in s.placement}
+    for r in range(s.requests_per_user):
+        for u in users:
+            per_server_stream[s.assignment[u.node]].append((u.node, streams[u.node][r]))
+    per_server = {}
+    network_load = 0.0
+    for server in sorted(s.placement):
+        stream = per_server_stream[server]
+        for user_node, _ in stream:
+            network_load += dm.get(user_node, server)
+        stats = replay([item for _, item in stream], s.cache)
+        network_load += stats.misses * dm.get(server, s.origin)
+        per_server[server] = stats
+    overall = CacheStats()
+    for stats in per_server.values():
+        overall = overall.add(stats)
+    weighted = weighted_distances(dm, users, s.assignment)
+    return SimulationResult(per_server=per_server, overall=overall,
+                            miss_ratio=overall.miss_ratio,
+                            max_user_distance=float(weighted.max()),
+                            avg_user_distance=float(weighted.mean()),
+                            network_load=network_load)
+
+
+def front_sweep_pairwise(topo, users, k: int, steps: int, master_seed: int):
+    """`pareto.front_sweep` with a fresh PairwiseCorr for every proposal set
+    and every recorded point's total."""
+    dm = topo.distance_matrix()
+
+    def point(placement, assignment, step):
+        weighted = weighted_distances(dm, users, assignment)
+        return SolutionPoint(placement=tuple(sorted(placement)),
+                             assignment=tuple(sorted(assignment.items())),
+                             avg_dist=float(weighted.mean()),
+                             total_corr=PairwiseCorr(users, placement).total(assignment),
+                             max_dist=float(weighted.max()), step=step)
+
+    place0, a0, _ = optimize(topo, users, k=k)
+    recorded = [point(place0, a0, 0)]
+    rng = make_rng(derive_seed(master_seed, "pareto-walk"))
+    assignment = dict(a0)
+    for step in range(1, steps - 1):
+        proposals = PairwiseCorr(users, place0).proposals(assignment)
+        if not proposals:
+            break
+        user_node, server = proposals[int(rng.integers(len(proposals)))]
+        assignment[user_node] = server
+        recorded.append(point(place0, assignment, step))
+    place_end, a_end, _ = optimize(topo, users, placement=place0, optimizer="correlation")
+    recorded.append(point(place_end, a_end, steps - 1))
+    return non_dominated(recorded)

@@ -9,7 +9,6 @@ from cdnsim import (
     Topology,
     UserGroup,
     ValidationError,
-    candidate_corr,
     closest_assignment,
     dragoon,
     greedy_correlation,
@@ -18,6 +17,7 @@ from cdnsim import (
     spearman,
     total_correlation,
 )
+from cdnsim.assignment import _CorrEval
 from cdnsim.rng import make_rng
 from conftest import path_topology, random_connected_topology, random_profile
 from oracles import relocate_servers_ranking
@@ -35,23 +35,24 @@ def two_user_example(nodes=("u1", "u2")):
 
 
 class TestCandidateCorr:
+    """rho[user, server] of the batched evaluator, each user counted in."""
+
     def test_sole_member_is_self_correlation(self):
         users = two_user_example()
-        a = {"u1": "s", "u2": "t"}
-        rho = candidate_corr(users, a, users[1], "t")
-        assert rho == spearman(users[1].profile, users[1].profile) == 1.0
+        rho = _CorrEval(users, ("s", "t")).matrix({"u1": "s", "u2": "t"})
+        assert rho[1, 1] == spearman(users[1].profile, users[1].profile) == 1.0
 
     def test_worked_example_user1(self):
         users = two_user_example()
-        a = {"u1": "s", "u2": "s"}
-        assert candidate_corr(users, a, users[0], "s") == pytest.approx(0.125)
-        assert candidate_corr(users, a, users[1], "s") == pytest.approx(0.5)
+        rho = _CorrEval(users, ("s",)).matrix({"u1": "s", "u2": "s"})
+        assert rho[0, 0] == pytest.approx(0.125)
+        assert rho[1, 0] == pytest.approx(0.5)
 
     def test_empty_server_attracts_by_self_correlation(self):
         users = two_user_example()
-        a = {"u1": "s", "u2": "s"}
         # u2 considering the empty server "t": would-be singleton
-        assert candidate_corr(users, a, users[1], "t") == 1.0
+        rho = _CorrEval(users, ("s", "t")).matrix({"u1": "s", "u2": "s"})
+        assert rho[1, 1] == 1.0
 
 
 def exhaustive_optimum(users, servers):

@@ -181,6 +181,17 @@ class TestAssign:
                      "--placement", str(placement_file),
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("entries", ['[["A"]]', '[{"a": 1}]', '["A", 1]'])
+    def test_non_string_placement_entry(self, topo3, tmp_path, entries, capsys):
+        placement_file = tmp_path / "placement.json"
+        placement_file.write_text(entries)
+        assert main(["assign", "--topology", str(topo3),
+                     "--placement", str(placement_file),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: placement entries must be node id strings, not ")
+
 
 class TestSimulate:
     def test_single_run(self, topo12, tmp_path):

@@ -11,14 +11,12 @@ from cdnsim import (
     Profile,
     UserGroup,
     ZipfModel,
-    candidate_corr,
     closest_assignment,
     dragoon,
     generate_profile,
     generate_users,
     greedy_correlation,
     make_universe,
-    proposal_set,
     spearman,
     total_correlation,
     user_correlations,
@@ -140,19 +138,25 @@ class TestAgainstPairwiseOracle:
 
     @EXACT
     @given(instances())
-    def test_candidate_corr_is_the_kernel(self, inst):
+    def test_columns_do_not_depend_on_the_other_servers(self, inst):
+        # an evaluator over the occupied servers plus one more gives that
+        # server's column of the full matrix: total_correlation, which holds
+        # only the occupied servers, relies on the others changing nothing
         _, users, placement, assignment = inst
         expected = PairwiseCorr(users, placement).matrix(assignment)
-        got = [[candidate_corr(users, assignment, u, s) for s in placement]
-               for u in sorted(users, key=lambda u: u.node)]
-        assert np.array_equal(np.array(got), expected)
+        occupied = set(assignment.values())
+        for j, server in enumerate(placement):
+            servers = tuple(sorted(occupied | {server}))
+            rho = _CorrEval(users, servers).matrix(assignment)
+            assert np.array_equal(rho[:, servers.index(server)], expected[:, j])
 
     @EXACT
     @given(instances())
     def test_proposals_and_greedy_log(self, inst):
         topo, users, placement, assignment = inst
         oracle = PairwiseCorr(users, placement)
-        assert proposal_set(users, placement, assignment) == oracle.proposals(assignment)
+        assert (_CorrEval(users, placement).proposals(assignment)
+                == oracle.proposals(assignment))
         final, objective, log = greedy_correlation(topo.distance_matrix(), users,
                                                    placement, assignment)
         expected_final, expected_log = oracle.greedy(assignment)
@@ -170,12 +174,9 @@ def test_ring_instance_matches_oracle():
     placement, _, _ = dragoon(dm, topo, users, 6)
     a0 = closest_assignment(dm, users, placement)
     oracle = PairwiseCorr(users, placement)
-    matrix = _CorrEval(users, placement).matrix(a0)
-    assert np.array_equal(matrix, oracle.matrix(a0))
-    ordered = sorted(users, key=lambda u: u.node)
-    assert all(candidate_corr(users, a0, u, s) == matrix[i, j]
-               for i, u in enumerate(ordered) for j, s in enumerate(placement))
-    assert proposal_set(users, placement, a0) == oracle.proposals(a0)
+    ev = _CorrEval(users, placement)
+    assert np.array_equal(ev.matrix(a0), oracle.matrix(a0))
+    assert ev.proposals(a0) == oracle.proposals(a0)
     final, objective, log = greedy_correlation(dm, users, placement, a0)
     expected_final, expected_log = oracle.greedy(a0)
     assert [tuple(b) for b in log] == expected_log

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
     CacheConfig,
@@ -9,9 +10,11 @@ from cdnsim import (
     Scenario,
     UserGroup,
     ValidationError,
+    ZipfModel,
     closest_assignment,
     dominates,
     front_sweep,
+    generate_users,
     non_dominated,
     run,
     total_correlation,
@@ -19,7 +22,8 @@ from cdnsim import (
 from cdnsim.pareto import SolutionPoint
 from cdnsim.placement import dragoon
 from cdnsim.rng import derive_seed, make_rng
-from conftest import path_topology, random_connected_topology, random_profile
+from conftest import desk_topology, path_topology, random_connected_topology, random_profile
+from oracles import front_sweep_pairwise
 
 
 def point(avg_dist, total_corr, step=0):
@@ -186,7 +190,7 @@ class TestFrontSweep:
         topo, users = walk_instance(8)
         for p in front_sweep(topo, users, 2, 5, 8):
             result = run(Scenario(topology=topo, users=users, placement=p.placement,
-                                  assignment=p.assignment_dict(), cache=CacheConfig(3, "LRU"),
+                                  assignment=dict(p.assignment), cache=CacheConfig(3, "LRU"),
                                   origin=topo.node_ids[0], master_seed=8))
             assert 0.0 <= result.miss_ratio <= 1.0
 
@@ -194,3 +198,30 @@ class TestFrontSweep:
         # enough walk steps on a desk-size scenario produce a rich front
         front = front_sweep(*walk_instance(9, n=16), k=3, steps=60, master_seed=9)
         assert len(front) >= 4
+
+
+class TestWalkAgainstPairwiseOracle:
+    """The walk's one evaluator against a fresh pairwise evaluator per step,
+    point for point."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(2, 12),
+           universe=st.integers(2, 12), alpha=st.sampled_from([0.0, 0.3, 1.0]),
+           data=st.data())
+    def test_generated_instances(self, seed, n, universe, alpha, data):
+        # alpha 0 deals one probability to every liked service: tie-heavy ranks
+        topo = random_connected_topology(seed, n, weighted=bool(seed % 2))
+        model = ZipfModel(alpha, universe, data.draw(st.integers(1, universe)))
+        users = generate_users(topo, model, seed)
+        k = data.draw(st.integers(1, min(4, n)))
+        steps = data.draw(st.integers(2, 30))
+        assert (front_sweep(topo, users, k, steps, seed)
+                == front_sweep_pairwise(topo, users, k, steps, seed))
+
+    @pytest.mark.parametrize("steps", [10, 50])
+    @pytest.mark.parametrize("seed", [124, 2718])
+    def test_desk_instance(self, seed, steps):
+        topo = desk_topology()
+        users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=seed)
+        assert (front_sweep(topo, users, 10, steps, seed)
+                == front_sweep_pairwise(topo, users, 10, steps, seed))

@@ -7,11 +7,10 @@ from cdnsim import (
     brute_force_placement,
     closest_assignment,
     dragoon,
-    evaluate_placement,
     farthest_first_init,
     one_center,
 )
-from cdnsim.placement import PlacementObjective
+from cdnsim.placement import PlacementObjective, _Eval
 from conftest import (
     dummy_profile,
     path_topology,
@@ -46,13 +45,15 @@ class TestClosestAssignment:
 
 
 class TestEvaluatePlacement:
+    """The placement objective under closest assignment."""
+
     def test_path_center(self, path3):
-        obj = evaluate_placement(path3.distance_matrix(), uniform_users(path3), ("B",))
+        obj = _Eval(path3.distance_matrix(), uniform_users(path3)).objective(("B",))
         assert obj == PlacementObjective(1.0, pytest.approx(2 / 3))
 
     def test_servers_everywhere(self, path5):
         users = uniform_users(path5)
-        obj = evaluate_placement(path5.distance_matrix(), users, path5.node_ids)
+        obj = _Eval(path5.distance_matrix(), users).objective(path5.node_ids)
         assert obj == PlacementObjective(0.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -61,7 +62,7 @@ class TestEvaluatePlacement:
         dm = topo.distance_matrix()
         users = uniform_users(topo)
         servers = tuple(topo.node_ids[:2])
-        obj = evaluate_placement(dm, users, servers)
+        obj = _Eval(dm, users).objective(servers)
         dists = [min(dm.get(u.node, s) for s in servers) for u in users]
         assert obj.max_dist == pytest.approx(max(dists))
         assert obj.avg_dist == pytest.approx(sum(dists) / len(dists))
@@ -71,7 +72,7 @@ class TestEvaluatePlacement:
             UserGroup(node="A", priority=5.0, profile=dummy_profile()),
             UserGroup(node="C", priority=1.0, profile=dummy_profile()),
         ]
-        obj = evaluate_placement(path3.distance_matrix(), heavy, ("B",))
+        obj = _Eval(path3.distance_matrix(), heavy).objective(("B",))
         assert obj.max_dist == 5.0  # 5 * dist(A,B)
         assert obj.avg_dist == 3.0  # (5*1 + 1*1) / 2
 
@@ -141,7 +142,7 @@ class TestDragoon:
         users = uniform_users(topo)
         for k in (1, 2, 3):
             init = farthest_first_init(dm, users, k)
-            init_obj = evaluate_placement(dm, users, init)
+            init_obj = _Eval(dm, users).objective(init)
             _, obj, _ = dragoon(dm, topo, users, k)
             assert obj <= init_obj
 

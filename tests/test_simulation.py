@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
     CacheConfig,
@@ -14,7 +17,10 @@ from cdnsim import (
     scenario_from_json,
     scenario_to_json,
 )
+from cdnsim.cache import POLICIES
+from cdnsim.rng import derive_seed, make_rng
 from conftest import path_topology, random_connected_topology, random_profile
+from oracles import run_per_request
 
 
 def small_scenario(seed=0, policy="LRU", capacity=3, requests=100):
@@ -149,6 +155,41 @@ class TestRun:
         assert np.var(ratios(400)) < np.var(ratios(100)) * 1.5
 
 
+@st.composite
+def weighted_scenarios(draw, policy):
+    """Weighted topologies, priorities and edge weights like 3.17 that binary
+    floats round, any subset of nodes as users in shuffled order, empty servers."""
+    seed = draw(st.integers(0, 2**32))
+    topo = random_connected_topology(seed, draw(st.integers(2, 12)), weighted=True)
+    rng = make_rng(derive_seed(seed, "priorities"))
+    universe = tuple(f"s{i}" for i in range(draw(st.integers(1, 15))))
+    nodes = draw(st.permutations(topo.node_ids))[:draw(st.integers(1, len(topo.node_ids)))]
+    users = [UserGroup(node=n, priority=round(float(rng.random()) * 4 + 0.1, 2),
+                       profile=random_profile(seed + i, universe))
+             for i, n in enumerate(nodes)]
+    placement = tuple(draw(st.permutations(topo.node_ids))[:draw(st.integers(1, 4))])
+    return Scenario(
+        topology=topo,
+        users=users,
+        placement=placement,
+        assignment={u.node: draw(st.sampled_from(placement)) for u in users},
+        cache=CacheConfig(draw(st.integers(1, len(universe) + 1)), policy),
+        origin=draw(st.sampled_from(topo.node_ids)),
+        master_seed=seed,
+        requests_per_user=draw(st.sampled_from([100, 137])),
+    )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_run_matches_the_per_request_loop(policy, data):
+    """Per-server streams built from the members, one distance lookup per member:
+    every statistic and the network load equal the per-request loop exactly."""
+    scenario = data.draw(weighted_scenarios(policy))
+    assert run(scenario) == run_per_request(scenario)
+
+
 class TestScenarioValidation:
     def test_requests_per_user_floor(self):
         s = small_scenario()
@@ -188,6 +229,10 @@ class TestScenarioJson:
             scenario_from_json("{not json")
         with pytest.raises(ValidationError):
             scenario_from_json("{}")
+        doc = json.loads(scenario_to_json(small_scenario()))
+        doc["cache"]["capacity"] = "ten"
+        with pytest.raises(ValidationError, match="bad scenario JSON"):
+            scenario_from_json(json.dumps(doc))
 
 
 class TestExperimentSweep:
