@@ -45,8 +45,6 @@ from .simulation import (
     experiment_sweep,
     generate_requests,
     run,
-    scenario_from_json,
-    scenario_to_json,
 )
 from .topology import (
     DistanceMatrix,

@@ -24,15 +24,12 @@ _NEVER = float("inf")
 class CacheConfig:
     capacity: int
     policy: str = "LRU"
-    lirs_hir_fraction: float = 0.1
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValidationError("cache capacity must be >= 1")
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy!r}; one of {POLICIES}")
-        if not 0.0 < self.lirs_hir_fraction < 1.0:
-            raise ValidationError("lirs_hir_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -300,10 +297,9 @@ def replay(trace: list[ServiceId], config: CacheConfig) -> CacheStats:
     """Run a whole trace through one cache and return its statistics."""
     if config.policy == "BELADY":
         cache = _BeladyCache(config.capacity, trace)
-    elif config.policy == "LIRS":
-        cache = LIRSCache(config.capacity, config.lirs_hir_fraction)
     else:
-        policy = {"LRU": LRUCache, "LRU2": LRU2Cache, "LFU": LFUCache}[config.policy]
+        policy = {"LRU": LRUCache, "LRU2": LRU2Cache, "LFU": LFUCache,
+                  "LIRS": LIRSCache}[config.policy]
         cache = policy(config.capacity)
     return _stats(trace, sum(not cache.access(item)[0] for item in trace))
 

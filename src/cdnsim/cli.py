@@ -1,8 +1,8 @@
 """Command-line front end: place, assign, simulate, pareto, validate.
 
-Every command writes deterministic, header-first CSV/JSON files into --out and
-prints a short human summary to stdout. Exit codes: 0 ok, 1 invalid
-configuration, 2 infeasible request, 3 I/O failure.
+Every command but validate writes deterministic, header-first CSV/JSON files
+into --out and prints a short human summary to stdout. Exit codes: 0 ok,
+1 invalid configuration, 2 infeasible request, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from .cache import CacheConfig, POLICIES
 from .errors import InfeasibleError, ValidationError
 from .placement import dragoon, one_center
 from .profiles import UserGroup, ZipfModel, generate_users, load_trace
-from .simulation import (
-    Scenario,
-    experiment_sweep,
-    run,
-    scenario_from_json,
-    SWEEP_AXES,
-)
+from .simulation import SWEEP_AXES, Scenario, experiment_sweep, run
 from .pareto import front_sweep
 from .topology import Topology, parse_topology
 
@@ -48,11 +42,11 @@ def _add_common(p: argparse.ArgumentParser):
                    help="GraphML attribute holding edge weights (default: all 1.0)")
     p.add_argument("--priority-key", default="priority",
                    help="GraphML attribute holding node priorities")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
 
 
 def _add_users(p: argparse.ArgumentParser):
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--trace", default=None,
                    help="request-count CSV (node_id,service_id,count); "
                         "default is Zipf-generated profiles")
@@ -87,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_users(p)
     p.add_argument("--k", type=int, default=None, help="optimize placement here")
     p.add_argument("--placement", default=None, help="placement JSON from `place`")
-    p.add_argument("--scenario", default=None, help="full scenario JSON")
     p.add_argument("--policy", default="LRU", choices=POLICIES)
     p.add_argument("--capacity", type=int, default=10)
     p.add_argument("--origin", default=None, help="origin node (default: 1-center)")
@@ -224,7 +217,7 @@ def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario
     assignment = {}
     if args.sweep != "server_count":  # that sweep plans every swept k itself
         if placement is None and args.k is None:
-            raise ValidationError("simulate needs --scenario, --placement or --k")
+            raise ValidationError("simulate needs --placement or --k")
         placement, assignment, log = optimize(topo, users, k=args.k, placement=placement,
                                               optimizer=args.optimizer)
         _warn_if_stalled(log)
@@ -252,12 +245,11 @@ def _sim_row(value, result) -> list:
 
 
 def cmd_simulate(args) -> int:
-    if args.scenario:
-        scenario = scenario_from_json(Path(args.scenario).read_bytes().decode())
-    else:
-        topo = _load_topology(args)
-        users = _load_users(args, topo)
-        scenario = _assemble_scenario(args, topo, users)
+    if args.values is not None and not args.sweep:
+        raise ValidationError("--values requires --sweep")
+    topo = _load_topology(args)
+    users = _load_users(args, topo)
+    scenario = _assemble_scenario(args, topo, users)
     out = _outdir(args)
     if args.sweep:
         if not args.values:

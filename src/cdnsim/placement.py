@@ -65,15 +65,6 @@ def _check_k(k: int, n: int):
         raise InfeasibleError(f"k={k} out of range 1..{n}")
 
 
-def _resolve_sites(dm: DistanceMatrix, sites: tuple[NodeId, ...] | None) -> tuple[NodeId, ...]:
-    if sites is None:
-        return dm.ids
-    unknown = sorted(set(sites) - set(dm.ids))
-    if unknown:
-        raise ValidationError(f"unknown candidate sites: {unknown[:5]}")
-    return tuple(sorted(set(sites)))
-
-
 def closest_assignment(
     dm: DistanceMatrix, users: list[UserGroup], placement: Placement
 ) -> Assignment:
@@ -114,25 +105,19 @@ def one_center(
     return candidates[best]
 
 
-def farthest_first_init(
-    dm: DistanceMatrix,
-    users: list[UserGroup],
-    k: int,
-    sites: tuple[NodeId, ...] | None = None,
-) -> Placement:
+def farthest_first_init(dm: DistanceMatrix, users: list[UserGroup], k: int) -> Placement:
     """Deterministic farthest-first (2-Approx) start.
 
-    An orientation mark at the 1-center picks the first server (the site
-    farthest from the mark); each further server goes to the site with the
+    An orientation mark at the 1-center picks the first server (the node
+    farthest from the mark); each further server goes to the node with the
     largest distance to its closest already-placed server. Candidate
-    distances here are raw node distances, not priority-weighted. `sites`
-    restricts the allowed server locations (default: every node).
+    distances here are raw node distances, not priority-weighted.
     """
-    ids = _resolve_sites(dm, sites)
+    ids = dm.ids
     _check_k(k, len(ids))
-    mark = one_center(dm, users, candidates=ids)
+    mark = one_center(dm, users)
     placed: list[NodeId] = []
-    # distance from every site to the current server set; start from the mark
+    # distance from every node to the current server set; start from the mark
     cols = [dm.index(i) for i in ids]
     dist_to_set = dm.matrix[cols, dm.index(mark)].copy()
     for _ in range(k):
@@ -148,11 +133,7 @@ def farthest_first_init(
 
 
 def dragoon(
-    dm: DistanceMatrix,
-    topo: Topology,
-    users: list[UserGroup],
-    k: int,
-    sites: tuple[NodeId, ...] | None = None,
+    dm: DistanceMatrix, topo: Topology, users: list[UserGroup], k: int
 ) -> tuple[Placement, PlacementObjective, list[MoveRecord]]:
     """Farthest-first initialization plus neighbor-move local search.
 
@@ -160,12 +141,9 @@ def dragoon(
     its best directly-connected neighbor if that strictly improves the
     (max, avg) objective, at most once per iteration. Stops when an iteration
     moves nothing. The objective never worsens, so termination is guaranteed.
-    With `sites`, both the initialization and every move stay on the allowed
-    locations.
     """
-    allowed = set(_resolve_sites(dm, sites))
     ev = _Eval(dm, users)
-    placement = set(farthest_first_init(dm, users, k, sites))
+    placement = set(farthest_first_init(dm, users, k))
     current = ev.objective(tuple(placement))
     log: list[MoveRecord] = []
     iteration = 0
@@ -175,7 +153,7 @@ def dragoon(
         for idx, server in enumerate(sorted(placement)):
             best: tuple[PlacementObjective, NodeId] | None = None
             for nb in topo.neighbors(server):
-                if nb in placement or nb not in allowed:
+                if nb in placement:
                     continue
                 cand = tuple(placement - {server} | {nb})
                 obj = ev.objective(cand)
@@ -194,13 +172,10 @@ def dragoon(
 
 
 def brute_force_placement(
-    dm: DistanceMatrix,
-    users: list[UserGroup],
-    k: int,
-    sites: tuple[NodeId, ...] | None = None,
+    dm: DistanceMatrix, users: list[UserGroup], k: int
 ) -> tuple[Placement, PlacementObjective]:
-    """Exact optimum by enumerating every k-subset of sites (desk scale only)."""
-    ids = _resolve_sites(dm, sites)
+    """Exact optimum by enumerating every k-subset of nodes (desk scale only)."""
+    ids = dm.ids
     n = len(ids)
     _check_k(k, n)
     if math.comb(n, k) > BRUTE_FORCE_LIMIT:

@@ -10,7 +10,6 @@ cache.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ from .assignment import OPTIMIZERS, optimize
 from .cache import CacheConfig, CacheStats, replay
 from .errors import ValidationError
 from .placement import Assignment, Placement, weighted_distances
-from .profiles import Profile, ServiceId, UserGroup
+from .profiles import ServiceId, UserGroup
 from .rng import derive_seed, make_rng
 from .topology import NodeId, Topology
 
@@ -166,69 +165,3 @@ def experiment_sweep(
         results.append((value, run(scenario)))
     return results
 
-
-def scenario_to_json(s: Scenario) -> str:
-    """Self-contained JSON dump; loadable with scenario_from_json."""
-    doc = {
-        "topology": json.loads(s.topology.to_json()),
-        "universe": list(s.users[0].profile.universe) if s.users else [],
-        "users": [
-            {
-                "node": u.node,
-                "priority": u.priority,
-                "profile": {
-                    svc: float(p)
-                    for svc, p in zip(u.profile.universe, u.profile.probs)
-                    if p > 0
-                },
-            }
-            for u in sorted(s.users, key=lambda u: u.node)
-        ],
-        "placement": sorted(s.placement),
-        "assignment": dict(sorted(s.assignment.items())),
-        "cache": {
-            "policy": s.cache.policy,
-            "capacity": s.cache.capacity,
-            "lirs_hir_fraction": s.cache.lirs_hir_fraction,
-        },
-        "origin": s.origin,
-        "master_seed": s.master_seed,
-        "requests_per_user": s.requests_per_user,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def scenario_from_json(text: str) -> Scenario:
-    """Load a scenario_to_json dump. A per-user "request_count" key, which older
-    dumps carry, is ignored: requests_per_user is the only per-user count."""
-    try:
-        doc = json.loads(text)
-        topo = Topology.from_json(json.dumps(doc["topology"]))
-        universe = tuple(doc["universe"])
-        users = [
-            UserGroup(
-                node=u["node"],
-                priority=float(u.get("priority", 1.0)),
-                profile=Profile.from_dict(u["profile"], universe),
-            )
-            for u in doc["users"]
-        ]
-        scenario = Scenario(
-            topology=topo,
-            users=users,
-            placement=tuple(doc["placement"]),
-            assignment=dict(doc["assignment"]),
-            cache=CacheConfig(
-                capacity=int(doc["cache"]["capacity"]),
-                policy=doc["cache"]["policy"],
-                lirs_hir_fraction=float(doc["cache"].get("lirs_hir_fraction", 0.1)),
-            ),
-            origin=doc["origin"],
-            master_seed=int(doc["master_seed"]),
-            requests_per_user=int(doc.get("requests_per_user", 100)),
-        )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad scenario JSON: {exc}") from exc
-    return scenario.validate()

@@ -8,9 +8,8 @@ positive priority used to weight the placement objectives.
 from __future__ import annotations
 
 import heapq
-import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,28 +123,6 @@ class Topology:
             self._dm = all_pairs_shortest_paths(self)
         return self._dm
 
-    # Canonical JSON form: nodes and edges sorted by id, all fields explicit.
-    def to_json(self) -> str:
-        doc = {
-            "nodes": [
-                {"id": n, "label": self.labels[n], "priority": self.priorities[n]}
-                for n in self.node_ids
-            ],
-            "edges": [{"a": a, "b": b, "weight": w} for a, b, w in self.edges],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Topology":
-        try:
-            doc = json.loads(text)
-            nodes = [(n["id"], n.get("label", n["id"]), float(n.get("priority", 1.0)))
-                     for n in doc["nodes"]]
-            edges = [(e["a"], e["b"], float(e.get("weight", 1.0))) for e in doc["edges"]]
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"bad topology JSON: {exc}") from exc
-        return cls(nodes, edges)
-
 
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
@@ -155,13 +132,13 @@ def parse_topology(
     data: bytes,
     weight_key: str | None = None,
     priority_key: str = "priority",
-    label_key: str = "label",
 ) -> Topology:
     """Parse a GraphML document into a Topology.
 
     `weight_key` / `priority_key` name GraphML attributes (attr.name, falling
-    back to the raw key id). Missing attributes default to weight 1.0 and
-    priority 1.0. Directed or duplicate edges are symmetrized to the maximum
+    back to the raw key id); node labels come from the `label` attribute.
+    Missing attributes default to weight 1.0, priority 1.0 and the node id as
+    label. Directed or duplicate edges are symmetrized to the maximum
     weight of the pair.
     """
     try:
@@ -198,7 +175,7 @@ def parse_topology(
             if nid in node_ids:
                 raise ValidationError(f"duplicate node id {nid!r}")
             node_ids.add(nid)
-            label = data_value(el, label_key) or nid
+            label = data_value(el, "label") or nid
             prio_text = data_value(el, priority_key)
             try:
                 prio = float(prio_text) if prio_text else 1.0

@@ -239,8 +239,6 @@ class TestReplayAndStats:
             CacheConfig(0, "LRU")
         with pytest.raises(ValidationError):
             CacheConfig(4, "FIFO")
-        with pytest.raises(ValidationError):
-            CacheConfig(4, "LIRS", lirs_hir_fraction=1.5)
 
 
 def test_stats_csv_format():

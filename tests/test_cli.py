@@ -74,6 +74,17 @@ class TestValidate:
         assert main(["validate", "--topology", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--out", "x"],
+    ["validate", "--seed", "1"],
+    ["simulate", "--k", "2", "--scenario", "f.json"],
+], ids=["validate-out", "validate-seed", "simulate-scenario"])
+def test_flags_a_command_does_not_read_are_rejected(topo12, argv, capsys):
+    # validate writes nothing and draws nothing; simulate reads no scenario file
+    assert main([*argv, "--topology", str(topo12)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestPlace:
     def test_three_node_fixture(self, topo3, tmp_path):
         out = tmp_path / "out"
@@ -247,16 +258,23 @@ class TestSimulate:
         assert main(["simulate", "--topology", str(topo12), "--sweep", "server_count",
                      "--values", "999", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("flag", ["--placement", "--trace", "--scenario"])
+    @pytest.mark.parametrize("flag", ["--placement", "--trace"])
     def test_missing_input_file_is_an_io_failure(self, topo12, tmp_path, flag, capsys):
         missing = tmp_path / "gone"
         assert main(["simulate", "--topology", str(topo12), "--k", "2", flag, str(missing),
                      "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_needs_some_placement_source(self, topo12, tmp_path):
+    def test_needs_some_placement_source(self, topo12, tmp_path, capsys):
         assert main(["simulate", "--topology", str(topo12),
                      "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: simulate needs --placement or --k\n"
+
+    def test_values_need_a_sweep(self, topo12, tmp_path, capsys):
+        assert main(["simulate", "--topology", str(topo12), "--k", "2",
+                     "--values", "1,2,banana", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --values requires --sweep\n"
+        assert not (tmp_path / "simulation.csv").exists()
 
     def test_desk_placement_runs_the_correlation_optimizer(self, desk, tmp_path):
         # --placement with --optimizer correlation simulates the plan `assign` writes
@@ -279,13 +297,6 @@ class TestSimulate:
         assert len(warnings) == 1
         assert warnings[0].startswith("warning: the correlation greedy rejected "
                                       "its first batch of 118 moves")
-
-    def test_scenario_file_round_trip(self, topo12, tmp_path):
-        out1 = tmp_path / "a"
-        code = main(["simulate", "--topology", str(topo12), "--k", "2",
-                     "--universe", "15", "--profile-size", "4",
-                     "--seed", "5", "--out", str(out1)])
-        assert code == 0
 
 
 class TestPareto:

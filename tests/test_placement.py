@@ -184,34 +184,6 @@ class TestBruteForce:
             brute_force_placement(topo.distance_matrix(), uniform_users(topo), 10)
 
 
-class TestSiteWhitelist:
-    def test_farthest_first_respects_sites(self, path5):
-        dm = path5.distance_matrix()
-        users = uniform_users(path5)
-        got = farthest_first_init(dm, users, 2, sites=("B", "C", "D"))
-        assert set(got) <= {"B", "C", "D"}
-
-    def test_dragoon_stays_on_sites(self, path5):
-        dm = path5.distance_matrix()
-        users = uniform_users(path5)
-        placement, obj, _ = dragoon(dm, path5, users, 1, sites=("A", "B"))
-        assert placement == ("B",)  # C is optimal but not allowed
-        assert obj.max_dist == 3.0  # dist(B, E)
-
-    def test_brute_force_with_sites(self, path5):
-        dm = path5.distance_matrix()
-        users = uniform_users(path5)
-        placement, _ = brute_force_placement(dm, users, 1, sites=("A", "E"))
-        assert placement == ("A",)
-
-    def test_unknown_site_rejected(self, path3):
-        from cdnsim import ValidationError
-
-        with pytest.raises(ValidationError):
-            farthest_first_init(path3.distance_matrix(), uniform_users(path3), 1,
-                                sites=("Z",))
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_dragoon_within_two_approx(seed):
     topo = random_connected_topology(seed, 4 + seed % 9, weighted=(seed % 3 == 0))

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from cdnsim import (
     experiment_sweep,
     generate_requests,
     run,
-    scenario_from_json,
-    scenario_to_json,
 )
 from cdnsim.cache import POLICIES
 from cdnsim.rng import derive_seed, make_rng
@@ -214,25 +211,6 @@ class TestScenarioValidation:
         s.assignment[s.users[0].node] = s.topology.node_ids[2]
         with pytest.raises(ValidationError, match="non-server"):
             s.validate()
-
-
-class TestScenarioJson:
-    def test_round_trip(self):
-        s = small_scenario(seed=8)
-        again = scenario_from_json(scenario_to_json(s))
-        assert run(again) == run(s)
-        assert again.placement == s.placement
-        assert again.assignment == s.assignment
-
-    def test_bad_json_rejected(self):
-        with pytest.raises(ValidationError):
-            scenario_from_json("{not json")
-        with pytest.raises(ValidationError):
-            scenario_from_json("{}")
-        doc = json.loads(scenario_to_json(small_scenario()))
-        doc["cache"]["capacity"] = "ten"
-        with pytest.raises(ValidationError, match="bad scenario JSON"):
-            scenario_from_json(json.dumps(doc))
 
 
 class TestExperimentSweep:

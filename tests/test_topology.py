@@ -148,15 +148,6 @@ def test_distance_matrix_invariants(seed):
         assert m[i, j] <= m[i, k] + m[k, j] + 1e-9
 
 
-def test_json_round_trip():
-    topo = random_connected_topology(3, 12, weighted=True)
-    again = Topology.from_json(topo.to_json())
-    assert again.node_ids == topo.node_ids
-    assert again.edges == topo.edges
-    assert again.priorities == topo.priorities
-    assert again.labels == topo.labels
-
-
 def test_desk_scale_parse():
     # 124 nodes / 126 edges, the shape of the reference infrastructure
     topo = random_connected_topology(11, 124)
