@@ -13,7 +13,6 @@ from .cache import (
     CacheStats,
     belady_misses,
     replay,
-    stats_to_csv,
 )
 from .errors import InfeasibleError, ValidationError
 from .pareto import ParetoFront, SolutionPoint, dominates, front_sweep, non_dominated

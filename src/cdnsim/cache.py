@@ -19,6 +19,8 @@ POLICIES = ("LRU", "LRU2", "LFU", "LIRS", "BELADY")
 
 _NEVER = float("inf")
 
+_HIR_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -188,15 +190,15 @@ class LFUCache(_HeapCache):
 class LIRSCache(OnlineCache):
     """LIRS with the standard LIR/HIR stack semantics.
 
-    The resident HIR queue holds max(1, round(hir_fraction * capacity)) items,
+    The resident HIR queue holds max(1, round(_HIR_FRACTION * capacity)) items,
     clamped so at least one LIR slot remains for capacity >= 2. Stack S keeps
     recency history including non-resident entries; its bottom is always LIR
     after pruning.
     """
 
-    def __init__(self, capacity: int, hir_fraction: float = 0.1):
+    def __init__(self, capacity: int):
         super().__init__(capacity)
-        hir = max(1, round(hir_fraction * capacity))
+        hir = max(1, round(_HIR_FRACTION * capacity))
         self._hir_size = min(hir, capacity - 1) if capacity >= 2 else 1
         self._lir_size = capacity - self._hir_size
         self._stack: OrderedDict[ServiceId, None] = OrderedDict()  # oldest first
@@ -309,14 +311,3 @@ def _stats(trace: list[ServiceId], misses: int) -> CacheStats:
     its only cold miss: cold misses are the distinct items of the trace."""
     return CacheStats(len(trace), len(trace) - misses, misses, len(set(trace)))
 
-
-STATS_CSV_HEADER = "policy,capacity,requests,hits,misses,cold_misses,miss_ratio"
-
-
-def stats_to_csv(rows: list[tuple[str, int, CacheStats]]) -> str:
-    """Stats dump with one line per (policy, capacity) replay."""
-    lines = [STATS_CSV_HEADER]
-    for policy, capacity, s in rows:
-        lines.append(f"{policy},{capacity},{s.requests},{s.hits},{s.misses},"
-                     f"{s.cold_misses},{s.miss_ratio!r}")
-    return "\n".join(lines) + "\n"

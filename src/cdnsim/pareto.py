@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _CorrEval, optimize, total_correlation
+from .assignment import _CorrEval, optimize
 from .errors import ValidationError
 from .placement import Assignment, Placement, weighted_distances
 from .profiles import UserGroup
@@ -104,7 +104,7 @@ def front_sweep(
         assignment[user_node] = server
         recorded.append(_point(dm, users, place0, assignment, ev.total(assignment), step))
 
-    place_end, a_end, _ = optimize(topo, users, placement=place0, optimizer="correlation")
-    recorded.append(_point(dm, users, place_end, a_end, total_correlation(users, a_end),
-                           steps - 1))
+    # relocation keeps the greedy's groups, so its final total is the end point's
+    place_end, a_end, log = optimize(topo, users, placement=place0, optimizer="correlation")
+    recorded.append(_point(dm, users, place_end, a_end, log[-1].total_corr_before, steps - 1))
     return non_dominated(recorded)

@@ -72,12 +72,11 @@ def closest_assignment(
     if not placement:
         raise ValidationError("empty placement")
     servers = sorted(placement)
+    rows = [dm.index(u.node) for u in users]
     cols = [dm.index(s) for s in servers]
-    out: Assignment = {}
-    for u in users:
-        row = dm.matrix[dm.index(u.node), cols]
-        out[u.node] = servers[int(np.argmin(row))]  # argmin takes first == lowest id
-    return out
+    # argmin takes the first minimum of each row, i.e. the lowest server id
+    best = dm.matrix[np.ix_(rows, cols)].argmin(axis=1)
+    return {u.node: servers[j] for u, j in zip(users, best)}
 
 
 def weighted_distances(
@@ -116,20 +115,16 @@ def farthest_first_init(dm: DistanceMatrix, users: list[UserGroup], k: int) -> P
     ids = dm.ids
     _check_k(k, len(ids))
     mark = one_center(dm, users)
-    placed: list[NodeId] = []
+    placed = np.zeros(len(ids), dtype=bool)
     # distance from every node to the current server set; start from the mark
     cols = [dm.index(i) for i in ids]
     dist_to_set = dm.matrix[cols, dm.index(mark)].copy()
     for _ in range(k):
-        best_i = None
-        for i, node in enumerate(ids):
-            if node in placed:
-                continue
-            if best_i is None or dist_to_set[i] > dist_to_set[best_i]:
-                best_i = i  # id order: later equal distances never replace
-        placed.append(ids[best_i])
+        # argmax takes the first maximum among the free nodes, i.e. the lowest id
+        best_i = int(np.where(placed, -np.inf, dist_to_set).argmax())
+        placed[best_i] = True
         dist_to_set = np.minimum(dist_to_set, dm.matrix[cols, dm.index(ids[best_i])])
-    return tuple(sorted(placed))
+    return tuple(ids[i] for i in np.flatnonzero(placed))
 
 
 def dragoon(

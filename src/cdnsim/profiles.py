@@ -34,6 +34,8 @@ class Profile:
             raise ValidationError("probability vector does not match universe")
         if (probs < 0).any():
             raise ValidationError("negative probability")
+        if not np.isfinite(probs).all():
+            raise ValidationError("non-finite probability")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"probabilities sum to {total}, not 1")
@@ -81,6 +83,8 @@ class UserGroup:
     def __post_init__(self):
         if not self.priority > 0:
             raise ValidationError(f"user {self.node!r}: non-positive priority")
+        if self.priority == np.inf:
+            raise ValidationError(f"user {self.node!r}: infinite priority")
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,8 @@ class ZipfModel:
     def __post_init__(self):
         if self.alpha < 0:
             raise ValidationError("alpha must be non-negative")
+        if not np.isfinite(self.alpha):
+            raise ValidationError("alpha must be finite")
         if self.universe_size < 1:
             raise ValidationError("universe_size must be positive")
         if not 1 <= self.profile_size <= self.universe_size:
@@ -115,7 +121,7 @@ def zipf_pmf(alpha: float, n: int) -> np.ndarray:
 
 
 def generate_profile(model: ZipfModel, rng_seed: int,
-                     universe: tuple[ServiceId, ...] | None = None) -> Profile:
+                     universe: tuple[ServiceId, ...]) -> Profile:
     """Seeded pseudo-realistic profile with exactly `profile_size` liked services.
 
     The support is drawn without replacement, weighted by global Zipf
@@ -123,9 +129,7 @@ def generate_profile(model: ZipfModel, rng_seed: int,
     Zipf pmf over profile_size ranks is dealt onto a random permutation, so a
     user's favourite service is not necessarily a globally popular one.
     """
-    if universe is None:
-        universe = make_universe(model.universe_size)
-    elif len(universe) != model.universe_size:
+    if len(universe) != model.universe_size:
         raise ValidationError("universe size does not match model")
     rng = make_rng(rng_seed)
     global_pmf = zipf_pmf(model.alpha, model.universe_size)

@@ -19,7 +19,7 @@ from .cache import CacheConfig, CacheStats, replay
 from .errors import ValidationError
 from .placement import Assignment, Placement, weighted_distances
 from .profiles import ServiceId, UserGroup
-from .rng import derive_seed, make_rng
+from .rng import derive_seed, left_sum, make_rng
 from .topology import NodeId, Topology
 
 SWEEP_AXES = ("server_count", "cache_size", "policy")
@@ -114,8 +114,7 @@ def run(scenario: Scenario) -> SimulationResult:
         stream = [item for requests in zip(*streams) for item in requests]
         distances = [dm.get(u.node, server) for u in members[server]]
         # one addition per request, in stream order: count x distance rounds differently
-        for distance in distances * s.requests_per_user:
-            network_load += distance
+        network_load = left_sum([network_load, *distances * s.requests_per_user])
         stats = replay(stream, s.cache)
         network_load += stats.misses * dm.get(server, s.origin)
         per_server[server] = stats

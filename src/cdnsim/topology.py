@@ -1,8 +1,8 @@
 """Network infrastructure model: GraphML loading, validation and shortest paths.
 
 A topology is an undirected, connected graph of network nodes. Edge weights are
-positive reals (1.0 by default, which makes distances hop counts); nodes carry a
-positive priority used to weight the placement objectives.
+finite positive reals (1.0 by default, which makes distances hop counts); nodes
+carry a finite positive priority used to weight the placement objectives.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class Topology:
 
         Parallel/reverse duplicate edges collapse to the maximum weight.
         Raises ValidationError on duplicate ids, self-loops surviving as the
-        only connection, non-positive weights or priorities, or a disconnected
-        graph.
+        only connection, non-positive or infinite weights or priorities, or a
+        disconnected graph.
         """
         seen: set[NodeId] = set()
         for nid, _, _ in nodes:
@@ -67,6 +67,8 @@ class Topology:
         for nid, _, prio in nodes:
             if not prio > 0:
                 raise ValidationError(f"node {nid!r} has non-positive priority {prio}")
+            if prio == np.inf:
+                raise ValidationError(f"node {nid!r} has infinite priority")
             self.priorities[nid] = float(prio)
 
         collapsed: dict[tuple[NodeId, NodeId], float] = {}
@@ -77,6 +79,8 @@ class Topology:
                 continue  # self-loops carry no distance information
             if not w > 0:
                 raise ValidationError(f"edge ({a!r}, {b!r}) has non-positive weight {w}")
+            if w == np.inf:
+                raise ValidationError(f"edge ({a!r}, {b!r}) has infinite weight")
             key = (a, b) if a < b else (b, a)
             collapsed[key] = max(collapsed.get(key, 0.0), float(w))
         self.edges: tuple[tuple[NodeId, NodeId, float], ...] = tuple(
@@ -113,9 +117,6 @@ class Topology:
         if node not in self._adj:
             raise ValidationError(f"unknown node {node!r}")
         return [nb for nb, _ in self._adj[node]]
-
-    def adjacency(self, node: NodeId) -> tuple[tuple[NodeId, float], ...]:
-        return self._adj[node]
 
     def distance_matrix(self) -> DistanceMatrix:
         """All-pairs shortest paths; computed once and cached."""
@@ -165,16 +166,12 @@ def parse_topology(
 
     nodes: list[tuple[NodeId, str, float]] = []
     edges: list[tuple[NodeId, NodeId, float]] = []
-    node_ids: set[str] = set()
     for el in root.iter():
         tag = _local(el.tag)
         if tag == "node":
             nid = el.get("id")
             if nid is None:
                 raise ValidationError("node element without id")
-            if nid in node_ids:
-                raise ValidationError(f"duplicate node id {nid!r}")
-            node_ids.add(nid)
             label = data_value(el, "label") or nid
             prio_text = data_value(el, priority_key)
             try:
@@ -211,7 +208,7 @@ def _dijkstra(topo: Topology, source: NodeId, index: dict[NodeId, int]) -> np.nd
         ui = index[u]
         if d > dist[ui]:
             continue
-        for v, w in topo.adjacency(u):
+        for v, w in topo._adj[u]:
             nd = d + w
             vi = index[v]
             if nd < dist[vi]:

@@ -13,7 +13,10 @@ These are the straightforward versions the fast paths replaced:
   scan;
 - for the per-server request streams of the simulation, one loop over every
   user's interleaved requests with a distance lookup per request;
-- for the Pareto walk's one evaluator, a fresh pairwise evaluator per step.
+- for the Pareto walk's one evaluator, a fresh pairwise evaluator per step;
+- for the closest-server `argmin` over the user x server submatrix and the
+  masked `argmax` of the farthest-first start, the per-user and per-node
+  loops they replaced.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from cdnsim.assignment import optimize
 from cdnsim.cache import _NEVER, CacheStats, OnlineCache, _stats, replay
 from cdnsim.errors import ValidationError
 from cdnsim.pareto import SolutionPoint, non_dominated
-from cdnsim.placement import weighted_distances
+from cdnsim.placement import one_center, weighted_distances
 from cdnsim.profiles import ServiceId
 from cdnsim.rng import derive_seed, make_rng
 from cdnsim.simulation import SimulationResult, generate_requests
@@ -342,3 +345,33 @@ def front_sweep_pairwise(topo, users, k: int, steps: int, master_seed: int):
     place_end, a_end, _ = optimize(topo, users, placement=place0, optimizer="correlation")
     recorded.append(point(place_end, a_end, steps - 1))
     return non_dominated(recorded)
+
+
+def closest_assignment_loop(dm, users, placement):
+    """`placement.closest_assignment` with one `argmin` per user."""
+    servers = sorted(placement)
+    cols = [dm.index(s) for s in servers]
+    out = {}
+    for u in users:
+        row = dm.matrix[dm.index(u.node), cols]
+        out[u.node] = servers[int(np.argmin(row))]  # argmin takes first == lowest id
+    return out
+
+
+def farthest_first_init_loop(dm, users, k: int):
+    """`placement.farthest_first_init` with a scan for the first maximum."""
+    ids = dm.ids
+    mark = one_center(dm, users)
+    placed = []
+    cols = [dm.index(i) for i in ids]
+    dist_to_set = dm.matrix[cols, dm.index(mark)].copy()
+    for _ in range(k):
+        best_i = None
+        for i, node in enumerate(ids):
+            if node in placed:
+                continue
+            if best_i is None or dist_to_set[i] > dist_to_set[best_i]:
+                best_i = i  # id order: later equal distances never replace
+        placed.append(ids[best_i])
+        dist_to_set = np.minimum(dist_to_set, dm.matrix[cols, dm.index(ids[best_i])])
+    return tuple(sorted(placed))

@@ -7,13 +7,12 @@ from cdnsim import (
     ValidationError,
     belady_misses,
     replay,
-    stats_to_csv,
 )
 from cdnsim.cache import LFUCache, LIRSCache, LRU2Cache, LRUCache, POLICIES
 
 import oracles
 
-# the online policies and their classes; LIRSCache defaults to CacheConfig's HIR fraction
+# the online policies and their classes; LIRSCache holds a fixed tenth as HIR slots
 ONLINE = {"LRU": LRUCache, "LRU2": LRU2Cache, "LFU": LFUCache, "LIRS": LIRSCache}
 
 # traces over alphabets of 1..6 items
@@ -122,7 +121,7 @@ class TestLIRS:
         assert lirs.hits > 60
 
     def test_stack_promotion(self):
-        cache = LIRSCache(3, 0.34)  # 1 HIR slot, 2 LIR slots
+        cache = LIRSCache(3)  # 1 HIR slot, 2 LIR slots
         for x in "ab":
             cache.access(x)  # warm-up: a, b become LIR
         cache.access("c")  # resident HIR
@@ -239,15 +238,6 @@ class TestReplayAndStats:
             CacheConfig(0, "LRU")
         with pytest.raises(ValidationError):
             CacheConfig(4, "FIFO")
-
-
-def test_stats_csv_format():
-    trace = list("abcab")
-    stats = replay(trace, CacheConfig(2, "LRU"))
-    text = stats_to_csv([("LRU", 2, stats)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "policy,capacity,requests,hits,misses,cold_misses,miss_ratio"
-    assert lines[1].startswith("LRU,2,5,")
 
 
 @pytest.mark.parametrize("policy", ["LRU", "BELADY"])

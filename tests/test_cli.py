@@ -74,6 +74,43 @@ class TestValidate:
         assert main(["validate", "--topology", str(bad)]) == 1
 
 
+class TestNonFiniteInput:
+    """Infinite weights and priorities and a NaN or infinite Zipf exponent are
+    configuration errors, not numbers to compute with."""
+
+    def graphml(self, tmp_path, weight="1", priority="1"):
+        path = tmp_path / "t.graphml"
+        path.write_text(GRAPHML_3.replace(
+            '<node id="A"/>',
+            f'<node id="A"><data key="p">{priority}</data></node>').replace(
+            '<edge source="A" target="B"/>',
+            f'<edge source="A" target="B"><data key="w">{weight}</data></edge>'))
+        return str(path)
+
+    def test_validate_infinite_weight(self, tmp_path, capsys):
+        topo = self.graphml(tmp_path, weight="inf")
+        assert main(["validate", "--topology", topo, "--weight-key", "w"]) == 1
+        assert "infinite weight" in capsys.readouterr().err
+
+    def test_place_infinite_priority(self, tmp_path, capsys):
+        topo = self.graphml(tmp_path, priority="inf")
+        argv = ["place", "--topology", topo, "--priority-key", "p", "--k", "1",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "infinite priority" in captured.err and "objective" not in captured.out
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_assign_non_finite_alpha(self, topo3, tmp_path, alpha, capsys):
+        placement = tmp_path / "placement.json"
+        placement.write_text('["A"]')
+        argv = ["assign", "--topology", str(topo3), "--placement", str(placement),
+                "--alpha", alpha, "--universe", "5", "--profile-size", "3",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--out", "x"],
     ["validate", "--seed", "1"],

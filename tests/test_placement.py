@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
     InfeasibleError,
@@ -18,6 +19,21 @@ from conftest import (
     star_topology,
     uniform_users,
 )
+
+import oracles
+
+
+@st.composite
+def shuffled_instances(draw):
+    """(topology, users in shuffled order, servers). Unit weights tie heavily;
+    the weighted graphs carry two-decimal weights, which binary floats round."""
+    topo = random_connected_topology(draw(st.integers(0, 10_000)), draw(st.integers(2, 14)),
+                                     weighted=draw(st.booleans()))
+    nodes = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
+    users = [UserGroup(node=n, priority=draw(st.sampled_from([0.5, 1.0, 3.0])),
+                       profile=dummy_profile()) for n in nodes]
+    servers = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
+    return topo, users, tuple(servers)
 
 
 class TestClosestAssignment:
@@ -42,6 +58,14 @@ class TestClosestAssignment:
             # independent scan: smallest (distance, id) pair wins
             best = min(servers, key=lambda s: (dm.get(u.node, s), s))
             assert a[u.node] == best
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shuffled_instances())
+    def test_matches_the_per_user_loop(self, instance):
+        topo, users, servers = instance
+        dm = topo.distance_matrix()
+        assert closest_assignment(dm, users, servers) == \
+            oracles.closest_assignment_loop(dm, users, servers)
 
 
 class TestEvaluatePlacement:
@@ -116,6 +140,14 @@ class TestFarthestFirst:
     def test_k_out_of_range(self, path3):
         with pytest.raises(InfeasibleError):
             farthest_first_init(path3.distance_matrix(), uniform_users(path3), 4)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shuffled_instances())
+    def test_matches_the_first_maximum_loop(self, instance):
+        topo, users, servers = instance
+        dm, k = topo.distance_matrix(), len(servers)
+        assert farthest_first_init(dm, users, k) == \
+            oracles.farthest_first_init_loop(dm, users, k)
 
 
 class TestDragoon:

@@ -66,18 +66,18 @@ class TestZipfPmf:
 class TestGenerateProfile:
     def test_full_universe_alpha_zero_is_uniform(self):
         model = ZipfModel(alpha=0.0, universe_size=8, profile_size=8)
-        p = generate_profile(model, 1)
+        p = generate_profile(model, 1, make_universe(model.universe_size))
         assert np.allclose(p.probs, 1 / 8)
 
     def test_single_service(self):
         model = ZipfModel(alpha=0.3, universe_size=10, profile_size=1)
-        p = generate_profile(model, 5)
+        p = generate_profile(model, 5, make_universe(model.universe_size))
         assert sorted(p.probs)[-1] == 1.0
         assert np.count_nonzero(p.probs) == 1
 
     def test_determinism_fixture(self):
         model = ZipfModel(alpha=0.3, universe_size=100, profile_size=15)
-        p = generate_profile(model, 42)
+        p = generate_profile(model, 42, make_universe(model.universe_size))
         nonzero = {s: v for s, v in p.entries.items() if v > 0}
         assert set(nonzero) == set(PROFILE_SEED42)
         for s, v in PROFILE_SEED42.items():
@@ -86,7 +86,7 @@ class TestGenerateProfile:
     def test_support_size_and_sum(self):
         model = ZipfModel(alpha=0.3, universe_size=50, profile_size=12)
         for seed in range(20):
-            p = generate_profile(model, seed)
+            p = generate_profile(model, seed, make_universe(model.universe_size))
             assert np.count_nonzero(p.probs) == 12
             assert abs(p.probs.sum() - 1.0) < 1e-12
 
@@ -187,3 +187,15 @@ def test_profile_validation():
         Profile(("A", "B"), np.array([1.2, -0.2]))
     with pytest.raises(ValidationError):
         UserGroup(node="n", priority=0.0)
+
+
+def test_non_finite_input_rejected():
+    with pytest.raises(ValidationError, match="non-finite probability"):
+        Profile(("a", "b"), np.array([np.nan, np.nan]))
+    with pytest.raises(ValidationError, match="non-finite probability"):
+        Profile(("a", "b"), np.array([np.inf, 0.0]))
+    with pytest.raises(ValidationError, match="infinite priority"):
+        UserGroup(node="n", priority=np.inf)
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            ZipfModel(alpha=alpha)

@@ -1,5 +1,9 @@
+import io
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdnsim import Topology, ValidationError, all_pairs_shortest_paths, parse_topology
 from conftest import random_connected_topology
@@ -66,6 +70,90 @@ def test_negative_weight_rejected():
     doc = GRAPHML_ATTRS.replace(b">3.5<", b">-1<")
     with pytest.raises(ValidationError, match="non-positive"):
         parse_topology(doc, weight_key="LinkSpeed")
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    ([("A", "A", np.inf), ("B", "B", 1.0)], [("A", "B", 1.0)]),
+    ([("A", "A", 1.0), ("B", "B", 1.0)], [("A", "B", np.inf)]),
+], ids=["priority", "weight"])
+def test_infinite_priority_or_weight_rejected(nodes, edges):
+    with pytest.raises(ValidationError, match="infinite"):
+        Topology(nodes, edges)
+
+
+def test_parsed_infinite_weight_rejected():
+    doc = GRAPHML_ATTRS.replace(b">3.5<", b">inf<")
+    with pytest.raises(ValidationError, match="infinite weight"):
+        parse_topology(doc, weight_key="LinkSpeed")
+
+
+@st.composite
+def graphml_documents(draw):
+    """(GraphML bytes, weight_key, duplicated node id or None).
+
+    Nodes are declared in shuffled order, some with a priority. A path through
+    them keeps the graph connected; more edges add reversed duplicates and self
+    loops, and some edges carry no weight. The weight key is named by its
+    attr.name, by its key id, by a name no edge carries, or not at all.
+    """
+    ids = [f"v{i}" for i in draw(st.permutations(range(draw(st.integers(1, 6)))))]
+    value = st.none() | st.floats(0.01, 1000)
+    nodes = [(nid, draw(value)) for nid in ids]
+    duplicate = draw(st.none() | st.sampled_from(ids))
+    if duplicate is not None:
+        nodes.insert(draw(st.integers(0, len(nodes))), (duplicate, draw(value)))
+    pairs = list(zip(ids, ids[1:])) + draw(
+        st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=8))
+    edges = [(b, a, draw(value)) if draw(st.booleans()) else (a, b, draw(value))
+             for a, b in draw(st.permutations(pairs))]
+
+    def data(key, v):
+        return "" if v is None else f'<data key="{key}">{v!r}</data>'
+
+    doc = (
+        '<?xml version="1.0" encoding="utf-8"?>'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+        '<key id="d0" for="edge" attr.name="weight" attr.type="double"/>'
+        '<key id="d1" for="node" attr.name="priority" attr.type="double"/>'
+        f'<graph edgedefault="{draw(st.sampled_from(["directed", "undirected"]))}">'
+        + "".join(f'<node id="{n}">{data("d1", v)}</node>' for n, v in nodes)
+        + "".join(f'<edge source="{a}" target="{b}">{data("d0", v)}</edge>'
+                  for a, b, v in edges)
+        + "</graph></graphml>"
+    )
+    weight_key = draw(st.sampled_from([None, "weight", "d0", "cost"]))
+    return doc.encode(), weight_key, duplicate
+
+
+def networkx_topology(doc: bytes, weight_key):
+    """(node ids, priorities, edges) as networkx reads the document, collapsed
+    the way Topology documents it: self loops dropped, each node pair's edges
+    to their largest weight, 1.0 where the weight key gives no value."""
+    graph = nx.read_graphml(io.BytesIO(doc), force_multigraph=True)
+    name = "weight" if weight_key == "d0" else weight_key
+    edges: dict[tuple[str, str], float] = {}
+    for a, b, attrs in graph.edges(data=True):
+        if a != b:
+            pair = (min(a, b), max(a, b))
+            edges[pair] = max(edges.get(pair, 0.0), attrs.get(name, 1.0) if name else 1.0)
+    priorities = {n: attrs.get("priority", 1.0) for n, attrs in graph.nodes(data=True)}
+    return (tuple(sorted(graph.nodes)), priorities,
+            tuple((a, b, w) for (a, b), w in sorted(edges.items())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphml_documents())
+def test_parser_matches_networkx(case):
+    doc, weight_key, duplicate = case
+    if duplicate is not None:
+        with pytest.raises(ValidationError, match=f"duplicate node id {duplicate!r}"):
+            parse_topology(doc, weight_key=weight_key)
+        return
+    node_ids, priorities, edges = networkx_topology(doc, weight_key)
+    topo = parse_topology(doc, weight_key=weight_key)
+    assert topo.node_ids == node_ids
+    assert topo.priorities == priorities
+    assert topo.edges == edges
 
 
 def test_directed_duplicate_edges_symmetrize_to_max():
