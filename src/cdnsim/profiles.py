@@ -32,10 +32,8 @@ class Profile:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (len(universe),):
             raise ValidationError("probability vector does not match universe")
-        if (probs < 0).any():
-            raise ValidationError("negative probability")
-        if not np.isfinite(probs).all():
-            raise ValidationError("non-finite probability")
+        if not ((0 <= probs) & (probs < np.inf)).all():
+            raise ValidationError("negative or non-finite probability")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"probabilities sum to {total}, not 1")
@@ -81,10 +79,8 @@ class UserGroup:
     profile: Profile | None = None
 
     def __post_init__(self):
-        if not self.priority > 0:
-            raise ValidationError(f"user {self.node!r}: non-positive priority")
-        if self.priority == np.inf:
-            raise ValidationError(f"user {self.node!r}: infinite priority")
+        if not 0 < self.priority < np.inf:
+            raise ValidationError(f"user {self.node!r}: non-positive or non-finite priority")
 
 
 @dataclass(frozen=True)
@@ -96,10 +92,8 @@ class ZipfModel:
     profile_size: int = 15
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValidationError("alpha must be non-negative")
-        if not np.isfinite(self.alpha):
-            raise ValidationError("alpha must be finite")
+        if not 0 <= self.alpha < np.inf:
+            raise ValidationError("alpha must be finite and non-negative")
         if self.universe_size < 1:
             raise ValidationError("universe_size must be positive")
         if not 1 <= self.profile_size <= self.universe_size:

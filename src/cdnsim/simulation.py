@@ -11,6 +11,7 @@ cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def run(scenario: Scenario) -> SimulationResult:
         stream = [item for requests in zip(*streams) for item in requests]
         distances = [dm.get(u.node, server) for u in members[server]]
         # one addition per request, in stream order: count x distance rounds differently
-        network_load = left_sum([network_load, *distances * s.requests_per_user])
+        network_load = left_sum(chain((network_load,), distances * s.requests_per_user))
         stats = replay(stream, s.cache)
         network_load += stats.misses * dm.get(server, s.origin)
         per_server[server] = stats

@@ -50,7 +50,7 @@ class Topology:
 
         Parallel/reverse duplicate edges collapse to the maximum weight.
         Raises ValidationError on duplicate ids, self-loops surviving as the
-        only connection, non-positive or infinite weights or priorities, or a
+        only connection, non-positive or non-finite weights or priorities, or a
         disconnected graph.
         """
         seen: set[NodeId] = set()
@@ -65,10 +65,9 @@ class Topology:
         self.labels: dict[NodeId, str] = {nid: label for nid, label, _ in nodes}
         self.priorities: dict[NodeId, float] = {}
         for nid, _, prio in nodes:
-            if not prio > 0:
-                raise ValidationError(f"node {nid!r} has non-positive priority {prio}")
-            if prio == np.inf:
-                raise ValidationError(f"node {nid!r} has infinite priority")
+            if not 0 < prio < np.inf:
+                raise ValidationError(
+                    f"node {nid!r} has non-positive or non-finite priority {prio}")
             self.priorities[nid] = float(prio)
 
         collapsed: dict[tuple[NodeId, NodeId], float] = {}
@@ -77,10 +76,9 @@ class Topology:
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown node")
             if a == b:
                 continue  # self-loops carry no distance information
-            if not w > 0:
-                raise ValidationError(f"edge ({a!r}, {b!r}) has non-positive weight {w}")
-            if w == np.inf:
-                raise ValidationError(f"edge ({a!r}, {b!r}) has infinite weight")
+            if not 0 < w < np.inf:
+                raise ValidationError(
+                    f"edge ({a!r}, {b!r}) has non-positive or non-finite weight {w}")
             key = (a, b) if a < b else (b, a)
             collapsed[key] = max(collapsed.get(key, 0.0), float(w))
         self.edges: tuple[tuple[NodeId, NodeId, float], ...] = tuple(

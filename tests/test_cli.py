@@ -90,7 +90,7 @@ class TestNonFiniteInput:
     def test_validate_infinite_weight(self, tmp_path, capsys):
         topo = self.graphml(tmp_path, weight="inf")
         assert main(["validate", "--topology", topo, "--weight-key", "w"]) == 1
-        assert "infinite weight" in capsys.readouterr().err
+        assert "non-finite weight" in capsys.readouterr().err
 
     def test_place_infinite_priority(self, tmp_path, capsys):
         topo = self.graphml(tmp_path, priority="inf")
@@ -98,7 +98,7 @@ class TestNonFiniteInput:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "infinite priority" in captured.err and "objective" not in captured.out
+        assert "non-finite priority" in captured.err and "objective" not in captured.out
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_assign_non_finite_alpha(self, topo3, tmp_path, alpha, capsys):

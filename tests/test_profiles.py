@@ -194,8 +194,9 @@ def test_non_finite_input_rejected():
         Profile(("a", "b"), np.array([np.nan, np.nan]))
     with pytest.raises(ValidationError, match="non-finite probability"):
         Profile(("a", "b"), np.array([np.inf, 0.0]))
-    with pytest.raises(ValidationError, match="infinite priority"):
-        UserGroup(node="n", priority=np.inf)
+    for priority in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="non-finite priority"):
+            UserGroup(node="n", priority=priority)
     for alpha in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="alpha must be finite"):
             ZipfModel(alpha=alpha)

@@ -74,16 +74,18 @@ def test_negative_weight_rejected():
 
 @pytest.mark.parametrize("nodes, edges", [
     ([("A", "A", np.inf), ("B", "B", 1.0)], [("A", "B", 1.0)]),
+    ([("A", "A", np.nan), ("B", "B", 1.0)], [("A", "B", 1.0)]),
     ([("A", "A", 1.0), ("B", "B", 1.0)], [("A", "B", np.inf)]),
-], ids=["priority", "weight"])
-def test_infinite_priority_or_weight_rejected(nodes, edges):
-    with pytest.raises(ValidationError, match="infinite"):
+    ([("A", "A", 1.0), ("B", "B", 1.0)], [("A", "B", np.nan)]),
+], ids=["inf-priority", "nan-priority", "inf-weight", "nan-weight"])
+def test_non_finite_priority_or_weight_rejected(nodes, edges):
+    with pytest.raises(ValidationError, match="non-positive or non-finite"):
         Topology(nodes, edges)
 
 
 def test_parsed_infinite_weight_rejected():
     doc = GRAPHML_ATTRS.replace(b">3.5<", b">inf<")
-    with pytest.raises(ValidationError, match="infinite weight"):
+    with pytest.raises(ValidationError, match="non-finite weight"):
         parse_topology(doc, weight_key="LinkSpeed")
 
 
