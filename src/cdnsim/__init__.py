@@ -24,7 +24,6 @@ from .placement import (
     dragoon,
     farthest_first_init,
     one_center,
-    weighted_distances,
 )
 from .profiles import (
     Profile,

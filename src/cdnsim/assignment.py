@@ -30,14 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .placement import (
-    Assignment,
-    Placement,
-    closest_assignment,
-    dragoon,
-    one_center,
-    weighted_distances,
-)
+from .placement import Assignment, Placement, _Eval, closest_assignment, dragoon, one_center
 from .profiles import UserGroup, midranks_descending
 from .rng import left_sum
 from .topology import DistanceMatrix, NodeId, Topology
@@ -202,9 +195,7 @@ def greedy_correlation(
         if not accepted:
             break
         assignment, total = candidate, new_total
-    weighted = weighted_distances(dm, users, assignment)
-    objective = AssignmentObjective(total, float(weighted.max()), float(weighted.mean()))
-    return assignment, objective, log
+    return assignment, AssignmentObjective(total, *_Eval(dm, users).assigned(assignment)), log
 
 
 def relocate_servers(

@@ -79,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="replay request workload, optionally sweeping")
     _add_common(p)
     _add_users(p)
-    p.add_argument("--k", type=int, default=None, help="optimize placement here")
-    p.add_argument("--placement", default=None, help="placement JSON from `place`")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--k", type=int, default=None, help="optimize placement here")
+    source.add_argument("--placement", default=None, help="placement JSON from `place`")
     p.add_argument("--policy", default="LRU", choices=POLICIES)
     p.add_argument("--capacity", type=int, default=10)
     p.add_argument("--origin", default=None, help="origin node (default: 1-center)")

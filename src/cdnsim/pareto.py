@@ -14,10 +14,10 @@ import numpy as np
 
 from .assignment import _CorrEval, optimize
 from .errors import ValidationError
-from .placement import Assignment, Placement, weighted_distances
+from .placement import Assignment, Placement, _Eval
 from .profiles import UserGroup
 from .rng import derive_seed, make_rng
-from .topology import DistanceMatrix, Topology
+from .topology import Topology
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,14 @@ def non_dominated(points: list[SolutionPoint]) -> ParetoFront:
 
 
 def _point(
-    dm: DistanceMatrix,
-    users: list[UserGroup],
-    placement: Placement,
-    assignment: Assignment,
-    total_corr: float,
-    step: int,
+    dist: _Eval, placement: Placement, assignment: Assignment, total_corr: float, step: int
 ) -> SolutionPoint:
-    weighted = weighted_distances(dm, users, assignment)
+    max_dist, avg_dist = dist.assigned(assignment)
     return SolutionPoint(
         placement=tuple(sorted(placement)),
         assignment=tuple(sorted(assignment.items())),
-        avg_dist=float(weighted.mean()),
-        max_dist=float(weighted.max()),
+        avg_dist=avg_dist,
+        max_dist=max_dist,
         total_corr=total_corr,
         step=step,
     )
@@ -88,11 +83,10 @@ def front_sweep(
     """
     if steps < 2:
         raise ValidationError("steps must be at least 2")
-    dm = topo.distance_matrix()
-
     place0, a0, _ = optimize(topo, users, k=k)
+    dist = _Eval(topo.distance_matrix(), users)
     ev = _CorrEval(users, place0)
-    recorded = [_point(dm, users, place0, a0, ev.total(a0), step=0)]
+    recorded = [_point(dist, place0, a0, ev.total(a0), step=0)]
 
     rng = make_rng(derive_seed(master_seed, "pareto-walk"))
     assignment = dict(a0)
@@ -102,9 +96,9 @@ def front_sweep(
             break
         user_node, server = proposals[int(rng.integers(len(proposals)))]
         assignment[user_node] = server
-        recorded.append(_point(dm, users, place0, assignment, ev.total(assignment), step))
+        recorded.append(_point(dist, place0, assignment, ev.total(assignment), step))
 
     # relocation keeps the greedy's groups, so its final total is the end point's
     place_end, a_end, log = optimize(topo, users, placement=place0, optimizer="correlation")
-    recorded.append(_point(dm, users, place_end, a_end, log[-1].total_corr_before, steps - 1))
+    recorded.append(_point(dist, place_end, a_end, log[-1].total_corr_before, steps - 1))
     return non_dominated(recorded)

@@ -42,22 +42,36 @@ class MoveRecord(NamedTuple):
 
 
 class _Eval:
-    """Vectorized objective evaluation for a fixed user population."""
+    """The one owner of priority * distance: users in node-id order, every
+    (max, mean) reduced in that order, so the order of `users` never matters."""
 
     def __init__(self, dm: DistanceMatrix, users: list[UserGroup]):
         self.dm = dm
         self.users = sorted(users, key=lambda u: u.node)
-        self.rows = np.array([dm.index(u.node) for u in self.users])
+        self.rows = np.array([dm.index(u.node) for u in self.users], dtype=int)
         self.prios = np.array([u.priority for u in self.users])
+        # bounds every weighted sum; Python floats reach inf without a numpy warning
+        total = sum(u.priority for u in self.users)
+        if not math.isfinite(total * float(dm.matrix[self.rows].max(initial=0.0))):
+            raise ValidationError(f"priority x distance overflows (priorities sum to {total!r})")
 
-    def weighted(self, servers: Placement) -> np.ndarray:
-        cols = [self.dm.index(s) for s in servers]
-        sub = self.dm.matrix[np.ix_(self.rows, cols)]
-        return self.prios * sub.min(axis=1)
+    def weighted(self, nodes: tuple[NodeId, ...]) -> np.ndarray:
+        """Priority * distance, users x `nodes`."""
+        cols = [self.dm.index(s) for s in nodes]
+        return self.prios[:, None] * self.dm.matrix[np.ix_(self.rows, cols)]
 
     def objective(self, servers: Placement) -> PlacementObjective:
-        w = self.weighted(servers)
-        return PlacementObjective(float(w.max()), float(w.mean()))
+        """Each user at its closest server."""
+        return _reduce(self.weighted(servers).min(axis=1))
+
+    def assigned(self, assignment: Assignment) -> PlacementObjective:
+        """Each user at its assigned server."""
+        cols = [self.dm.index(assignment[u.node]) for u in self.users]
+        return _reduce(self.prios * self.dm.matrix[self.rows, cols])
+
+
+def _reduce(weighted: np.ndarray) -> PlacementObjective:
+    return PlacementObjective(float(weighted.max()), float(weighted.mean()))
 
 
 def _check_k(k: int, n: int):
@@ -79,13 +93,6 @@ def closest_assignment(
     return {u.node: servers[j] for u, j in zip(users, best)}
 
 
-def weighted_distances(
-    dm: DistanceMatrix, users: list[UserGroup], assignment: Assignment
-) -> np.ndarray:
-    """Priority * distance to the assigned server, in the order of `users`."""
-    return np.array([u.priority * dm.get(u.node, assignment[u.node]) for u in users])
-
-
 def one_center(
     dm: DistanceMatrix,
     users: list[UserGroup],
@@ -96,8 +103,7 @@ def one_center(
         candidates = dm.ids
     if not candidates:
         raise ValidationError("no candidate nodes")
-    ev = _Eval(dm, users)
-    weighted = ev.prios[:, None] * dm.matrix[np.ix_(ev.rows, [dm.index(c) for c in candidates])]
+    weighted = _Eval(dm, users).weighted(candidates)
     maxs = weighted.max(axis=0)
     avgs = weighted.mean(axis=0)
     best = min(range(len(candidates)), key=lambda i: (maxs[i], avgs[i], candidates[i]))

@@ -18,7 +18,7 @@ import numpy as np
 from .assignment import OPTIMIZERS, optimize
 from .cache import CacheConfig, CacheStats, replay
 from .errors import ValidationError
-from .placement import Assignment, Placement, weighted_distances
+from .placement import Assignment, Placement, _Eval
 from .profiles import ServiceId, UserGroup
 from .rng import derive_seed, left_sum, make_rng
 from .topology import NodeId, Topology
@@ -101,9 +101,9 @@ def run(scenario: Scenario) -> SimulationResult:
     distance per request in stream order, then misses x the origin distance."""
     s = scenario.validate()
     dm = s.topology.distance_matrix()
-    users = sorted(s.users, key=lambda u: u.node)
+    dist = _Eval(dm, s.users)
     members: dict[NodeId, list[UserGroup]] = {srv: [] for srv in s.placement}
-    for u in users:
+    for u in dist.users:
         members[s.assignment[u.node]].append(u)
 
     per_server: dict[NodeId, CacheStats] = {}
@@ -123,13 +123,13 @@ def run(scenario: Scenario) -> SimulationResult:
     overall = CacheStats()
     for stats in per_server.values():
         overall = overall.add(stats)
-    weighted = weighted_distances(dm, users, s.assignment)
+    max_dist, avg_dist = dist.assigned(s.assignment)
     return SimulationResult(
         per_server=per_server,
         overall=overall,
         miss_ratio=overall.miss_ratio,
-        max_user_distance=float(weighted.max()),
-        avg_user_distance=float(weighted.mean()),
+        max_user_distance=max_dist,
+        avg_user_distance=avg_dist,
         network_load=network_load,
     )
 

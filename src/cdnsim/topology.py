@@ -22,7 +22,11 @@ _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric all-pairs shortest-path distances, indexed by sorted node id."""
+    """All-pairs shortest-path distances, indexed by sorted node id.
+
+    Row i is Dijkstra from node i. On weighted graphs the matrix is symmetric
+    only up to rounding, so every reader takes user or node rows against
+    server or origin columns."""
 
     ids: tuple[NodeId, ...]
     matrix: np.ndarray

@@ -9,11 +9,14 @@ These are the straightforward versions the fast paths replaced:
   `placement.one_center`;
 - for the heap-based caches, LRU-2, LFU and Belady replacement that scan
   every resident on each miss;
+- for `LIRSCache`, LIRS written from its paper with plain lists;
 - for the bisection over cumulative weights, weighted sampling by a linear
   scan;
 - for the per-server request streams of the simulation, one loop over every
   user's interleaved requests with a distance lookup per request;
-- for the Pareto walk's one evaluator, a fresh pairwise evaluator per step;
+- for the Pareto walk's one evaluator, a fresh pairwise evaluator per step
+  (this oracle and the one above take their priority-weighted distances from
+  `placement._Eval`: they check streams and correlations, not distances);
 - for the closest-server `argmin` over the user x server submatrix and the
   masked `argmax` of the farthest-first start, the per-user and per-node
   loops they replaced.
@@ -24,10 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from cdnsim.assignment import optimize
-from cdnsim.cache import _NEVER, CacheStats, OnlineCache, _stats, replay
+from cdnsim.cache import _HIR_FRACTION, _NEVER, CacheStats, OnlineCache, _stats, replay
 from cdnsim.errors import ValidationError
 from cdnsim.pareto import SolutionPoint, non_dominated
-from cdnsim.placement import one_center, weighted_distances
+from cdnsim.placement import _Eval, one_center
 from cdnsim.profiles import ServiceId
 from cdnsim.rng import derive_seed, make_rng
 from cdnsim.simulation import SimulationResult, generate_requests
@@ -234,6 +237,69 @@ class LFUCache(OnlineCache):
         return evicted
 
 
+class LIRSReference:
+    """LIRS as Jiang and Zhang describe it (SIGMETRICS 2002), on plain lists.
+
+    Stack S holds the LIR blocks and the HIR blocks, resident or not, whose
+    recency is below that of the least recent LIR block; list Q holds the
+    resident HIR blocks. The first blocks fill the LIR set. Of C slots,
+    max(1, round(_HIR_FRACTION * C)) are HIR, but C >= 2 keeps one LIR slot
+    (C = 1 is one HIR slot and no LIR slot).
+    """
+
+    def __init__(self, capacity: int):
+        hir = max(1, round(_HIR_FRACTION * capacity))
+        self.capacity = capacity
+        self.lir_slots = max(capacity - hir, 1) if capacity >= 2 else 0
+        self.S: list[ServiceId] = []  # bottom (least recent) first
+        self.Q: list[ServiceId] = []  # front (next victim) first
+        self.lir: set[ServiceId] = set()
+
+    def access(self, x: ServiceId) -> tuple[bool, ServiceId | None]:
+        if x in self.lir:
+            at_bottom = self.S[0] == x
+            self._to_top(x)
+            if at_bottom:
+                self._prune()
+            return True, None
+        if x in self.Q:  # resident HIR block
+            self.Q.remove(x)
+            self._hir_to_top(x)
+            return True, None
+        if len(self.lir) < self.lir_slots:  # the LIR set is not full yet
+            self.lir.add(x)
+            self._to_top(x)
+            return False, None
+        victim = self.Q.pop(0) if len(self.lir) + len(self.Q) == self.capacity else None
+        self._hir_to_top(x)  # a victim still in S stays there, non-resident
+        return False, victim
+
+    def _to_top(self, x):
+        if x in self.S:
+            self.S.remove(x)
+        self.S.append(x)
+
+    def _prune(self):
+        while self.S and self.S[0] not in self.lir:
+            del self.S[0]
+
+    def _hir_to_top(self, x):
+        """HIR block x, now resident, moves to the top of S. If it was in S it
+        becomes LIR, and the bottom LIR block goes to the end of Q as HIR;
+        otherwise x goes to the end of Q."""
+        in_stack = x in self.S
+        self._to_top(x)
+        if not in_stack:
+            self.Q.append(x)
+            return
+        self.lir.add(x)
+        bottom = next(b for b in self.S if b in self.lir)
+        self.S.remove(bottom)
+        self.lir.remove(bottom)
+        self.Q.append(bottom)
+        self._prune()
+
+
 def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
     """Offline optimum: evict the resident reused farthest in the future.
 
@@ -310,26 +376,25 @@ def run_per_request(scenario) -> SimulationResult:
     overall = CacheStats()
     for stats in per_server.values():
         overall = overall.add(stats)
-    weighted = weighted_distances(dm, users, s.assignment)
+    max_dist, avg_dist = _Eval(dm, users).assigned(s.assignment)
     return SimulationResult(per_server=per_server, overall=overall,
                             miss_ratio=overall.miss_ratio,
-                            max_user_distance=float(weighted.max()),
-                            avg_user_distance=float(weighted.mean()),
+                            max_user_distance=max_dist, avg_user_distance=avg_dist,
                             network_load=network_load)
 
 
 def front_sweep_pairwise(topo, users, k: int, steps: int, master_seed: int):
     """`pareto.front_sweep` with a fresh PairwiseCorr for every proposal set
     and every recorded point's total."""
-    dm = topo.distance_matrix()
+    dist = _Eval(topo.distance_matrix(), users)
 
     def point(placement, assignment, step):
-        weighted = weighted_distances(dm, users, assignment)
+        max_dist, avg_dist = dist.assigned(assignment)
         return SolutionPoint(placement=tuple(sorted(placement)),
                              assignment=tuple(sorted(assignment.items())),
-                             avg_dist=float(weighted.mean()),
+                             avg_dist=avg_dist,
                              total_corr=PairwiseCorr(users, placement).total(assignment),
-                             max_dist=float(weighted.max()), step=step)
+                             max_dist=max_dist, step=step)
 
     place0, a0, _ = optimize(topo, users, k=k)
     recorded = [point(place0, a0, 0)]

@@ -29,6 +29,17 @@ traces_and_capacities = st.integers(1, 40).flatmap(
                  max_size=400),
         st.integers(1, n + 2)))
 
+# (trace, capacity) for LIRS: capacities 1..32, so the HIR queue holds one to
+# three blocks (C = 25 is where round() and rounding half up part). Traces of
+# at least 4C requests over 2C + 4 items, half of them on the first three, fill
+# the cache and bring blocks back while they are still on stack S, resident
+# or not
+lirs_cases = st.integers(1, 32).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.one_of(st.integers(0, 2), st.integers(0, 2 * c + 3)).map(str),
+                 min_size=4 * c, max_size=400),
+        st.just(c)))
+
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float = 0.8) -> list[str]:
     rng = np.random.default_rng(seed)
@@ -128,6 +139,16 @@ class TestLIRS:
         cache.access("c")  # HIR hit while on the stack: promote, demote bottom LIR
         # a is now the resident HIR; the next miss pushes it out of the queue
         assert cache.access("d") == (False, "a")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=lirs_cases)
+    @example(case=(zipf_trace(3, 3000, 40), 10))
+    @example(case=(zipf_trace(4, 3000, 60), 25))
+    def test_matches_the_paper_access_for_access(self, case):
+        trace, capacity = case
+        cache, reference = LIRSCache(capacity), oracles.LIRSReference(capacity)
+        for item in trace:
+            assert cache.access(item) == reference.access(item)
 
 
 class TestBelady:

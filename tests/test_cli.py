@@ -75,8 +75,9 @@ class TestValidate:
 
 
 class TestNonFiniteInput:
-    """Infinite weights and priorities and a NaN or infinite Zipf exponent are
-    configuration errors, not numbers to compute with."""
+    """Infinite weights and priorities, a NaN or infinite Zipf exponent and
+    finite values whose priority x distance overflows are configuration
+    errors, not numbers to compute with."""
 
     def graphml(self, tmp_path, weight="1", priority="1"):
         path = tmp_path / "t.graphml"
@@ -99,6 +100,16 @@ class TestNonFiniteInput:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "non-finite priority" in captured.err and "objective" not in captured.out
+
+    def test_place_overflowing_priority(self, tmp_path, capsys):
+        # 1e308 x distance 2 is inf; no numpy overflow warning may come first
+        topo = self.graphml(tmp_path, priority="1e308")
+        argv = ["place", "--topology", topo, "--priority-key", "p", "--k", "1",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "priority x distance overflows" in captured.err
+        assert "objective" not in captured.out
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_assign_non_finite_alpha(self, topo3, tmp_path, alpha, capsys):
@@ -295,10 +306,22 @@ class TestSimulate:
         assert main(["simulate", "--topology", str(topo12), "--sweep", "server_count",
                      "--values", "999", "--out", str(tmp_path)]) == 2
 
+    def test_k_and_placement_exclude_each_other(self, topo12, tmp_path, capsys):
+        placement = tmp_path / "placement.json"
+        placement.write_text('["n00", "n05"]')
+        common = ["simulate", "--topology", str(topo12), "--universe", "20",
+                  "--profile-size", "5", "--out", str(tmp_path / "out")]
+        assert main([*common, "--k", "9", "--placement", str(placement)]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "simulation.csv").exists()
+        assert main([*common, "--placement", str(placement),
+                     "--sweep", "server_count", "--values", "1,2"]) == 0
+
     @pytest.mark.parametrize("flag", ["--placement", "--trace"])
     def test_missing_input_file_is_an_io_failure(self, topo12, tmp_path, flag, capsys):
         missing = tmp_path / "gone"
-        assert main(["simulate", "--topology", str(topo12), "--k", "2", flag, str(missing),
+        k = [] if flag == "--placement" else ["--k", "2"]  # --k excludes --placement
+        assert main(["simulate", "--topology", str(topo12), *k, flag, str(missing),
                      "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 

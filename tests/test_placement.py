@@ -2,14 +2,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
+    CacheConfig,
     InfeasibleError,
     Profile,
+    Scenario,
+    Topology,
     UserGroup,
+    ZipfModel,
     brute_force_placement,
     closest_assignment,
     dragoon,
     farthest_first_init,
+    front_sweep,
+    generate_users,
+    greedy_correlation,
     one_center,
+    optimize,
+    relocate_servers,
+    run,
 )
 from cdnsim.placement import PlacementObjective, _Eval
 from conftest import (
@@ -227,3 +237,46 @@ def test_dragoon_within_two_approx(seed):
         _, obj, _ = dragoon(dm, topo, users, k)
         _, opt = brute_force_placement(dm, users, k)
         assert obj.max_dist <= 2 * opt.max_dist + 1e-12
+
+
+@st.composite
+def weighted_user_sets(draw):
+    """(topology, users in id order, the same users shuffled, k, seed). Edge
+    weights and priorities are decimals that binary floats round, so a sum in
+    another order can differ in its last bits."""
+    seed = draw(st.integers(0, 10_000))
+    base = random_connected_topology(seed, draw(st.integers(3, 16)), weighted=True)
+    priority = st.sampled_from([0.3, 0.7, 1.9, 2.45])
+    topo = Topology([(n, n, draw(priority)) for n in base.node_ids], list(base.edges))
+    users = generate_users(topo, ZipfModel(0.3, 20, 5), seed)
+    k = draw(st.integers(1, min(4, len(users))))
+    return topo, users, draw(st.permutations(users)), k, seed
+
+
+def _order_free_calls(topo, k, placement, closest, seed):
+    """Each public entry point that takes users, its other inputs fixed."""
+    dm = topo.distance_matrix()
+    cache = CacheConfig(capacity=3, policy="LRU")
+    return {
+        "front_sweep": lambda users: front_sweep(topo, users, k, 6, seed),
+        "greedy_correlation": lambda users: greedy_correlation(dm, users, placement, closest),
+        "run": lambda users: run(Scenario(topo, users, placement, closest, cache,
+                                          placement[0], seed)),
+        "optimize": lambda users: optimize(topo, users, k=k, optimizer="correlation"),
+        "dragoon": lambda users: dragoon(dm, topo, users, k),
+        "one_center": lambda users: one_center(dm, users),
+        "relocate_servers": lambda users: relocate_servers(dm, users, placement, closest),
+    }
+
+
+@pytest.mark.parametrize("name", ["front_sweep", "greedy_correlation", "run", "optimize",
+                                  "dragoon", "one_center", "relocate_servers"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(instance=weighted_user_sets())
+def test_users_are_a_set(name, instance):
+    """A shuffled user list gives bit-identical results: every priority-weighted
+    distance is reduced in user-id order."""
+    topo, users, shuffled_users, k, seed = instance
+    placement, closest, _ = optimize(topo, users, k=k)
+    call = _order_free_calls(topo, k, placement, closest, seed)[name]
+    assert call(shuffled_users) == call(users)
