@@ -8,9 +8,9 @@ policy here. Items have uniform size; capacity counts items.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import ValidationError
 from .profiles import ServiceId
@@ -56,7 +56,9 @@ class CacheStats:
 
 class OnlineCache:
     """Decides what stays resident; subclasses implement residency and victim
-    choice. Statistics are derived from the misses by `replay`."""
+    choice, through the `_contains`/`_on_hit`/`_insert` steps of `access` or,
+    where one call per request matters, by overriding `access` itself.
+    Statistics are derived from the misses by `replay`."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -85,64 +87,57 @@ class LRUCache(OnlineCache):
         super().__init__(capacity)
         self._order: OrderedDict[ServiceId, None] = OrderedDict()
 
-    def _contains(self, item):
-        return item in self._order
-
-    def _on_hit(self, item):
-        self._order.move_to_end(item)
-
-    def _insert(self, item):
+    def access(self, item):
+        order = self._order
+        if item in order:
+            order.move_to_end(item)
+            return True, None
         evicted = None
-        if len(self._order) >= self.capacity:
-            evicted, _ = self._order.popitem(last=False)
-        self._order[item] = None
-        return evicted
+        if len(order) >= self.capacity:
+            evicted, _ = order.popitem(last=False)
+        order[item] = None
+        return False, evicted
 
 
 class _HeapCache(OnlineCache):
-    """Evicts the resident with the smallest `_key`, popped from a min-heap
-    with lazy deletion: each touch pushes a fresh key, and a popped key counts
-    only while its item is resident and the key is current (keys hold the
-    clock, which never repeats). Rebuilt from the residents once it outgrows
+    """Evicts the resident with the smallest key, popped from a min-heap with
+    lazy deletion. `_keys` maps each resident to its current key, and each
+    access pushes the fresh key `_touch` returns. A popped key counts only if
+    it is its item's entry in `_keys` (identity, not equality), so stale keys
+    and the keys of evicted items are skipped. Keys end with the item, so no
+    two residents' keys compare equal. Rebuilt from `_keys` once it outgrows
     twice the capacity, the heap stays O(C): an access costs amortised O(log C).
     """
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
-        self._resident: set[ServiceId] = set()
+        self._keys: dict[ServiceId, tuple] = {}
         self._heap: list[tuple] = []
 
-    def _key(self, item: ServiceId) -> tuple:
-        """Eviction order as of the last `_record`, ending with the item."""
+    def _touch(self, item: ServiceId) -> tuple:
+        """Record one access to `item`; return its eviction key, ending with the item."""
         raise NotImplementedError
 
-    def _record(self, item: ServiceId):
-        raise NotImplementedError
-
-    def _contains(self, item):
-        return item in self._resident
-
-    def _on_hit(self, item):
-        self._record(item)
-        if len(self._heap) > 2 * self.capacity:
-            # the rebuild reads the residents, so `item` must be one already
-            self._heap = [self._key(x) for x in self._resident]
-            heapq.heapify(self._heap)
-        else:
-            heapq.heappush(self._heap, self._key(item))
-
-    def _insert(self, item):
+    def access(self, item):
+        self._clock += 1
+        keys, heap = self._keys, self._heap
+        hit = item in keys
         evicted = None
-        if len(self._resident) >= self.capacity:
+        if not hit and len(keys) >= self.capacity:
             while True:
-                key = heapq.heappop(self._heap)
-                evicted = key[-1]
-                if evicted in self._resident and key == self._key(evicted):
+                key = heappop(heap)
+                if keys.get(key[-1]) is key:
                     break
-            self._resident.remove(evicted)
-        self._resident.add(item)
-        self._on_hit(item)
-        return evicted
+            evicted = key[-1]
+            del keys[evicted]
+        key = keys[item] = self._touch(item)
+        if len(heap) > 2 * self.capacity:
+            # the rebuild reads `_keys`, so `item` must be in it already
+            self._heap = list(keys.values())
+            heapify(self._heap)
+        else:
+            heappush(heap, key)
+        return hit, evicted
 
 
 class LRU2Cache(_HeapCache):
@@ -158,17 +153,13 @@ class LRU2Cache(_HeapCache):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._last: dict[ServiceId, int] = {}
-        self._prev: dict[ServiceId, int] = {}
 
-    def _record(self, item):
-        if item in self._last:
-            self._prev[item] = self._last[item]
+    def _touch(self, item):
+        previous = self._last.get(item)
         self._last[item] = self._clock
-
-    def _key(self, item):
-        if item in self._prev:
-            return (1, self._prev[item], item)
-        return (0, self._last[item], item)
+        if previous is None:
+            return (0, self._clock, item)
+        return (1, previous, item)
 
 
 class LFUCache(_HeapCache):
@@ -177,29 +168,24 @@ class LFUCache(_HeapCache):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._count: dict[ServiceId, int] = {}
-        self._last: dict[ServiceId, int] = {}
 
-    def _record(self, item):
-        self._count[item] = self._count.get(item, 0) + 1
-        self._last[item] = self._clock
-
-    def _key(self, item):
-        return (self._count[item], self._last[item], item)
+    def _touch(self, item):
+        count = self._count[item] = self._count.get(item, 0) + 1
+        return (count, self._clock, item)
 
 
 class LIRSCache(OnlineCache):
     """LIRS with the standard LIR/HIR stack semantics.
 
     The resident HIR queue holds max(1, round(_HIR_FRACTION * capacity)) items,
-    clamped so at least one LIR slot remains for capacity >= 2. Stack S keeps
-    recency history including non-resident entries; its bottom is always LIR
-    after pruning.
+    which leaves at least one LIR slot for every capacity >= 2; at capacity 1
+    the one slot is HIR. Stack S keeps recency history including non-resident
+    entries; its bottom is always LIR after pruning.
     """
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
-        hir = max(1, round(_HIR_FRACTION * capacity))
-        self._hir_size = min(hir, capacity - 1) if capacity >= 2 else 1
+        self._hir_size = max(1, round(_HIR_FRACTION * capacity))
         self._lir_size = capacity - self._hir_size
         self._stack: OrderedDict[ServiceId, None] = OrderedDict()  # oldest first
         self._queue: OrderedDict[ServiceId, None] = OrderedDict()  # resident HIR, FIFO
@@ -277,13 +263,9 @@ class _BeladyCache(_HeapCache):
         for i in range(len(trace) - 1, -1, -1):
             self._next_use[i] = later.get(trace[i], _NEVER)
             later[trace[i]] = i
-        self._next: dict[ServiceId, float] = {}
 
-    def _record(self, item):
-        self._next[item] = self._next_use[self._clock - 1]
-
-    def _key(self, item):
-        return (-self._next[item], item)
+    def _touch(self, item):
+        return (-self._next_use[self._clock - 1], item)
 
 
 def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
@@ -303,7 +285,8 @@ def replay(trace: list[ServiceId], config: CacheConfig) -> CacheStats:
         policy = {"LRU": LRUCache, "LRU2": LRU2Cache, "LFU": LFUCache,
                   "LIRS": LIRSCache}[config.policy]
         cache = policy(config.capacity)
-    return _stats(trace, sum(not cache.access(item)[0] for item in trace))
+    access = cache.access
+    return _stats(trace, sum(not access(item)[0] for item in trace))
 
 
 def _stats(trace: list[ServiceId], misses: int) -> CacheStats:

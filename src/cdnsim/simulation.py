@@ -91,29 +91,49 @@ def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[Ser
     cdf = np.cumsum(user.profile.probs)
     draws = rng.random(count)
     idx = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
-    return [user.profile.universe[i] for i in idx]
+    universe = user.profile.universe
+    return [universe[i] for i in idx.tolist()]
 
 
-def run(scenario: Scenario) -> SimulationResult:
-    """Replay the scenario's full request workload and collect statistics.
+# (server, its interleaved request stream, its members' distances to it)
+ServerStream = tuple[NodeId, list[ServiceId], list[float]]
 
-    The network load adds, server by server in id order, one user-to-server
-    distance per request in stream order, then misses x the origin distance."""
-    s = scenario.validate()
+
+def _server_streams(s: Scenario) -> list[ServerStream]:
+    """Every server's request stream, in server-id order, for a validated scenario.
+
+    A server's stream interleaves its members round-robin in node-id order:
+    request r of every member, then r + 1. It depends on the users, the
+    assignment, the master seed and the request count, not on the cache."""
     dm = s.topology.distance_matrix()
-    dist = _Eval(dm, s.users)
     members: dict[NodeId, list[UserGroup]] = {srv: [] for srv in s.placement}
-    for u in dist.users:
+    for u in sorted(s.users, key=lambda u: u.node):
         members[s.assignment[u.node]].append(u)
-
-    per_server: dict[NodeId, CacheStats] = {}
-    network_load = 0.0
+    table = []
     for server in sorted(members):
         streams = [generate_requests(u, s.master_seed, s.requests_per_user)
                    for u in members[server]]
-        # round-robin over the members: request r of every member, then r + 1
-        stream = [item for requests in zip(*streams) for item in requests]
-        distances = [dm.get(u.node, server) for u in members[server]]
+        table.append((server, list(chain.from_iterable(zip(*streams))),
+                      [dm.get(u.node, server) for u in members[server]]))
+    return table
+
+
+def run(scenario: Scenario, streams: list[ServerStream] | None = None) -> SimulationResult:
+    """Replay the scenario's full request workload and collect statistics.
+
+    `streams` is the table `_server_streams(scenario)` builds; a sweep that
+    keeps the users, plan and seed fixed builds it once and passes it to each
+    run. The network load adds, server by server in id order, one
+    user-to-server distance per request in stream order, then misses x the
+    origin distance."""
+    s = scenario.validate()
+    dm = s.topology.distance_matrix()
+    dist = _Eval(dm, s.users)  # first: it rejects overflowing priorities before any replay
+    if streams is None:
+        streams = _server_streams(s)
+    per_server: dict[NodeId, CacheStats] = {}
+    network_load = 0.0
+    for server, stream, distances in streams:
         # one addition per request, in stream order: count x distance rounds differently
         network_load = left_sum(chain((network_load,), distances * s.requests_per_user))
         stats = replay(stream, s.cache)
@@ -143,7 +163,8 @@ def experiment_sweep(
     """One run per axis value under a shared master seed.
 
     server_count re-plans each value through optimize with `optimizer`.
-    cache_size and policy keep the base placement and assignment fixed.
+    cache_size and policy keep the base placement and assignment fixed, so
+    their runs replay one set of request streams, built once.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"unknown sweep axis {axis!r}; one of {SWEEP_AXES}")
@@ -152,6 +173,7 @@ def experiment_sweep(
     if optimizer not in OPTIMIZERS:
         raise ValidationError(f"unknown optimizer {optimizer!r}")
 
+    streams = None if axis == "server_count" else _server_streams(base.validate())
     results = []
     for value in values:
         if axis == "cache_size":
@@ -162,6 +184,6 @@ def experiment_sweep(
             placement, assignment, _ = optimize(base.topology, base.users, k=int(value),
                                                 optimizer=optimizer)
             scenario = replace(base, placement=placement, assignment=assignment)
-        results.append((value, run(scenario)))
+        results.append((value, run(scenario, streams)))
     return results
 

@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,10 @@ from cdnsim import (
     generate_requests,
     run,
 )
+from cdnsim import simulation
 from cdnsim.cache import POLICIES
 from cdnsim.rng import derive_seed, make_rng
+from cdnsim.simulation import _server_streams
 from conftest import path_topology, random_connected_topology, random_profile
 from oracles import run_per_request
 
@@ -187,6 +191,28 @@ def test_run_matches_the_per_request_loop(policy, data):
     assert run(scenario) == run_per_request(scenario)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cache_axis_sweeps_match_the_per_request_loop(data):
+    """cache_size and policy sweeps replay one prebuilt set of streams: every
+    value equals the per-request loop on its own scenario, network load to the
+    last bit, and the table does not depend on the cache it was built under."""
+    base = data.draw(weighted_scenarios(data.draw(st.sampled_from(POLICIES))))
+    capacities = data.draw(st.lists(st.integers(1, 16), min_size=2, max_size=4))
+    policies = data.draw(st.permutations(POLICIES))[:data.draw(st.integers(2, 5))]
+    sweeps = [("cache_size", capacities, lambda c: replace(base.cache, capacity=c)),
+              ("policy", policies, lambda p: replace(base.cache, policy=p))]
+    for axis, values, config in sweeps:
+        table = experiment_sweep(base, axis, values)
+        assert [value for value, _ in table] == values
+        for value, result in table:
+            want = run_per_request(replace(base, cache=config(value)))
+            assert result == want
+            assert result.network_load.hex() == want.network_load.hex()
+    other = replace(base, cache=CacheConfig(1, "LRU" if base.cache.policy != "LRU" else "LFU"))
+    assert run(base) == run(base, _server_streams(other.validate()))
+
+
 class TestScenarioValidation:
     def test_requests_per_user_floor(self):
         s = small_scenario()
@@ -236,6 +262,20 @@ class TestExperimentSweep:
         table = experiment_sweep(s, "server_count", [1, 2, 4])
         dists = [r.max_user_distance for _, r in table]
         assert dists[0] >= dists[-1]
+
+    @pytest.mark.parametrize("axis, values", [("cache_size", [1, 2, 3, 6, 12]),
+                                              ("policy", list(POLICIES))])
+    def test_cache_axes_draw_each_stream_once(self, monkeypatch, axis, values):
+        s = small_scenario(seed=13)
+        calls = []
+
+        def counted(user, master_seed, count):
+            calls.append(user.node)
+            return generate_requests(user, master_seed, count)
+
+        monkeypatch.setattr(simulation, "generate_requests", counted)
+        experiment_sweep(s, axis, values)
+        assert sorted(calls) == sorted(u.node for u in s.users)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
