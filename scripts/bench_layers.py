@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Per-layer micro-benchmark of the cache layer: `cache.replay` per policy.
+"""Per-layer micro-benchmarks: `cache.replay` per policy, and APSP.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --label after
 
-Replays one seeded 100,000-request Zipf trace (alpha 0.8 over a 2000-service
-catalog, the `cache-churn` workload's catalog) through every policy at
-capacity 50 and 1000, five times each, the cells interleaved so that
-a drift in host speed spreads over all of them. Each cell reports the median
+Cache layer: replays one seeded 100,000-request Zipf trace (alpha 0.8 over
+a 2000-service catalog, the `cache-churn` workload's catalog) through every
+policy at capacity 50 and 1000, five times each, the cells interleaved so
+that a drift in host speed spreads over all of them. Each cell reports the median
 nanoseconds per request and its miss count; `checksum` is the SHA-256 of
 every cell's miss count, so two runs whose checksums differ did not replay
 the same work and their times do not compare.
+
+APSP layer: `topology.all_pairs_shortest_paths` on two seeded connected
+500-node graphs, a random spanning tree plus 500 random extra edges, once with
+unit weights and once with two-decimal weights in [1, 5). Each graph is built
+through `parse_topology` from GraphML, which every version of the package
+reads alike, so one script times any of them. Each graph reports the median
+milliseconds per call over the repeats and the SHA-256 of the matrix bytes.
 
 The result is stored under `--label` in `--out` (default `BENCH_layers.json`
 at the repository root); runs under other labels in that file are kept, so
@@ -30,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cdnsim import CacheConfig, replay
+from cdnsim import CacheConfig, all_pairs_shortest_paths, parse_topology, replay
 from cdnsim.cache import POLICIES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +47,9 @@ CATALOG = 2000
 ALPHA = 0.8
 CAPACITIES = (50, 1000)
 REPEATS = 5
+GRAPH_SEED = 500
+GRAPH_NODES = 500
+GRAPH_EXTRA_EDGES = 500
 
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float) -> list[str]:
@@ -72,6 +82,41 @@ def measure(trace: list[str], repeats: int) -> dict:
     }
 
 
+def graphml(seed: int, nodes: int, extra_edges: int, weighted: bool) -> bytes:
+    rng = np.random.default_rng(seed)
+    pairs = [(int(rng.integers(0, i)), i) for i in range(1, nodes)]
+    pairs += [tuple(pair) for pair in rng.integers(0, nodes, size=(extra_edges, 2)).tolist()]
+    weights = rng.uniform(1, 5, size=len(pairs)).round(2) if weighted else np.ones(len(pairs))
+    return (
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+        '<key id="w" for="edge" attr.name="weight" attr.type="double"/>'
+        '<graph edgedefault="undirected">'
+        + "".join(f'<node id="n{i:03d}"/>' for i in range(nodes))
+        + "".join(f'<edge source="n{a:03d}" target="n{b:03d}"><data key="w">{w!r}</data></edge>'
+                  for (a, b), w in zip(pairs, weights.tolist()))
+        + "</graph></graphml>").encode()
+
+
+def measure_apsp(repeats: int) -> list[dict]:
+    graphs = {kind: parse_topology(graphml(GRAPH_SEED, GRAPH_NODES, GRAPH_EXTRA_EDGES,
+                                           kind == "weighted"), weight_key="weight")
+              for kind in ("unit", "weighted")}
+    seconds: dict[str, list[float]] = {kind: [] for kind in graphs}
+    digests: dict[str, str] = {}
+    for _ in range(repeats):
+        for kind, topo in graphs.items():
+            start = time.perf_counter()
+            matrix = all_pairs_shortest_paths(topo).matrix
+            seconds[kind].append(time.perf_counter() - start)
+            digest = hashlib.sha256(matrix.tobytes()).hexdigest()
+            if digests.setdefault(kind, digest) != digest:
+                raise SystemExit(f"APSP {kind}: matrix changed between repeats")
+    return [{"graph": kind, "nodes": len(topo.node_ids), "edges": len(topo.edges),
+             "ms_per_call": round(statistics.median(seconds[kind]) * 1e3, 1),
+             "sha256": digests[kind]}
+            for kind, topo in graphs.items()]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="current", help="key of this run in --out")
@@ -80,11 +125,14 @@ def main(argv: list[str] | None = None) -> int:
 
     trace = zipf_trace(TRACE_SEED, TRACE_LENGTH, CATALOG, ALPHA)
     run = measure(trace, REPEATS)
+    run["apsp"] = measure_apsp(REPEATS)
     run["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
                    "python": platform.python_version(), "numpy": np.__version__}
     run["repeats"] = REPEATS
     document = {"trace": {"seed": TRACE_SEED, "requests": TRACE_LENGTH, "catalog": CATALOG,
                           "alpha": ALPHA},
+                "apsp_graphs": {"seed": GRAPH_SEED, "nodes": GRAPH_NODES,
+                                "extra_edges": GRAPH_EXTRA_EDGES},
                 "runs": {}}
     if args.out.exists():
         document["runs"] = json.loads(args.out.read_text())["runs"]
@@ -94,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{cell['policy']:>6} C={cell['capacity']:<5} {cell['ns_per_request']:>9.1f} ns/req"
               f"  misses={cell['misses']}")
     print(f"checksum {run['checksum']}")
+    for cell in run["apsp"]:
+        print(f"  APSP {cell['graph']:>8} {cell['ms_per_call']:>9.1f} ms/call  sha256={cell['sha256']}")
     return 0
 
 

@@ -3,7 +3,9 @@
 All policies are demand paging: a miss always inserts the requested item and,
 at capacity, evicts exactly one resident chosen from the pre-insertion
 residents. Belady's offline optimum therefore lower-bounds every online
-policy here. Items have uniform size; capacity counts items.
+policy here. Items have uniform size; capacity counts items. Every cache
+answers `access(item)` with `(hit, evicted item or None)`, one call per
+request; `replay` derives the statistics from the misses.
 """
 
 from __future__ import annotations
@@ -54,37 +56,9 @@ class CacheStats:
         )
 
 
-class OnlineCache:
-    """Decides what stays resident; subclasses implement residency and victim
-    choice, through the `_contains`/`_on_hit`/`_insert` steps of `access` or,
-    where one call per request matters, by overriding `access` itself.
-    Statistics are derived from the misses by `replay`."""
-
+class LRUCache:
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._clock = 0
-
-    def access(self, item: ServiceId) -> tuple[bool, ServiceId | None]:
-        """Request one item; returns (hit, evicted item if any)."""
-        self._clock += 1
-        if self._contains(item):
-            self._on_hit(item)
-            return True, None
-        return False, self._insert(item)
-
-    def _contains(self, item: ServiceId) -> bool:
-        raise NotImplementedError
-
-    def _on_hit(self, item: ServiceId):
-        raise NotImplementedError
-
-    def _insert(self, item: ServiceId) -> ServiceId | None:
-        raise NotImplementedError
-
-
-class LRUCache(OnlineCache):
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
         self._order: OrderedDict[ServiceId, None] = OrderedDict()
 
     def access(self, item):
@@ -99,7 +73,7 @@ class LRUCache(OnlineCache):
         return False, evicted
 
 
-class _HeapCache(OnlineCache):
+class _HeapCache:
     """Evicts the resident with the smallest key, popped from a min-heap with
     lazy deletion. `_keys` maps each resident to its current key, and each
     access pushes the fresh key `_touch` returns. A popped key counts only if
@@ -110,7 +84,8 @@ class _HeapCache(OnlineCache):
     """
 
     def __init__(self, capacity: int):
-        super().__init__(capacity)
+        self.capacity = capacity
+        self._clock = 0
         self._keys: dict[ServiceId, tuple] = {}
         self._heap: list[tuple] = []
 
@@ -174,7 +149,7 @@ class LFUCache(_HeapCache):
         return (count, self._clock, item)
 
 
-class LIRSCache(OnlineCache):
+class LIRSCache:
     """LIRS with the standard LIR/HIR stack semantics.
 
     The resident HIR queue holds max(1, round(_HIR_FRACTION * capacity)) items,
@@ -184,18 +159,12 @@ class LIRSCache(OnlineCache):
     """
 
     def __init__(self, capacity: int):
-        super().__init__(capacity)
+        self.capacity = capacity
         self._hir_size = max(1, round(_HIR_FRACTION * capacity))
         self._lir_size = capacity - self._hir_size
         self._stack: OrderedDict[ServiceId, None] = OrderedDict()  # oldest first
         self._queue: OrderedDict[ServiceId, None] = OrderedDict()  # resident HIR, FIFO
         self._lir: set[ServiceId] = set()
-
-    def resident_count(self) -> int:
-        return len(self._lir) + len(self._queue)
-
-    def _contains(self, item):
-        return item in self._lir or item in self._queue
 
     def _stack_push(self, item):
         if item in self._stack:
@@ -226,31 +195,31 @@ class LIRSCache(OnlineCache):
         if len(self._lir) > self._lir_size:
             self._demote_bottom_lir()
 
-    def _on_hit(self, item):
-        if item in self._lir:
+    def access(self, item):
+        lir, queue = self._lir, self._queue
+        if item in lir:
             self._stack_push(item)
             self._prune()
-        elif item in self._stack:
-            self._promote(item)
-        else:
-            # resident HIR that already aged off the stack: refresh both
-            self._stack_push(item)
-            self._queue.move_to_end(item)
-
-    def _insert(self, item):
+            return True, None
+        hit = item in queue
         evicted = None
-        if self.resident_count() >= self.capacity:
-            evicted, _ = self._queue.popitem(last=False)
-        if len(self._lir) < self._lir_size:
-            # cold start: fill the LIR partition first
-            self._lir.add(item)
-            self._stack_push(item)
-        elif item in self._stack:
+        if not hit:
+            if len(lir) + len(queue) >= self.capacity:
+                evicted, _ = queue.popitem(last=False)
+            if len(lir) < self._lir_size:
+                # cold start: fill the LIR partition first
+                lir.add(item)
+                self._stack_push(item)
+                return False, evicted
+        if item in self._stack:
             self._promote(item)
         else:
+            # a newcomer, or a resident HIR block that aged off the stack:
+            # to the top of the stack and the end of the queue
             self._stack_push(item)
-            self._queue[item] = None
-        return evicted
+            queue.pop(item, None)
+            queue[item] = None
+        return hit, evicted
 
 
 class _BeladyCache(_HeapCache):

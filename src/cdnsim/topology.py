@@ -7,7 +7,6 @@ carry a finite positive priority used to weight the placement objectives.
 
 from __future__ import annotations
 
-import heapq
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -22,11 +21,7 @@ _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest-path distances, indexed by sorted node id.
-
-    Row i is Dijkstra from node i. On weighted graphs the matrix is symmetric
-    only up to rounding, so every reader takes user or node rows against
-    server or origin columns."""
+    """All-pairs shortest-path distances, indexed by sorted node id."""
 
     ids: tuple[NodeId, ...]
     matrix: np.ndarray
@@ -47,10 +42,10 @@ class Topology:
 
     def __init__(
         self,
-        nodes: list[tuple[NodeId, str, float]],
+        nodes: list[tuple[NodeId, float]],
         edges: list[tuple[NodeId, NodeId, float]],
     ):
-        """nodes: (id, label, priority) triples; edges: (a, b, weight) triples.
+        """nodes: (id, priority) pairs; edges: (a, b, weight) triples.
 
         Parallel/reverse duplicate edges collapse to the maximum weight.
         Raises ValidationError on duplicate ids, self-loops surviving as the
@@ -58,17 +53,16 @@ class Topology:
         disconnected graph.
         """
         seen: set[NodeId] = set()
-        for nid, _, _ in nodes:
+        for nid, _ in nodes:
             if nid in seen:
                 raise ValidationError(f"duplicate node id {nid!r}")
             seen.add(nid)
         if not nodes:
             raise ValidationError("topology has no nodes")
 
-        self.node_ids: tuple[NodeId, ...] = tuple(sorted(nid for nid, _, _ in nodes))
-        self.labels: dict[NodeId, str] = {nid: label for nid, label, _ in nodes}
+        self.node_ids: tuple[NodeId, ...] = tuple(sorted(seen))
         self.priorities: dict[NodeId, float] = {}
-        for nid, _, prio in nodes:
+        for nid, prio in nodes:
             if not 0 < prio < np.inf:
                 raise ValidationError(
                     f"node {nid!r} has non-positive or non-finite priority {prio}")
@@ -89,10 +83,10 @@ class Topology:
             (a, b, w) for (a, b), w in sorted(collapsed.items())
         )
 
-        adj: dict[NodeId, list[tuple[NodeId, float]]] = {n: [] for n in self.node_ids}
-        for a, b, w in self.edges:
-            adj[a].append((b, w))
-            adj[b].append((a, w))
+        adj: dict[NodeId, list[NodeId]] = {n: [] for n in self.node_ids}
+        for a, b, _ in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
         self._adj = {n: tuple(sorted(nbrs)) for n, nbrs in adj.items()}
 
         self._check_connected()
@@ -103,7 +97,7 @@ class Topology:
         seen = {start}
         stack = [start]
         while stack:
-            for nb, _ in self._adj[stack.pop()]:
+            for nb in self._adj[stack.pop()]:
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
@@ -112,13 +106,13 @@ class Topology:
             raise ValidationError(f"graph is disconnected (e.g. unreachable: {missing})")
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self.labels
+        return node in self.priorities
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
         """Nodes sharing an edge with `node`, in id order."""
         if node not in self._adj:
             raise ValidationError(f"unknown node {node!r}")
-        return [nb for nb, _ in self._adj[node]]
+        return list(self._adj[node])
 
     def distance_matrix(self) -> DistanceMatrix:
         """All-pairs shortest paths; computed once and cached."""
@@ -139,10 +133,9 @@ def parse_topology(
     """Parse a GraphML document into a Topology.
 
     `weight_key` / `priority_key` name GraphML attributes (attr.name, falling
-    back to the raw key id); node labels come from the `label` attribute.
-    Missing attributes default to weight 1.0, priority 1.0 and the node id as
-    label. Directed or duplicate edges are symmetrized to the maximum
-    weight of the pair.
+    back to the raw key id); other attributes, such as `label`, are not read.
+    Missing attributes default to weight 1.0 and priority 1.0. Directed or
+    duplicate edges are symmetrized to the maximum weight of the pair.
     """
     try:
         root = ET.fromstring(data)
@@ -166,7 +159,7 @@ def parse_topology(
                 return (child.text or "").strip()
         return None
 
-    nodes: list[tuple[NodeId, str, float]] = []
+    nodes: list[tuple[NodeId, float]] = []
     edges: list[tuple[NodeId, NodeId, float]] = []
     for el in root.iter():
         tag = _local(el.tag)
@@ -174,13 +167,12 @@ def parse_topology(
             nid = el.get("id")
             if nid is None:
                 raise ValidationError("node element without id")
-            label = data_value(el, "label") or nid
             prio_text = data_value(el, priority_key)
             try:
                 prio = float(prio_text) if prio_text else 1.0
             except ValueError as exc:
                 raise ValidationError(f"node {nid!r}: bad priority {prio_text!r}") from exc
-            nodes.append((nid, label, prio))
+            nodes.append((nid, prio))
         elif tag == "edge":
             a, b = el.get("source"), el.get("target")
             if a is None or b is None:
@@ -200,32 +192,17 @@ def parse_topology(
     return Topology(nodes, edges)
 
 
-def _dijkstra(topo: Topology, source: NodeId, index: dict[NodeId, int]) -> np.ndarray:
-    n = len(topo.node_ids)
-    dist = np.full(n, np.inf)
-    dist[index[source]] = 0.0
-    heap: list[tuple[float, NodeId]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        ui = index[u]
-        if d > dist[ui]:
-            continue
-        for v, w in topo._adj[u]:
-            nd = d + w
-            vi = index[v]
-            if nd < dist[vi]:
-                dist[vi] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def all_pairs_shortest_paths(topo: Topology) -> DistanceMatrix:
-    """Exact weighted shortest-path distances, Dijkstra run from every node."""
+    """Exact weighted shortest-path distances by Floyd–Warshall (Floyd 1962,
+    Warshall 1962): relax every pair through each node k in turn. Entries
+    (i, j) and (j, i) add the same two numbers at every step, so the matrix is
+    exactly symmetric."""
     ids = topo.node_ids
     index = {n: i for i, n in enumerate(ids)}
-    matrix = np.empty((len(ids), len(ids)))
-    for i, source in enumerate(ids):
-        matrix[i, :] = _dijkstra(topo, source, index)
-    if not np.isfinite(matrix).all():  # construction already rejects this
-        raise ValidationError("graph is disconnected")
-    return DistanceMatrix(ids=ids, matrix=matrix)
+    d = np.full((len(ids), len(ids)), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for a, b, w in topo.edges:
+        d[index[a], index[b]] = d[index[b], index[a]] = w
+    for k in range(len(ids)):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return DistanceMatrix(ids=ids, matrix=d)

@@ -9,7 +9,7 @@ from cdnsim.rng import derive_seed, make_rng
 
 
 def path_topology(ids: list[str], weight: float = 1.0) -> Topology:
-    nodes = [(i, i, 1.0) for i in ids]
+    nodes = [(i, 1.0) for i in ids]
     edges = [(ids[i], ids[i + 1], weight) for i in range(len(ids) - 1)]
     return Topology(nodes, edges)
 
@@ -17,13 +17,13 @@ def path_topology(ids: list[str], weight: float = 1.0) -> Topology:
 def ring_topology(n: int) -> Topology:
     ids = [f"n{i:02d}" for i in range(n)]
     return Topology(
-        [(i, i, 1.0) for i in ids],
+        [(i, 1.0) for i in ids],
         [(ids[i], ids[(i + 1) % n], 1.0) for i in range(n)],
     )
 
 
 def star_topology(center: str, leaves: list[str]) -> Topology:
-    nodes = [(center, center, 1.0)] + [(l, l, 1.0) for l in leaves]
+    nodes = [(center, 1.0)] + [(l, 1.0) for l in leaves]
     return Topology(nodes, [(center, l, 1.0) for l in leaves])
 
 
@@ -43,7 +43,7 @@ def random_connected_topology(seed: int, n: int, weighted: bool = False) -> Topo
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
         if a != b:
             edges.append((ids[min(a, b)], ids[max(a, b)], weight()))
-    return Topology([(i, i, 1.0) for i in ids], edges)
+    return Topology([(i, 1.0) for i in ids], edges)
 
 
 def desk_topology() -> Topology:
@@ -55,7 +55,7 @@ def desk_topology() -> Topology:
         a, b = int(rng.integers(0, 124)), int(rng.integers(0, 124))
         if a != b:
             edges.append((ids[min(a, b)], ids[max(a, b)], 1.0))
-    return Topology([(i, i, 1.0) for i in ids], edges)
+    return Topology([(i, 1.0) for i in ids], edges)
 
 
 def dummy_profile(universe=("x", "y")) -> Profile:

@@ -10,6 +10,7 @@ These are the straightforward versions the fast paths replaced:
 - for the heap-based caches, LRU-2, LFU and Belady replacement that scan
   every resident on each miss;
 - for `LIRSCache`, LIRS written from its paper with plain lists;
+- for the Floyd–Warshall APSP, a heap-based Dijkstra run from every node;
 - for the bisection over cumulative weights, weighted sampling by a linear
   scan;
 - for the per-server request streams of the simulation, one loop over every
@@ -24,10 +25,12 @@ These are the straightforward versions the fast paths replaced:
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from cdnsim.assignment import optimize
-from cdnsim.cache import _HIR_FRACTION, _NEVER, CacheStats, OnlineCache, _stats, replay
+from cdnsim.cache import _HIR_FRACTION, _NEVER, CacheStats, _stats, replay
 from cdnsim.errors import ValidationError
 from cdnsim.pareto import SolutionPoint, non_dominated
 from cdnsim.placement import _Eval, one_center
@@ -165,6 +168,23 @@ def relocate_servers_ranking(dm, users, placement, assignment):
     return new_placement, {u.node: new_location[assignment[u.node]] for u in users}
 
 
+class OnlineCache:
+    """A cache as three steps: `_contains`, then `_on_hit` on a hit or
+    `_insert` (which returns the evicted item, if any) on a miss."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._clock = 0
+
+    def access(self, item: ServiceId) -> tuple[bool, ServiceId | None]:
+        """Request one item; returns (hit, evicted item if any)."""
+        self._clock += 1
+        if self._contains(item):
+            self._on_hit(item)
+            return True, None
+        return False, self._insert(item)
+
+
 class LRU2Cache(OnlineCache):
     """LRU-2: evict the resident whose second-most-recent access is oldest.
 
@@ -298,6 +318,30 @@ class LIRSReference:
         self.lir.remove(bottom)
         self.Q.append(bottom)
         self._prune()
+
+
+def dijkstra_apsp(topo) -> np.ndarray:
+    """Shortest-path distances by Dijkstra from every node, rows and columns in
+    `topo.node_ids` order."""
+    ids = topo.node_ids
+    index = {n: i for i, n in enumerate(ids)}
+    adj: dict[str, list[tuple[str, float]]] = {n: [] for n in ids}
+    for a, b, w in topo.edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    matrix = np.full((len(ids), len(ids)), np.inf)
+    for row, source in zip(matrix, ids):
+        row[index[source]] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > row[index[u]]:
+                continue
+            for v, w in adj[u]:
+                if d + w < row[index[v]]:
+                    row[index[v]] = d + w
+                    heapq.heappush(heap, (d + w, v))
+    return matrix
 
 
 def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:

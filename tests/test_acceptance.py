@@ -131,17 +131,17 @@ def _clustered_scenario(seed: int) -> Scenario:
     universe = make_universe(100)
     global_pmf = zipf_pmf(0.3, 100)
     within = zipf_pmf(0.3, 15)
-    nodes, edges, users, assignment, placement = [("hub", "hub", 1.0)], [], [], {}, []
+    nodes, edges, users, assignment, placement = [("hub", 1.0)], [], [], {}, []
     for c in range(5):
         server = f"c{c}srv"
-        nodes.append((server, server, 1.0))
+        nodes.append((server, 1.0))
         edges.append(("hub", server, 1.0))
         placement.append(server)
         rng_c = make_rng(derive_seed(seed, "cluster-support", c))
         support = weighted_sample_without_replacement(rng_c, global_pmf.tolist(), 15)
         for m in range(5):
             node = f"c{c}u{m}"
-            nodes.append((node, node, 1.0))
+            nodes.append((node, 1.0))
             edges.append((server, node, 1.0))
             order = shuffled(make_rng(derive_seed(seed, "member", c, m)), support)
             probs = np.zeros(100)
@@ -225,7 +225,7 @@ def _fuzz_instance(seed: int):
     n_services = int(rng.integers(6, 11))
     universe = make_universe(n_services)
     ids = [f"n{i:02d}" for i in range(n_users)]
-    topo = Topology([(i, i, 1.0) for i in ids],
+    topo = Topology([(i, 1.0) for i in ids],
                     [(ids[i], ids[i + 1], 1.0) for i in range(n_users - 1)])
     users = []
     planted = seed % 2 == 0
@@ -379,7 +379,7 @@ def test_criterion_10_desk_scale_performance(tmp_path):
         a, b = int(rng.integers(0, 124)), int(rng.integers(0, 124))
         if a != b:
             edges.append((ids[min(a, b)], ids[max(a, b)], 1.0))
-    topo = Topology([(i, i, 1.0) for i in ids], edges)
+    topo = Topology([(i, 1.0) for i in ids], edges)
 
     from cdnsim import ZipfModel, generate_users
 

@@ -152,7 +152,7 @@ def relocation_instances(draw):
         for _ in range(draw(st.integers(0, n))):
             a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
             edges.append((ids[a], ids[b], float(rng.choice(weights))))
-    topo = Topology([(i, i, 1.0) for i in ids], edges)
+    topo = Topology([(i, 1.0) for i in ids], edges)
     users = [UserGroup(node=node, priority=float(rng.choice(priorities)),
                        profile=random_profile(i, ("s0", "s1")))
              for i, node in enumerate(ids)]

@@ -112,10 +112,11 @@ class TestLRU2:
 class TestLIRS:
     def test_residency_never_exceeds_capacity(self):
         for cap in (1, 2, 3, 5, 8):
-            cache = LIRSCache(cap)
+            cache, residents = LIRSCache(cap), 0
             for x in zipf_trace(cap, 500, 20):
-                cache.access(x)
-                assert cache.resident_count() <= cap
+                hit, evicted = cache.access(x)
+                residents += (not hit) - (evicted is not None)
+                assert residents <= cap
 
     def test_capacity_one(self):
         cache = LIRSCache(1)

@@ -247,7 +247,7 @@ def weighted_user_sets(draw):
     seed = draw(st.integers(0, 10_000))
     base = random_connected_topology(seed, draw(st.integers(3, 16)), weighted=True)
     priority = st.sampled_from([0.3, 0.7, 1.9, 2.45])
-    topo = Topology([(n, n, draw(priority)) for n in base.node_ids], list(base.edges))
+    topo = Topology([(n, draw(priority)) for n in base.node_ids], list(base.edges))
     users = generate_users(topo, ZipfModel(0.3, 20, 5), seed)
     k = draw(st.integers(1, min(4, len(users))))
     return topo, users, draw(st.permutations(users)), k, seed

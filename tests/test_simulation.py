@@ -301,7 +301,7 @@ def test_server_count_sweep_desk_scale_shape():
         a, b = int(rng.integers(0, 124)), int(rng.integers(0, 124))
         if a != b:
             edges.append((ids[min(a, b)], ids[max(a, b)], 1.0))
-    topo = Topology([(i, i, 1.0) for i in ids], edges)
+    topo = Topology([(i, 1.0) for i in ids], edges)
     users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124)
     base = Scenario(topology=topo, users=users, placement=(ids[0],),
                     assignment={u.node: ids[0] for u in users},

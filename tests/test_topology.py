@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdnsim import Topology, ValidationError, all_pairs_shortest_paths, parse_topology
+import oracles
 from conftest import random_connected_topology
 
 GRAPHML_3 = b"""<?xml version="1.0" encoding="utf-8"?>
@@ -44,7 +45,6 @@ def test_parse_weight_and_priority_keys():
     topo = parse_topology(GRAPHML_ATTRS, weight_key="LinkSpeed")
     assert topo.edges == (("A", "B", 3.5),)
     assert topo.priorities["A"] == 2.5
-    assert topo.labels["A"] == "Alpha"
     # same attribute resolvable through the raw key id
     topo2 = parse_topology(GRAPHML_ATTRS, weight_key="d0")
     assert topo2.edges == (("A", "B", 3.5),)
@@ -73,10 +73,10 @@ def test_negative_weight_rejected():
 
 
 @pytest.mark.parametrize("nodes, edges", [
-    ([("A", "A", np.inf), ("B", "B", 1.0)], [("A", "B", 1.0)]),
-    ([("A", "A", np.nan), ("B", "B", 1.0)], [("A", "B", 1.0)]),
-    ([("A", "A", 1.0), ("B", "B", 1.0)], [("A", "B", np.inf)]),
-    ([("A", "A", 1.0), ("B", "B", 1.0)], [("A", "B", np.nan)]),
+    ([("A", np.inf), ("B", 1.0)], [("A", "B", 1.0)]),
+    ([("A", np.nan), ("B", 1.0)], [("A", "B", 1.0)]),
+    ([("A", 1.0), ("B", 1.0)], [("A", "B", np.inf)]),
+    ([("A", 1.0), ("B", 1.0)], [("A", "B", np.nan)]),
 ], ids=["inf-priority", "nan-priority", "inf-weight", "nan-weight"])
 def test_non_finite_priority_or_weight_rejected(nodes, edges):
     with pytest.raises(ValidationError, match="non-positive or non-finite"):
@@ -160,7 +160,7 @@ def test_parser_matches_networkx(case):
 
 def test_directed_duplicate_edges_symmetrize_to_max():
     topo = Topology(
-        [("A", "A", 1.0), ("B", "B", 1.0)],
+        [("A", 1.0), ("B", 1.0)],
         [("A", "B", 2.0), ("B", "A", 5.0)],
     )
     assert topo.edges == (("A", "B", 5.0),)
@@ -168,7 +168,7 @@ def test_directed_duplicate_edges_symmetrize_to_max():
 
 def test_self_loops_dropped():
     topo = Topology(
-        [("A", "A", 1.0), ("B", "B", 1.0)],
+        [("A", 1.0), ("B", 1.0)],
         [("A", "A", 1.0), ("A", "B", 1.0)],
     )
     assert topo.edges == (("A", "B", 1.0),)
@@ -196,40 +196,66 @@ def test_apsp_path(path3):
 
 def test_apsp_shortcut_triangle():
     topo = Topology(
-        [("A", "A", 1.0), ("B", "B", 1.0), ("C", "C", 1.0)],
+        [("A", 1.0), ("B", 1.0), ("C", 1.0)],
         [("A", "B", 1.0), ("B", "C", 1.0), ("A", "C", 3.0)],
     )
     assert topo.distance_matrix().get("A", "C") == 2.0  # via B
 
 
-def _floyd_warshall(topo):
-    """Independent oracle: O(n^3) relaxation over the adjacency."""
-    ids = topo.node_ids
-    n = len(ids)
-    index = {node: i for i, node in enumerate(ids)}
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for a, b, w in topo.edges:
-        i, j = index[a], index[b]
-        dist[i, j] = min(dist[i, j], w)
-        dist[j, i] = min(dist[j, i], w)
-    for mid in range(n):
-        dist = np.minimum(dist, dist[:, [mid]] + dist[[mid], :])
-    return dist
+def assert_shortest_paths(m: np.ndarray, reference: np.ndarray, exact: bool):
+    """`m` equals the Dijkstra `reference` (exactly, or to rounding), is exactly
+    symmetric with a zero diagonal, and meets the triangle inequality
+    m[i, j] <= m[i, k] + m[k, j] for every i, k, j (to rounding if not exact)."""
+    if exact:
+        assert np.array_equal(m, reference)
+    else:
+        assert np.allclose(m, reference, rtol=1e-12, atol=0.0)
+    assert np.array_equal(m, m.T)
+    assert np.all(np.diag(m) == 0.0)
+    through_k = m[:, :, None] + m[None, :, :]  # [i, k, j]
+    assert np.all(m[:, None, :] <= through_k + (0.0 if exact else 1e-9))
 
 
 @pytest.mark.parametrize("seed,n", [(s, 5 + 5 * (s % 10)) for s in range(20)])
 def test_apsp_matches_floyd_warshall(seed, n):
+    """The Floyd–Warshall APSP on seeded graphs, unit-weight at odd seeds and
+    two-decimal weights at even ones, against the Dijkstra oracle."""
     topo = random_connected_topology(seed, n, weighted=(seed % 2 == 0))
-    dm = all_pairs_shortest_paths(topo)
-    assert np.allclose(dm.matrix, _floyd_warshall(topo), atol=1e-9)
+    assert_shortest_paths(all_pairs_shortest_paths(topo).matrix,
+                          oracles.dijkstra_apsp(topo), exact=seed % 2 == 1)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(Topology, weights are integers): a random spanning tree plus extra
+    edges, parallel ones and self loops included, with unit, integer or
+    two-decimal weights."""
+    n = draw(st.integers(1, 14))
+    ids = [f"v{i:02d}" for i in range(n)]
+    kind = draw(st.sampled_from(["unit", "integer", "decimal"]))
+    weight = {"unit": st.just(1.0),
+              "integer": st.integers(1, 50).map(float),
+              "decimal": st.integers(1, 10_000).map(lambda c: c / 100)}[kind]
+    node = st.sampled_from(ids)
+    pairs = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges = [(a, b, draw(weight)) for a, b in pairs]
+    return Topology([(i, 1.0) for i in ids], edges), kind != "decimal"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs())
+def test_apsp_matches_dijkstra(case):
+    topo, integral = case
+    assert_shortest_paths(all_pairs_shortest_paths(topo).matrix,
+                          oracles.dijkstra_apsp(topo), exact=integral)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_distance_matrix_invariants(seed):
     topo = random_connected_topology(seed, 20, weighted=True)
     m = topo.distance_matrix().matrix
-    assert np.allclose(m, m.T)
+    assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0.0)
     assert np.isfinite(m).all()
     rng = np.random.default_rng(seed)
