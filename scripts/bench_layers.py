@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer micro-benchmarks: `cache.replay` per policy, and APSP.
+"""Per-layer micro-benchmarks: `cache.replay` per policy, APSP, user profiles
+and the rank-correlation batch.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --label after
 
@@ -17,6 +18,20 @@ unit weights and once with two-decimal weights in [1, 5). Each graph is built
 through `parse_topology` from GraphML, which every version of the package
 reads alike, so one script times any of them. Each graph reports the median
 milliseconds per call over the repeats and the SHA-256 of the matrix bytes.
+
+Profile layer: `generate_users` on the criterion-10 desk topology (124
+nodes, built by `bench/workloads.py` as the benchmark builds it; master seed
+124) at the two benchmark workload shapes, Zipf
+0.8/2000/100 (`cache-churn`) and 0.3/100/15 (`desk-pipeline`). Each shape
+reports the median milliseconds per call and the SHA-256 of the users'
+stacked probability vectors.
+
+Correlation-batch layer: `assignment._CorrEval.matrix` and `.total` on the
+desk instance with the 0.3/100/15 profiles, k=10 servers placed by
+`dragoon` and the closest-server assignment. Each reports the median
+nanoseconds per ranked column: a column is one server's candidate rows,
+ranked in one call (10 for `matrix`, one per occupied server for `total`).
+The SHA-256 covers the matrix bytes.
 
 The result is stored under `--label` in `--out` (default `BENCH_layers.json`
 at the repository root); runs under other labels in that file are kept, so
@@ -37,10 +52,24 @@ from pathlib import Path
 
 import numpy as np
 
-from cdnsim import CacheConfig, all_pairs_shortest_paths, parse_topology, replay
+from cdnsim import (
+    CacheConfig,
+    Topology,
+    ZipfModel,
+    all_pairs_shortest_paths,
+    closest_assignment,
+    dragoon,
+    generate_users,
+    parse_topology,
+    replay,
+)
+from cdnsim.assignment import _CorrEval
 from cdnsim.cache import POLICIES
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402  the benchmark's own topology generator
+
 TRACE_SEED = 2020
 TRACE_LENGTH = 100_000
 CATALOG = 2000
@@ -50,6 +79,9 @@ REPEATS = 5
 GRAPH_SEED = 500
 GRAPH_NODES = 500
 GRAPH_EXTRA_EDGES = 500
+DESK_SEED = 124  # the master seed of the profiles
+PROFILE_SHAPES = ((0.8, 2000, 100), (0.3, 100, 15))  # (alpha, universe, profile size)
+SERVERS = 10
 
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float) -> list[str]:
@@ -117,6 +149,51 @@ def measure_apsp(repeats: int) -> list[dict]:
             for kind, topo in graphs.items()]
 
 
+def desk_topology() -> Topology:
+    """The benchmark's desk topology (criterion 10's instance), from its GraphML."""
+    ids, edges = workloads.desk_graph(workloads.TOPOLOGY_SEED)
+    return parse_topology(workloads.graphml(ids, edges).encode())
+
+
+def timed(call, repeats: int) -> tuple[float, object]:
+    """Median seconds of `repeats` calls, and the result of the last one."""
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), result
+
+
+def measure_profiles(topo: Topology, repeats: int) -> list[dict]:
+    cells = []
+    for alpha, universe, size in PROFILE_SHAPES:
+        model = ZipfModel(alpha, universe, size)
+        median, users = timed(lambda: generate_users(topo, model, DESK_SEED), repeats)
+        probs = np.stack([u.profile.probs for u in users])
+        cells.append({"alpha": alpha, "universe": universe, "profile_size": size,
+                      "ms_per_call": round(median * 1e3, 2),
+                      "sha256": hashlib.sha256(probs.tobytes()).hexdigest()})
+    return cells
+
+
+def measure_correlation(topo: Topology, repeats: int) -> dict:
+    alpha, universe, size = PROFILE_SHAPES[1]
+    users = generate_users(topo, ZipfModel(alpha, universe, size), DESK_SEED)
+    dm = all_pairs_shortest_paths(topo)
+    placement = dragoon(dm, topo, users, SERVERS)[0]
+    assignment = closest_assignment(dm, users, placement)
+    ev = _CorrEval(users, placement)
+    matrix_s, matrix = timed(lambda: ev.matrix(assignment), repeats)
+    total_s, total = timed(lambda: ev.total(assignment), repeats)
+    occupied = len(set(assignment.values()))
+    return {"users": len(users), "servers": SERVERS, "occupied": occupied,
+            "matrix_ns_per_column": round(matrix_s * 1e9 / SERVERS),
+            "total_ns_per_column": round(total_s * 1e9 / occupied),
+            "total": total,
+            "sha256": hashlib.sha256(matrix.tobytes()).hexdigest()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="current", help="key of this run in --out")
@@ -126,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     trace = zipf_trace(TRACE_SEED, TRACE_LENGTH, CATALOG, ALPHA)
     run = measure(trace, REPEATS)
     run["apsp"] = measure_apsp(REPEATS)
+    desk = desk_topology()
+    run["profiles"] = measure_profiles(desk, REPEATS)
+    run["correlation"] = measure_correlation(desk, REPEATS)
     run["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
                    "python": platform.python_version(), "numpy": np.__version__}
     run["repeats"] = REPEATS
@@ -133,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
                           "alpha": ALPHA},
                 "apsp_graphs": {"seed": GRAPH_SEED, "nodes": GRAPH_NODES,
                                 "extra_edges": GRAPH_EXTRA_EDGES},
+                "desk": {"seed": DESK_SEED, "servers": SERVERS},
                 "runs": {}}
     if args.out.exists():
         document["runs"] = json.loads(args.out.read_text())["runs"]
@@ -144,6 +225,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"checksum {run['checksum']}")
     for cell in run["apsp"]:
         print(f"  APSP {cell['graph']:>8} {cell['ms_per_call']:>9.1f} ms/call  sha256={cell['sha256']}")
+    for cell in run["profiles"]:
+        print(f"  users {cell['alpha']}/{cell['universe']}/{cell['profile_size']:<4}"
+              f" {cell['ms_per_call']:>9.2f} ms/call  sha256={cell['sha256']}")
+    corr = run["correlation"]
+    print(f"  corr matrix {corr['matrix_ns_per_column']:>9} ns/column  total"
+          f" {corr['total_ns_per_column']:>9} ns/column  sha256={corr['sha256']}")
     return 0
 
 

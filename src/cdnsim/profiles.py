@@ -114,25 +114,22 @@ def zipf_pmf(alpha: float, n: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate_profile(model: ZipfModel, rng_seed: int,
-                     universe: tuple[ServiceId, ...]) -> Profile:
-    """Seeded pseudo-realistic profile with exactly `profile_size` liked services.
+def generate_profile(rng_seed: int, universe: tuple[ServiceId, ...],
+                     global_pmf: np.ndarray, within: np.ndarray) -> Profile:
+    """Seeded pseudo-realistic profile with exactly `len(within)` liked services.
 
-    The support is drawn without replacement, weighted by global Zipf
-    popularity (universe order = popularity order); within the support the
-    Zipf pmf over profile_size ranks is dealt onto a random permutation, so a
-    user's favourite service is not necessarily a globally popular one.
+    The support is drawn without replacement, weighted by `global_pmf`
+    (universe order = popularity order); within the support the pmf `within`
+    is dealt onto a random permutation, so a user's favourite service is not
+    necessarily a globally popular one. `generate_users` passes the Zipf pmfs
+    of its model, computed once for all users.
     """
-    if len(universe) != model.universe_size:
-        raise ValidationError("universe size does not match model")
+    if len(universe) != len(global_pmf):
+        raise ValidationError("universe size does not match the global pmf")
     rng = make_rng(rng_seed)
-    global_pmf = zipf_pmf(model.alpha, model.universe_size)
-    support = weighted_sample_without_replacement(
-        rng, global_pmf.tolist(), model.profile_size
-    )
+    support = weighted_sample_without_replacement(rng, global_pmf, len(within))
     order = shuffled(rng, support)
-    within = zipf_pmf(model.alpha, model.profile_size)
-    probs = np.zeros(model.universe_size)
+    probs = np.zeros(len(universe))
     probs[order] = within
     probs /= probs.sum()
     return Profile(universe, probs)
@@ -141,9 +138,12 @@ def generate_profile(model: ZipfModel, rng_seed: int,
 def generate_users(topo: Topology, model: ZipfModel, master_seed: int) -> list[UserGroup]:
     """One user group per topology node, profile seeded per node id."""
     universe = make_universe(model.universe_size)
+    global_pmf = zipf_pmf(model.alpha, model.universe_size)
+    within = zipf_pmf(model.alpha, model.profile_size)
     users = []
     for node in topo.node_ids:
-        profile = generate_profile(model, derive_seed(master_seed, "profile", node), universe)
+        profile = generate_profile(derive_seed(master_seed, "profile", node), universe,
+                                   global_pmf, within)
         users.append(UserGroup(node=node, priority=topo.priorities[node], profile=profile))
     return users
 

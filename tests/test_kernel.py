@@ -20,6 +20,7 @@ from cdnsim import (
     spearman,
     total_correlation,
     user_correlations,
+    zipf_pmf,
 )
 from cdnsim.assignment import _CorrEval
 from cdnsim.profiles import midranks_descending
@@ -97,7 +98,10 @@ def _users_from_zipf(seed: int, nodes: list[str], universe_size: int,
                      alpha: float) -> list[UserGroup]:
     model = ZipfModel(alpha, universe_size, max(1, universe_size // 2))
     universe = make_universe(universe_size)
-    return [UserGroup(node=n, profile=generate_profile(model, derive_seed(seed, n), universe))
+    global_pmf = zipf_pmf(alpha, universe_size)
+    within = zipf_pmf(alpha, model.profile_size)
+    return [UserGroup(node=n, profile=generate_profile(derive_seed(seed, n), universe,
+                                                       global_pmf, within))
             for n in nodes]
 
 

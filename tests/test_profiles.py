@@ -63,21 +63,28 @@ class TestZipfPmf:
         assert (pmf > 0).all()
 
 
+def zipf_profile(model: ZipfModel, seed: int):
+    """generate_profile with the model's Zipf pmfs, as generate_users calls it."""
+    return generate_profile(seed, make_universe(model.universe_size),
+                            zipf_pmf(model.alpha, model.universe_size),
+                            zipf_pmf(model.alpha, model.profile_size))
+
+
 class TestGenerateProfile:
     def test_full_universe_alpha_zero_is_uniform(self):
         model = ZipfModel(alpha=0.0, universe_size=8, profile_size=8)
-        p = generate_profile(model, 1, make_universe(model.universe_size))
+        p = zipf_profile(model, 1)
         assert np.allclose(p.probs, 1 / 8)
 
     def test_single_service(self):
         model = ZipfModel(alpha=0.3, universe_size=10, profile_size=1)
-        p = generate_profile(model, 5, make_universe(model.universe_size))
+        p = zipf_profile(model, 5)
         assert sorted(p.probs)[-1] == 1.0
         assert np.count_nonzero(p.probs) == 1
 
     def test_determinism_fixture(self):
         model = ZipfModel(alpha=0.3, universe_size=100, profile_size=15)
-        p = generate_profile(model, 42, make_universe(model.universe_size))
+        p = zipf_profile(model, 42)
         nonzero = {s: v for s, v in p.entries.items() if v > 0}
         assert set(nonzero) == set(PROFILE_SEED42)
         for s, v in PROFILE_SEED42.items():
@@ -86,9 +93,13 @@ class TestGenerateProfile:
     def test_support_size_and_sum(self):
         model = ZipfModel(alpha=0.3, universe_size=50, profile_size=12)
         for seed in range(20):
-            p = generate_profile(model, seed, make_universe(model.universe_size))
+            p = zipf_profile(model, seed)
             assert np.count_nonzero(p.probs) == 12
             assert abs(p.probs.sum() - 1.0) < 1e-12
+
+    def test_universe_must_match_the_global_pmf(self):
+        with pytest.raises(ValidationError):
+            generate_profile(1, make_universe(5), zipf_pmf(0.3, 6), zipf_pmf(0.3, 2))
 
     def test_oversized_profile_rejected(self):
         with pytest.raises(ValidationError):
