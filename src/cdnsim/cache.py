@@ -3,9 +3,18 @@
 All policies are demand paging: a miss always inserts the requested item and,
 at capacity, evicts exactly one resident chosen from the pre-insertion
 residents. Belady's offline optimum therefore lower-bounds every online
-policy here. Items have uniform size; capacity counts items. Every cache
-answers `access(item)` with `(hit, evicted item or None)`, one call per
-request; `replay` derives the statistics from the misses.
+policy here. Items have uniform size; capacity counts items.
+
+Each policy replays a whole trace in one private function and returns its
+victims: one entry per miss, the evicted item, or None while the cache fills.
+`replay` counts the misses as the length of that list; the hits and the
+evictions of every request follow from the trace and the victims alone.
+
+LRU-2, LFU and Belady evict the resident with the smallest key, and each of
+their keys depends on the trace alone, never on what is resident: LRU-2 keeps
+an item's access history across evictions, LFU keeps its count across
+evictions, and Belady reads the future. So one pass over the trace gives every
+request its key before the replay starts, and the three share one loop.
 """
 
 from __future__ import annotations
@@ -19,8 +28,6 @@ from .profiles import ServiceId
 
 POLICIES = ("LRU", "LRU2", "LFU", "LIRS", "BELADY")
 
-_NEVER = float("inf")
-
 _HIR_FRACTION = 0.1
 
 
@@ -30,8 +37,9 @@ class CacheConfig:
     policy: str = "LRU"
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValidationError("cache capacity must be >= 1")
+        if (not isinstance(self.capacity, int) or isinstance(self.capacity, bool)
+                or self.capacity < 1):
+            raise ValidationError(f"cache capacity must be an int >= 1, got {self.capacity!r}")
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy!r}; one of {POLICIES}")
 
@@ -56,100 +64,21 @@ class CacheStats:
         )
 
 
-class LRUCache:
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._order: OrderedDict[ServiceId, None] = OrderedDict()
-
-    def access(self, item):
-        order = self._order
+def _lru(trace: list[ServiceId], capacity: int) -> list[ServiceId | None]:
+    """Evict the least recently requested resident."""
+    order: OrderedDict[ServiceId, None] = OrderedDict()  # least recent first
+    victims: list[ServiceId | None] = []
+    move_to_end, popitem, append = order.move_to_end, order.popitem, victims.append
+    for item in trace:
         if item in order:
-            order.move_to_end(item)
-            return True, None
-        evicted = None
-        if len(order) >= self.capacity:
-            evicted, _ = order.popitem(last=False)
+            move_to_end(item)
+            continue
+        append(popitem(last=False)[0] if len(order) >= capacity else None)
         order[item] = None
-        return False, evicted
+    return victims
 
 
-class _HeapCache:
-    """Evicts the resident with the smallest key, popped from a min-heap with
-    lazy deletion. `_keys` maps each resident to its current key, and each
-    access pushes the fresh key `_touch` returns. A popped key counts only if
-    it is its item's entry in `_keys` (identity, not equality), so stale keys
-    and the keys of evicted items are skipped. Keys end with the item, so no
-    two residents' keys compare equal. Rebuilt from `_keys` once it outgrows
-    twice the capacity, the heap stays O(C): an access costs amortised O(log C).
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._clock = 0
-        self._keys: dict[ServiceId, tuple] = {}
-        self._heap: list[tuple] = []
-
-    def _touch(self, item: ServiceId) -> tuple:
-        """Record one access to `item`; return its eviction key, ending with the item."""
-        raise NotImplementedError
-
-    def access(self, item):
-        self._clock += 1
-        keys, heap = self._keys, self._heap
-        hit = item in keys
-        evicted = None
-        if not hit and len(keys) >= self.capacity:
-            while True:
-                key = heappop(heap)
-                if keys.get(key[-1]) is key:
-                    break
-            evicted = key[-1]
-            del keys[evicted]
-        key = keys[item] = self._touch(item)
-        if len(heap) > 2 * self.capacity:
-            # the rebuild reads `_keys`, so `item` must be in it already
-            self._heap = list(keys.values())
-            heapify(self._heap)
-        else:
-            heappush(heap, key)
-        return hit, evicted
-
-
-class LRU2Cache(_HeapCache):
-    """LRU-2: evict the resident whose second-most-recent access is oldest.
-
-    Residents referenced fewer than twice have infinite backward-2 distance
-    and are preferred victims, oldest single access first. Access history
-    persists across evictions (no correlated-reference or retention cutoff),
-    so an item's second touch gives it a finite distance even after it was
-    dropped in between.
-    """
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self._last: dict[ServiceId, int] = {}
-
-    def _touch(self, item):
-        previous = self._last.get(item)
-        self._last[item] = self._clock
-        if previous is None:
-            return (0, self._clock, item)
-        return (1, previous, item)
-
-
-class LFUCache(_HeapCache):
-    """Perfect LFU: frequency counters survive eviction; ties fall back to LRU."""
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self._count: dict[ServiceId, int] = {}
-
-    def _touch(self, item):
-        count = self._count[item] = self._count.get(item, 0) + 1
-        return (count, self._clock, item)
-
-
-class LIRSCache:
+def _lirs(trace: list[ServiceId], capacity: int) -> list[ServiceId | None]:
     """LIRS with the standard LIR/HIR stack semantics.
 
     The resident HIR queue holds max(1, round(_HIR_FRACTION * capacity)) items,
@@ -157,84 +86,145 @@ class LIRSCache:
     the one slot is HIR. Stack S keeps recency history including non-resident
     entries; its bottom is always LIR after pruning.
     """
+    lir_size = capacity - max(1, round(_HIR_FRACTION * capacity))
+    stack: OrderedDict[ServiceId, None] = OrderedDict()  # oldest first
+    queue: OrderedDict[ServiceId, None] = OrderedDict()  # resident HIR, FIFO
+    lir: set[ServiceId] = set()
+    victims: list[ServiceId | None] = []
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._hir_size = max(1, round(_HIR_FRACTION * capacity))
-        self._lir_size = capacity - self._hir_size
-        self._stack: OrderedDict[ServiceId, None] = OrderedDict()  # oldest first
-        self._queue: OrderedDict[ServiceId, None] = OrderedDict()  # resident HIR, FIFO
-        self._lir: set[ServiceId] = set()
-
-    def _stack_push(self, item):
-        if item in self._stack:
-            del self._stack[item]
-        self._stack[item] = None
-
-    def _prune(self):
-        while self._stack:
-            bottom = next(iter(self._stack))
-            if bottom in self._lir:
+    def prune():
+        while stack:
+            bottom = next(iter(stack))
+            if bottom in lir:
                 break
-            del self._stack[bottom]
+            del stack[bottom]
 
-    def _demote_bottom_lir(self):
-        # during warm-up non-LIR entries can sit below the lowest LIR block
-        self._prune()
-        bottom = next(iter(self._stack))
-        del self._stack[bottom]
-        self._lir.remove(bottom)
-        self._queue[bottom] = None
-        self._prune()
-
-    def _promote(self, item):
-        """HIR block seen again while still on the stack becomes LIR."""
-        self._queue.pop(item, None)
-        self._lir.add(item)
-        self._stack_push(item)
-        if len(self._lir) > self._lir_size:
-            self._demote_bottom_lir()
-
-    def access(self, item):
-        lir, queue = self._lir, self._queue
+    for item in trace:
         if item in lir:
-            self._stack_push(item)
-            self._prune()
-            return True, None
-        hit = item in queue
-        evicted = None
-        if not hit:
-            if len(lir) + len(queue) >= self.capacity:
-                evicted, _ = queue.popitem(last=False)
-            if len(lir) < self._lir_size:
+            stack.move_to_end(item)
+            prune()
+            continue
+        if item not in queue:
+            victims.append(queue.popitem(last=False)[0]
+                           if len(lir) + len(queue) >= capacity else None)
+            if len(lir) < lir_size:
                 # cold start: fill the LIR partition first
                 lir.add(item)
-                self._stack_push(item)
-                return False, evicted
-        if item in self._stack:
-            self._promote(item)
+                stack[item] = None
+                continue
+        if item in stack:
+            # an HIR block seen again while still on the stack becomes LIR
+            queue.pop(item, None)
+            lir.add(item)
+            stack.move_to_end(item)
+            if len(lir) > lir_size:
+                # during warm-up non-LIR entries can sit below the lowest LIR block
+                prune()
+                bottom, _ = stack.popitem(last=False)
+                lir.remove(bottom)
+                queue[bottom] = None
+                prune()
         else:
             # a newcomer, or a resident HIR block that aged off the stack:
             # to the top of the stack and the end of the queue
-            self._stack_push(item)
+            stack[item] = None
             queue.pop(item, None)
             queue[item] = None
-        return hit, evicted
+    return victims
 
 
-class _BeladyCache(_HeapCache):
-    """Belady's choice on one known trace, which must be accessed in order."""
+def _lru2_keys(trace: list[ServiceId]) -> list[int]:
+    """Oldest second-last access first; items seen once before all others,
+    oldest access first. History outlives eviction (no correlated-reference or
+    retention cutoff), so an item's second request gives it a finite backward-2
+    distance even after it was dropped in between."""
+    n = len(trace)
+    last: dict[ServiceId, int] = {}
+    keys = []
+    for i, item in enumerate(trace):
+        previous = last.get(item)
+        keys.append(i if previous is None else (n + previous) * n + i)
+        last[item] = i
+    return keys
 
-    def __init__(self, capacity: int, trace: list[ServiceId]):
-        super().__init__(capacity)
-        self._next_use: list[float] = [_NEVER] * len(trace)
-        later: dict[ServiceId, int] = {}
-        for i in range(len(trace) - 1, -1, -1):
-            self._next_use[i] = later.get(trace[i], _NEVER)
-            later[trace[i]] = i
 
-    def _touch(self, item):
-        return (-self._next_use[self._clock - 1], item)
+def _lfu_keys(trace: list[ServiceId]) -> list[int]:
+    """Perfect LFU: the fewest requests so far first, counts kept across
+    evictions; ties go to the least recent request."""
+    n = len(trace)
+    count: dict[ServiceId, int] = {}
+    keys = []
+    for i, item in enumerate(trace):
+        c = count[item] = count.get(item, 0) + 1
+        keys.append(c * n + i)
+    return keys
+
+
+def _belady_keys(trace: list[ServiceId]) -> list[int]:
+    """The farthest next use first. Items never used again go before any of
+    those, the smallest id first."""
+    n = len(trace)
+    keys = [0] * n
+    last: dict[ServiceId, int] = {}
+    for i, item in enumerate(trace):
+        previous = last.get(item)
+        if previous is not None:
+            keys[previous] = previous - i * n  # major: minus the next use
+        last[item] = i
+    never = -n - len(last)  # below minus any next use
+    for rank, item in enumerate(sorted(last)):
+        i = last[item]
+        keys[i] = (rank + never) * n + i
+    return keys
+
+
+def _smallest_key(trace: list[ServiceId], capacity: int,
+                  keys: list[int]) -> list[ServiceId | None]:
+    """Evict the resident whose latest request has the smallest key.
+
+    Request i's key is `major * n + i` for `n = len(trace)` and any integer
+    `major`, so keys are unique and the request, and with it the item, is
+    `trace[key % n]`. `current` maps each resident to its latest request's key;
+    the min-heap holds those keys and stale ones, and a popped key counts only
+    if it equals its item's entry in `current`. Rebuilt from `current` once it
+    outgrows twice the capacity, the heap stays O(C): a request costs amortised
+    O(log C).
+    """
+    n = len(trace)
+    current: dict[ServiceId, int] = {}
+    heap: list[int] = []
+    victims: list[ServiceId | None] = []
+    for item, key in zip(trace, keys):
+        if item not in current:
+            victim = None
+            if len(current) >= capacity:
+                while True:
+                    key_out = heappop(heap)
+                    victim = trace[key_out % n]
+                    if current.get(victim) == key_out:
+                        break
+                del current[victim]
+            victims.append(victim)
+        current[item] = key
+        if len(heap) > 2 * capacity:
+            # the rebuild reads `current`, so `item` must be in it already
+            heap = list(current.values())
+            heapify(heap)
+        else:
+            heappush(heap, key)
+    return victims
+
+
+_KEYS = {"LRU2": _lru2_keys, "LFU": _lfu_keys, "BELADY": _belady_keys}
+
+
+def _victims(trace: list[ServiceId], config: CacheConfig) -> list[ServiceId | None]:
+    """Each miss's evicted item in request order, None while the cache fills."""
+    if config.policy == "LRU":
+        return _lru(trace, config.capacity)
+    if config.policy == "LIRS":
+        return _lirs(trace, config.capacity)
+    return _smallest_key(trace, config.capacity, _KEYS[config.policy](trace))
 
 
 def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
@@ -247,19 +237,9 @@ def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
 
 
 def replay(trace: list[ServiceId], config: CacheConfig) -> CacheStats:
-    """Run a whole trace through one cache and return its statistics."""
-    if config.policy == "BELADY":
-        cache = _BeladyCache(config.capacity, trace)
-    else:
-        policy = {"LRU": LRUCache, "LRU2": LRU2Cache, "LFU": LFUCache,
-                  "LIRS": LIRSCache}[config.policy]
-        cache = policy(config.capacity)
-    access = cache.access
-    return _stats(trace, sum(not access(item)[0] for item in trace))
+    """Run a whole trace through one cache and return its statistics.
 
-
-def _stats(trace: list[ServiceId], misses: int) -> CacheStats:
-    """Every policy loads an item only on a miss, so an item's first request is
+    Every policy loads an item only on a miss, so an item's first request is
     its only cold miss: cold misses are the distinct items of the trace."""
+    misses = len(_victims(trace, config))
     return CacheStats(len(trace), len(trace) - misses, misses, len(set(trace)))
-

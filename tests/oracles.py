@@ -7,9 +7,11 @@ These are the straightforward versions the fast paths replaced:
   at a time;
 - the server relocation that ranked every node itself before it called
   `placement.one_center`;
-- for the heap-based caches, LRU-2, LFU and Belady replacement that scan
-  every resident on each miss;
-- for `LIRSCache`, LIRS written from its paper with plain lists;
+- for the cache replays, which evict by keys computed from the trace (LRU-2,
+  LFU and Belady, in one smallest-key heap loop) or by recency order (LRU,
+  in one `OrderedDict` loop), replacement that scans every resident on each
+  miss for its victim;
+- for the one-pass LIRS replay, LIRS written from its paper with plain lists;
 - for the Floyd–Warshall APSP, a heap-based Dijkstra run from every node;
 - for the bisection over cumulative weights, weighted sampling by a linear
   scan;
@@ -30,13 +32,15 @@ import heapq
 import numpy as np
 
 from cdnsim.assignment import optimize
-from cdnsim.cache import _HIR_FRACTION, _NEVER, CacheStats, _stats, replay
+from cdnsim.cache import _HIR_FRACTION, CacheStats, replay
 from cdnsim.errors import ValidationError
 from cdnsim.pareto import SolutionPoint, non_dominated
 from cdnsim.placement import _Eval, one_center
 from cdnsim.profiles import ServiceId
 from cdnsim.rng import derive_seed, make_rng
 from cdnsim.simulation import SimulationResult, generate_requests
+
+_NEVER = float("inf")
 
 
 def midranks_loop(values) -> np.ndarray:
@@ -185,7 +189,29 @@ class OnlineCache:
         return False, self._insert(item)
 
 
-class LRU2Cache(OnlineCache):
+class LRUScan(OnlineCache):
+    """LRU: evict the resident whose last access is oldest."""
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self._last: dict[ServiceId, int] = {}  # residents only
+
+    def _contains(self, item):
+        return item in self._last
+
+    def _on_hit(self, item):
+        self._last[item] = self._clock
+
+    def _insert(self, item):
+        evicted = None
+        if len(self._last) >= self.capacity:
+            evicted = min(self._last, key=self._last.__getitem__)
+            del self._last[evicted]
+        self._last[item] = self._clock
+        return evicted
+
+
+class LRU2Scan(OnlineCache):
     """LRU-2: evict the resident whose second-most-recent access is oldest.
 
     Residents referenced fewer than twice have infinite backward-2 distance
@@ -228,7 +254,7 @@ class LRU2Cache(OnlineCache):
         return evicted
 
 
-class LFUCache(OnlineCache):
+class LFUScan(OnlineCache):
     """Perfect LFU: frequency counters survive eviction; ties fall back to LRU."""
 
     def __init__(self, capacity: int):
@@ -344,11 +370,12 @@ def dijkstra_apsp(topo) -> np.ndarray:
     return matrix
 
 
-def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
+def belady_scan(trace: list[ServiceId], capacity: int) -> tuple[CacheStats, list]:
     """Offline optimum: evict the resident reused farthest in the future.
 
     Items never used again beat any finite horizon; remaining ties break by
-    the lexicographically smallest service id.
+    the lexicographically smallest service id. Returns the statistics and each
+    miss's victim, None while the cache fills.
     """
     if capacity < 1:
         raise ValidationError("cache capacity must be >= 1")
@@ -357,7 +384,8 @@ def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
         positions.setdefault(item, []).append(i)
     cursor = {item: 0 for item in positions}
 
-    misses = 0
+    victims = []
+    cold = 0
     resident: dict[ServiceId, float] = {}  # item -> next use position
     for item in trace:
         occurrences = positions[item]
@@ -366,12 +394,15 @@ def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
         if item in resident:
             resident[item] = next_use
             continue
-        misses += 1
+        cold += cursor[item] == 1
+        victim = None
         if len(resident) >= capacity:
             victim = min(resident, key=lambda x: (-resident[x], x))
             del resident[victim]
+        victims.append(victim)
         resident[item] = next_use
-    return _stats(trace, misses)
+    misses = len(victims)
+    return CacheStats(len(trace), len(trace) - misses, misses, cold), victims
 
 
 def weighted_sample_scan(rng, weights, k) -> list[int]:

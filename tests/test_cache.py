@@ -1,19 +1,22 @@
+import heapq
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cdnsim.cache
 from cdnsim import (
     CacheConfig,
     ValidationError,
     belady_misses,
     replay,
 )
-from cdnsim.cache import LFUCache, LIRSCache, LRU2Cache, LRUCache, POLICIES
+from cdnsim.cache import POLICIES, _victims
 
 import oracles
 
-# the online policies and their classes; LIRSCache holds a fixed tenth as HIR slots
-ONLINE = {"LRU": LRUCache, "LRU2": LRU2Cache, "LFU": LFUCache, "LIRS": LIRSCache}
+ONLINE = ("LRU", "LRU2", "LFU", "LIRS")  # LIRS holds a fixed tenth of C as HIR slots
 
 # traces over alphabets of 1..6 items
 small_traces = st.integers(1, 6).flatmap(
@@ -40,6 +43,49 @@ lirs_cases = st.integers(1, 32).flatmap(
                  min_size=4 * c, max_size=400),
         st.just(c)))
 
+_END = object()
+
+
+def accesses(trace: list, config: CacheConfig) -> list[tuple]:
+    """Each request's (hit, evicted item or None), rebuilt from the victims of
+    one replay.
+
+    Under demand paging a request hits if and only if its item is resident,
+    and a miss removes its victim and inserts the item. Each victim must be
+    resident, it is None exactly while the cache has a free slot, and every
+    victim must be consumed.
+    """
+    resident, results, victims = set(), [], iter(_victims(trace, config))
+    for item in trace:
+        if item in resident:
+            results.append((True, None))
+            continue
+        victim = next(victims, _END)
+        assert victim is not _END, "fewer victims than misses"
+        if victim is None:
+            assert len(resident) < config.capacity
+        else:
+            assert len(resident) == config.capacity and victim in resident
+            resident.remove(victim)
+        resident.add(item)
+        results.append((False, victim))
+    assert next(victims, _END) is _END, "more victims than misses"
+    return results
+
+
+@contextmanager
+def heap_sizes():
+    """Records the eviction heap's length after each push in `cdnsim.cache`."""
+    sizes = []
+
+    def push(heap, key):
+        heapq.heappush(heap, key)
+        sizes.append(len(heap))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cdnsim.cache, "heappush", push)
+        yield sizes
+
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float = 0.8) -> list[str]:
     rng = np.random.default_rng(seed)
@@ -52,75 +98,62 @@ def zipf_trace(seed: int, length: int, universe: int, alpha: float = 0.8) -> lis
 class TestLRU:
     def test_spec_trace(self):
         # a,b,c,a with C=2: c evicts a, then a evicts b
-        cache = LRUCache(2)
-        results = [cache.access(x) for x in "abca"]
+        results = accesses(list("abca"), CacheConfig(2, "LRU"))
         assert [hit for hit, _ in results] == [False, False, False, False]
         assert results[2] == (False, "a")
         assert results[3] == (False, "b")
 
     def test_hit_refreshes_recency(self):
-        cache = LRUCache(2)
-        for x in "aba":
-            cache.access(x)
-        assert cache.access("c") == (False, "b")  # a was refreshed, b is LRU
+        results = accesses(list("abac"), CacheConfig(2, "LRU"))
+        assert results[3] == (False, "b")  # a was refreshed, b is LRU
 
 
 class TestLFU:
     def test_spec_trace(self):
         # a,a,b,c,b with C=2: c evicts b (count 1 vs 2), then b evicts c
-        cache = LFUCache(2)
-        results = [cache.access(x) for x in "aabcb"]
+        results = accesses(list("aabcb"), CacheConfig(2, "LFU"))
         assert [hit for hit, _ in results] == [False, True, False, False, False]
         assert results[3] == (False, "b")
         assert results[4] == (False, "c")
         assert sum(not hit for hit, _ in results) == 4
 
     def test_counters_persist_after_eviction(self):
-        cache = LFUCache(2)
-        for x in "aabbc":  # at c: counts tie at 2, a is older -> evict a
-            cache.access(x)
+        # at c: counts tie at 2, a is older -> evict a
+        results = accesses(list("aabbcad"), CacheConfig(2, "LFU"))
         # a returns carrying lifetime count 3, so it displaces c (count 1)
-        assert cache.access("a") == (False, "c")
+        assert results[5] == (False, "c")
         # and with a's historical count intact, b is now the weakest
-        assert cache.access("d") == (False, "b")
+        assert results[6] == (False, "b")
 
 
 class TestLRU2:
     def test_once_accessed_items_preferred(self):
-        cache = LRU2Cache(2)
-        for x in "aba":
-            cache.access(x)
+        results = accesses(list("abac"), CacheConfig(2, "LRU2"))
         # a has 2 accesses, b only 1 -> evict b despite a being older
-        assert cache.access("c") == (False, "b")
+        assert results[3] == (False, "b")
 
     def test_oldest_penultimate_wins(self):
-        cache = LRU2Cache(2)
-        for x in "abab":
-            cache.access(x)
+        results = accesses(list("ababc"), CacheConfig(2, "LRU2"))
         # penultimate(a)=1, penultimate(b)=2 -> evict a
-        assert cache.access("c") == (False, "a")
+        assert results[4] == (False, "a")
 
     def test_history_survives_eviction(self):
-        cache = LRU2Cache(2)
-        for x in "abab":
-            cache.access(x)
-        cache.access("c")  # evicts a; c has 1 access
-        hit, evicted = cache.access("a")  # a re-enters with 2 lifetime accesses
-        assert hit is False and evicted == "c"
+        # c evicts a; c has 1 access, a re-enters with 2 lifetime accesses
+        results = accesses(list("ababca"), CacheConfig(2, "LRU2"))
+        assert results[4] == (False, "a")
+        assert results[5] == (False, "c")
 
 
 class TestLIRS:
     def test_residency_never_exceeds_capacity(self):
         for cap in (1, 2, 3, 5, 8):
-            cache, residents = LIRSCache(cap), 0
-            for x in zipf_trace(cap, 500, 20):
-                hit, evicted = cache.access(x)
+            residents = 0
+            for hit, evicted in accesses(zipf_trace(cap, 500, 20), CacheConfig(cap, "LIRS")):
                 residents += (not hit) - (evicted is not None)
                 assert residents <= cap
 
     def test_capacity_one(self):
-        cache = LIRSCache(1)
-        misses = sum(not cache.access(x)[0] for x in "ababab")
+        misses = replay(list("ababab"), CacheConfig(1, "LIRS")).misses
         assert misses == 6  # single slot thrashes on alternation
 
     def test_loop_pattern_beats_lru(self):
@@ -133,13 +166,12 @@ class TestLIRS:
         assert lirs.hits > 60
 
     def test_stack_promotion(self):
-        cache = LIRSCache(3)  # 1 HIR slot, 2 LIR slots
-        for x in "ab":
-            cache.access(x)  # warm-up: a, b become LIR
-        cache.access("c")  # resident HIR
-        cache.access("c")  # HIR hit while on the stack: promote, demote bottom LIR
-        # a is now the resident HIR; the next miss pushes it out of the queue
-        assert cache.access("d") == (False, "a")
+        # C=3: 1 HIR slot, 2 LIR slots. a, b become LIR in warm-up; c is the
+        # resident HIR, and its hit while on the stack promotes it and demotes
+        # the bottom LIR block, a, to the resident HIR, so d pushes a out
+        results = accesses(list("abccd"), CacheConfig(3, "LIRS"))
+        assert results[3] == (True, None)
+        assert results[4] == (False, "a")
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(case=lirs_cases)
@@ -147,9 +179,9 @@ class TestLIRS:
     @example(case=(zipf_trace(4, 3000, 60), 25))
     def test_matches_the_paper_access_for_access(self, case):
         trace, capacity = case
-        cache, reference = LIRSCache(capacity), oracles.LIRSReference(capacity)
-        for item in trace:
-            assert cache.access(item) == reference.access(item)
+        reference = oracles.LIRSReference(capacity)
+        assert accesses(trace, CacheConfig(capacity, "LIRS")) == [
+            reference.access(item) for item in trace]
 
 
 class TestBelady:
@@ -167,11 +199,15 @@ class TestBelady:
         # at d: a never reused, b reused later -> evict a
         stats = belady_misses(list("abdbd"), 2)
         assert stats.misses == 3
+        assert accesses(list("abdbd"), CacheConfig(2, "BELADY"))[2] == (False, "a")
 
     def test_tie_breaks_by_service_id(self):
-        # c arrives, neither a nor b reused: evict "a" (lexicographic)
+        # c arrives, a is never reused and b is: evict a
         stats = belady_misses(list("abcb"), 2)
         assert stats.misses == 3 and stats.hits == 1
+        # c arrives, neither b nor a reused: evict "a" (lexicographic), not the
+        # older b
+        assert accesses(list("bac"), CacheConfig(2, "BELADY"))[2] == (False, "a")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dominates_online_policies(self, seed):
@@ -183,11 +219,12 @@ class TestBelady:
 
 
 class TestHeapsAgainstScans:
-    """The heap-based LRU-2, LFU and Belady against the per-miss scans they replaced."""
+    """LRU and the heap loop of LRU-2, LFU and Belady against per-miss scans."""
 
-    @pytest.mark.parametrize("fast, scan", [(LRU2Cache, oracles.LRU2Cache),
-                                            (LFUCache, oracles.LFUCache)],
-                             ids=["LRU2", "LFU"])
+    @pytest.mark.parametrize("policy, scan", [("LRU", oracles.LRUScan),
+                                              ("LRU2", oracles.LRU2Scan),
+                                              ("LFU", oracles.LFUScan)],
+                             ids=["LRU", "LRU2", "LFU"])
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(case=traces_and_capacities)
     @example(case=(zipf_trace(3, 3000, 40), 1))
@@ -196,12 +233,15 @@ class TestHeapsAgainstScans:
     # hits outgrow the heap before the cache is full, so inserting b rebuilds
     # it, and b, the true victim at c, must be among the residents by then
     @example(case=(list("aaaaabc"), 2))
-    def test_online_access_for_access(self, fast, scan, case):
+    def test_online_access_for_access(self, policy, scan, case):
         trace, capacity = case
-        heap_cache, scan_cache = fast(capacity), scan(capacity)
-        for item in trace:
-            assert heap_cache.access(item) == scan_cache.access(item)
-            assert len(heap_cache._heap) <= 2 * capacity + 1
+        with heap_sizes() as sizes:
+            results = accesses(trace, CacheConfig(capacity, policy))
+        scan_cache = scan(capacity)
+        assert results == [scan_cache.access(item) for item in trace]
+        # every request of a heap policy pushes its key or rebuilds the heap
+        assert bool(sizes) == (policy != "LRU" and bool(trace))
+        assert max(sizes, default=0) <= 2 * capacity + 1
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(case=traces_and_capacities)
@@ -210,7 +250,11 @@ class TestHeapsAgainstScans:
     @example(case=(zipf_trace(5, 3000, 40), 25))
     def test_belady(self, case):
         trace, capacity = case
-        assert belady_misses(trace, capacity) == oracles.belady_misses(trace, capacity)
+        stats, victims = oracles.belady_scan(trace, capacity)
+        assert belady_misses(trace, capacity) == stats
+        with heap_sizes() as sizes:
+            assert _victims(trace, CacheConfig(capacity, "BELADY")) == victims
+        assert max(sizes, default=0) <= 2 * capacity + 1
 
 
 class TestReplayAndStats:
@@ -238,17 +282,15 @@ class TestReplayAndStats:
     @given(trace=small_traces)
     @example(trace=zipf_trace(11, 300, 20))
     def test_cold_misses_equal_distinct_items(self, policy, capacity, trace):
-        stats = replay(trace, CacheConfig(capacity, policy))
+        config = CacheConfig(capacity, policy)
+        stats = replay(trace, config)
         assert stats.cold_misses == len(set(trace))
         assert stats.requests == len(trace) == stats.hits + stats.misses
-        if policy == "BELADY":
-            return
-        # replay derives its statistics from the misses alone; count them, and
-        # the first-request misses, from the cache's own answers
-        cache = ONLINE[policy](capacity)
+        # replay derives its statistics from the number of victims alone;
+        # count the misses, and the first-request misses, from each request's
+        # (hit, evicted) as rebuilt from the victims
         seen, misses, cold = set(), 0, 0
-        for item in trace:
-            hit, _ = cache.access(item)
+        for item, (hit, _) in zip(trace, accesses(trace, config)):
             misses += not hit
             cold += not hit and item not in seen
             seen.add(item)
@@ -260,6 +302,15 @@ class TestReplayAndStats:
             CacheConfig(0, "LRU")
         with pytest.raises(ValidationError):
             CacheConfig(4, "FIFO")
+
+    # each was accepted once: nan and inf as an unbounded cache, nan with LIRS
+    # as a bare ValueError out of round(), 2.5 as is and True as capacity 1
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 2.5, True],
+                             ids=["nan", "inf", "2.5", "True"])
+    def test_capacity_must_be_an_int(self, capacity):
+        for policy in POLICIES:
+            with pytest.raises(ValidationError, match="capacity"):
+                CacheConfig(capacity, policy)
 
 
 @pytest.mark.parametrize("policy", ["LRU", "BELADY"])
