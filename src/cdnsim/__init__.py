@@ -1,7 +1,6 @@
 """Deterministic CDN mirror-server placement, assignment and cache simulation."""
 
 from .assignment import (
-    AssignmentObjective,
     greedy_correlation,
     optimize,
     relocate_servers,

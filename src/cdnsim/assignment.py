@@ -24,27 +24,17 @@ and it is exact, not approximate, so that ties in the ranks are reproducible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .placement import Assignment, Placement, _Eval, closest_assignment, dragoon, one_center
+from .placement import Assignment, Placement, closest_assignment, dragoon, one_center
 from .profiles import UserGroup, midranks_descending
 from .rng import left_sum
 from .topology import DistanceMatrix, NodeId, Topology
 
 OPTIMIZERS = ("distance", "correlation")
-
-
-@dataclass(frozen=True)
-class AssignmentObjective:
-    """Total rank correlation plus the distance metrics of the same assignment."""
-
-    total_corr: float
-    max_dist: float
-    avg_dist: float
 
 
 class BatchRecord(NamedTuple):
@@ -70,11 +60,12 @@ class _CorrEval:
         self.users = sorted(users, key=lambda u: u.node)
         self.servers = tuple(sorted(placement))
         self.server_index = {s: j for j, s in enumerate(self.servers)}
-        universe = self.users[0].profile.universe
         for u in self.users:
-            if u.profile.universe != universe:
+            if u.profile is None:
+                raise ValidationError(f"user {u.node!r} has no profile")
+            if u.profile.universe != self.users[0].profile.universe:
                 raise ValidationError(f"user {u.node!r} has a different universe")
-        n = len(universe)
+        n = len(self.users[0].profile.universe)
         if n < 2:
             raise ValidationError("need at least 2 services for rank correlation")
         self.denom = n * (n * n - 1)
@@ -83,7 +74,14 @@ class _CorrEval:
 
     def owners(self, assignment: Assignment) -> np.ndarray:
         """Server index of every user, in user-id order."""
-        return np.array([self.server_index[assignment[u.node]] for u in self.users])
+        owner = []
+        for u in self.users:
+            if u.node not in assignment:
+                raise ValidationError(f"user {u.node!r} missing from assignment")
+            if assignment[u.node] not in self.server_index:
+                raise ValidationError(f"user {u.node!r} assigned outside placement")
+            owner.append(self.server_index[assignment[u.node]])
+        return np.array(owner)
 
     def _sums(self, owner: np.ndarray) -> np.ndarray:
         sums = np.zeros((len(self.servers), self.P.shape[1]))
@@ -160,21 +158,17 @@ def total_correlation(users: list[UserGroup], assignment: Assignment) -> float:
 
 
 def greedy_correlation(
-    dm: DistanceMatrix,
     users: list[UserGroup],
     placement: Placement,
     initial: Assignment,
-) -> tuple[Assignment, AssignmentObjective, list[BatchRecord]]:
+) -> tuple[Assignment, float, list[BatchRecord]]:
     """Simultaneous-reassignment greedy for total profile correlation.
 
     Each round's proposals are applied as a batch; a batch that does not
     strictly raise the total correlation is reverted and the loop ends.
+    Returns the final assignment, its total correlation (the log's last
+    `total_corr_before`) and the log.
     """
-    for u in users:
-        if u.node not in initial:
-            raise ValidationError(f"user {u.node!r} missing from initial assignment")
-        if initial[u.node] not in placement:
-            raise ValidationError(f"user {u.node!r} assigned outside placement")
     ev = _CorrEval(users, placement)
     assignment = dict(initial)
     total = ev.total(assignment)
@@ -195,7 +189,7 @@ def greedy_correlation(
         if not accepted:
             break
         assignment, total = candidate, new_total
-    return assignment, AssignmentObjective(total, *_Eval(dm, users).assigned(assignment)), log
+    return assignment, total, log
 
 
 def relocate_servers(
@@ -254,6 +248,6 @@ def optimize(
     assignment = closest_assignment(dm, users, placement)
     log: list[BatchRecord] = []
     if optimizer == "correlation":
-        assignment, _, log = greedy_correlation(dm, users, placement, assignment)
+        assignment, _, log = greedy_correlation(users, placement, assignment)
         placement, assignment = relocate_servers(dm, users, placement, assignment)
     return placement, assignment, log

@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
+_EXIT_CODES = {InfeasibleError: EXIT_INFEASIBLE, ValidationError: EXIT_CONFIG, OSError: EXIT_IO}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,12 +308,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except InfeasibleError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

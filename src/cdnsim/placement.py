@@ -46,6 +46,8 @@ class _Eval:
     (max, mean) reduced in that order, so the order of `users` never matters."""
 
     def __init__(self, dm: DistanceMatrix, users: list[UserGroup]):
+        if not users:
+            raise ValidationError("no users")
         self.dm = dm
         self.users = sorted(users, key=lambda u: u.node)
         self.rows = np.array([dm.index(u.node) for u in self.users], dtype=int)
@@ -123,13 +125,12 @@ def farthest_first_init(dm: DistanceMatrix, users: list[UserGroup], k: int) -> P
     mark = one_center(dm, users)
     placed = np.zeros(len(ids), dtype=bool)
     # distance from every node to the current server set; start from the mark
-    cols = [dm.index(i) for i in ids]
-    dist_to_set = dm.matrix[cols, dm.index(mark)].copy()
+    dist_to_set = dm.matrix[:, dm.index(mark)].copy()
     for _ in range(k):
         # argmax takes the first maximum among the free nodes, i.e. the lowest id
         best_i = int(np.where(placed, -np.inf, dist_to_set).argmax())
         placed[best_i] = True
-        dist_to_set = np.minimum(dist_to_set, dm.matrix[cols, dm.index(ids[best_i])])
+        dist_to_set = np.minimum(dist_to_set, dm.matrix[:, best_i])
     return tuple(ids[i] for i in np.flatnonzero(placed))
 
 

@@ -27,10 +27,13 @@ class DistanceMatrix:
     matrix: np.ndarray
 
     def index(self, node: NodeId) -> int:
-        return self._index[node]
+        try:
+            return self._index[node]
+        except KeyError:
+            raise ValidationError(f"unknown node {node!r}") from None
 
     def get(self, a: NodeId, b: NodeId) -> float:
-        return float(self.matrix[self._index[a], self._index[b]])
+        return float(self.matrix[self.index(a), self.index(b)])
 
     def __post_init__(self):
         self.matrix.flags.writeable = False

@@ -209,7 +209,7 @@ def test_criterion_06_experiment2_direction():
                             requests_per_user=100)
 
         miss_dist = run(scenario(placement, a_dist)).miss_ratio
-        a_corr, _, _ = greedy_correlation(dm, users, placement, a_dist)
+        a_corr, _, _ = greedy_correlation(users, placement, a_dist)
         p_corr, a_corr = relocate_servers(dm, users, placement, a_corr)
         miss_corr = run(scenario(p_corr, a_corr)).miss_ratio
         ratios.append(miss_corr / miss_dist)
@@ -255,7 +255,7 @@ def test_criterion_07_greedy_termination_and_quality():
         topo, users, servers = _fuzz_instance(seed)
         dm = topo.distance_matrix()
         a0 = closest_assignment(dm, users, servers)
-        a, obj, log = greedy_correlation(dm, users, servers, a0)
+        a, total_corr, log = greedy_correlation(users, servers, a0)
         assert len(log) <= 100, f"instance {seed} ran {len(log)} iterations"
         for rec in log:
             if rec.accepted:
@@ -266,7 +266,7 @@ def test_criterion_07_greedy_termination_and_quality():
                 trial = {u.node: s for u, s in zip(users, combo)}
                 best = max(best, total_correlation(users, trial))
             exhaustive_cases += 1
-            if obj.total_corr >= best - 1e-9:
+            if total_corr >= best - 1e-9:
                 exhaustive_matches += 1
     ratio = exhaustive_matches / exhaustive_cases
     ok = ratio >= 0.80
@@ -387,7 +387,7 @@ def test_criterion_10_desk_scale_performance(tmp_path):
     dm = topo.distance_matrix()
     placement, _, _ = dragoon(dm, topo, users, 10)                     # place
     a0 = closest_assignment(dm, users, placement)
-    a1, _, _ = greedy_correlation(dm, users, placement, a0)            # assign
+    a1, _, _ = greedy_correlation(users, placement, a0)                # assign
     p1, a1 = relocate_servers(dm, users, placement, a1)
     scenario = Scenario(topology=topo, users=users, placement=p1, assignment=a1,
                         cache=CacheConfig(10, "LRU"), origin=ids[0],

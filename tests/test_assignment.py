@@ -11,11 +11,13 @@ from cdnsim import (
     ValidationError,
     closest_assignment,
     dragoon,
+    front_sweep,
     greedy_correlation,
     optimize,
     relocate_servers,
     spearman,
     total_correlation,
+    user_correlations,
 )
 from cdnsim.assignment import _CorrEval
 from cdnsim.rng import make_rng
@@ -72,16 +74,16 @@ class TestGreedyCorrelation:
         p = random_profile(1, UNIVERSE_ABC)
         users = [UserGroup(node=n, profile=p) for n in topo.node_ids]
         a0 = {"w": "w", "x": "w", "y": "z", "z": "z"}
-        a, obj, log = greedy_correlation(topo.distance_matrix(), users, ("w", "z"), a0)
+        a, total, log = greedy_correlation(users, ("w", "z"), a0)
         assert a == a0
         assert len(log) == 1 and log[0].moves_proposed == 0
+        assert total == log[-1].total_corr_before and not log[-1].accepted
 
     def test_two_clusters_converge_to_pure(self):
         # adversarial start: one cluster-1 user stranded with three others
         uni = tuple(f"s{i}" for i in range(4))
         c1 = Profile.from_dict({"s0": 0.6, "s1": 0.4}, uni)
         c2 = Profile.from_dict({"s2": 0.6, "s3": 0.4}, uni)
-        topo = path_topology(["w", "x", "y", "z"])
         users = [
             UserGroup(node="w", profile=c1),
             UserGroup(node="x", profile=c2),
@@ -89,10 +91,11 @@ class TestGreedyCorrelation:
             UserGroup(node="z", profile=c2),
         ]
         a0 = {"w": "w", "x": "w", "y": "w", "z": "z"}
-        a, obj, _ = greedy_correlation(topo.distance_matrix(), users, ("w", "z"), a0)
+        a, total, log = greedy_correlation(users, ("w", "z"), a0)
         assert a["w"] == a["y"] and a["x"] == a["z"] and a["w"] != a["x"]
         opt, _ = exhaustive_optimum(users, ("w", "z"))
-        assert obj.total_corr == pytest.approx(opt)
+        assert total == pytest.approx(opt)
+        assert total == log[-1].total_corr_before and not log[-1].accepted
 
     @pytest.mark.parametrize("seed", range(15))
     def test_accepted_iterations_strictly_increase(self, seed):
@@ -102,12 +105,14 @@ class TestGreedyCorrelation:
                  for i, n in enumerate(topo.node_ids)]
         servers = tuple(topo.node_ids[:2])
         a0 = closest_assignment(topo.distance_matrix(), users, servers)
-        _, _, log = greedy_correlation(topo.distance_matrix(), users, servers, a0)
+        _, total, log = greedy_correlation(users, servers, a0)
         for rec in log:
             if rec.accepted:
                 assert rec.total_corr_after > rec.total_corr_before
-        # at most the last record may be a rejected or empty round
+        # every record but the last is accepted; the last is a rejected or empty
+        # round, whose starting total is the returned one
         assert all(rec.accepted for rec in log[:-1])
+        assert total == log[-1].total_corr_before and not log[-1].accepted
 
     def test_deterministic(self):
         topo = random_connected_topology(3, 8)
@@ -116,14 +121,48 @@ class TestGreedyCorrelation:
                  for i, n in enumerate(topo.node_ids)]
         servers = tuple(topo.node_ids[:3])
         a0 = closest_assignment(topo.distance_matrix(), users, servers)
-        first = greedy_correlation(topo.distance_matrix(), users, servers, a0)
-        second = greedy_correlation(topo.distance_matrix(), users, servers, a0)
+        first = greedy_correlation(users, servers, a0)
+        second = greedy_correlation(users, servers, a0)
         assert first == second
 
-    def test_rejects_assignment_outside_placement(self, path3):
+    def test_rejects_assignment_outside_placement(self):
         users = [UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC))]
-        with pytest.raises(ValidationError):
-            greedy_correlation(path3.distance_matrix(), users, ("B",), {"A": "C"})
+        with pytest.raises(ValidationError, match="user 'A' assigned outside placement"):
+            greedy_correlation(users, ("B",), {"A": "C"})
+        with pytest.raises(ValidationError, match="user 'A' missing from"):
+            greedy_correlation(users, ("B",), {})
+
+
+def _correlation_calls(topo, users, assignment):
+    """Each public entry point that reads the users' profiles."""
+    servers = tuple(sorted(set(assignment.values())))
+    return {
+        "total_correlation": lambda: total_correlation(users, assignment),
+        "user_correlations": lambda: user_correlations(users, assignment),
+        "greedy_correlation": lambda: greedy_correlation(users, servers, assignment),
+        "optimize": lambda: optimize(topo, users, k=2, optimizer="correlation"),
+        "front_sweep": lambda: front_sweep(topo, users, 2, 4, 0),
+    }
+
+
+@pytest.mark.parametrize("name", ["total_correlation", "user_correlations",
+                                  "greedy_correlation", "optimize", "front_sweep"])
+def test_user_without_profile_is_rejected(name, path3):
+    users = [UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC)),
+             UserGroup(node="B"),
+             UserGroup(node="C", profile=random_profile(2, UNIVERSE_ABC))]
+    call = _correlation_calls(path3, users, {"A": "A", "B": "A", "C": "C"})[name]
+    with pytest.raises(ValidationError, match="user 'B' has no profile"):
+        call()
+
+
+@pytest.mark.parametrize("name", ["total_correlation", "user_correlations"])
+def test_user_missing_from_assignment_is_rejected(name, path3):
+    users = [UserGroup(node=n, profile=random_profile(i, UNIVERSE_ABC))
+             for i, n in enumerate(path3.node_ids)]
+    call = _correlation_calls(path3, users, {"A": "B", "B": "B"})[name]
+    with pytest.raises(ValidationError, match="user 'C' missing from assignment"):
+        call()
 
 
 @st.composite
@@ -257,7 +296,7 @@ class TestOptimize:
         placement, _, _ = dragoon(dm, topo, users, 3)
         closest = closest_assignment(dm, users, placement)
         assert optimize(topo, users, k=3) == (placement, closest, [])
-        greedy, _, log = greedy_correlation(dm, users, placement, closest)
+        greedy, _, log = greedy_correlation(users, placement, closest)
         expected = (*relocate_servers(dm, users, placement, greedy), log)
         # a given placement wins over k
         assert optimize(topo, users, k=1, placement=placement,

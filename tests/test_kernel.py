@@ -157,16 +157,16 @@ class TestAgainstPairwiseOracle:
     @EXACT
     @given(instances())
     def test_proposals_and_greedy_log(self, inst):
-        topo, users, placement, assignment = inst
+        _, users, placement, assignment = inst
         oracle = PairwiseCorr(users, placement)
         assert (_CorrEval(users, placement).proposals(assignment)
                 == oracle.proposals(assignment))
-        final, objective, log = greedy_correlation(topo.distance_matrix(), users,
-                                                   placement, assignment)
+        final, total, log = greedy_correlation(users, placement, assignment)
         expected_final, expected_log = oracle.greedy(assignment)
         assert [tuple(b) for b in log] == expected_log
         assert final == expected_final
-        assert objective.total_corr == oracle.total(final)
+        assert total == oracle.total(final) == log[-1].total_corr_before
+        assert not log[-1].accepted
 
 
 def test_ring_instance_matches_oracle():
@@ -181,8 +181,9 @@ def test_ring_instance_matches_oracle():
     ev = _CorrEval(users, placement)
     assert np.array_equal(ev.matrix(a0), oracle.matrix(a0))
     assert ev.proposals(a0) == oracle.proposals(a0)
-    final, objective, log = greedy_correlation(dm, users, placement, a0)
+    final, total, log = greedy_correlation(users, placement, a0)
     expected_final, expected_log = oracle.greedy(a0)
     assert [tuple(b) for b in log] == expected_log
     assert final == expected_final
-    assert objective.total_corr == total_correlation(users, final) == oracle.total(final)
+    assert total == total_correlation(users, final) == oracle.total(final)
+    assert total == log[-1].total_corr_before and not log[-1].accepted

@@ -8,6 +8,7 @@ from cdnsim import (
     Scenario,
     Topology,
     UserGroup,
+    ValidationError,
     ZipfModel,
     brute_force_placement,
     closest_assignment,
@@ -239,6 +240,42 @@ def test_dragoon_within_two_approx(seed):
         assert obj.max_dist <= 2 * opt.max_dist + 1e-12
 
 
+class TestDistanceInputErrors:
+    """Unknown nodes and empty user lists are input errors, not lookup failures."""
+
+    @pytest.mark.parametrize("name", ["optimize", "one_center", "closest_assignment"])
+    def test_unknown_server_node(self, name, path3):
+        dm, users = path3.distance_matrix(), uniform_users(path3)
+        call = {
+            "optimize": lambda: optimize(path3, users, placement=("Z",)),
+            "one_center": lambda: one_center(dm, users, candidates=("Z",)),
+            "closest_assignment": lambda: closest_assignment(dm, users, ("Z",)),
+        }[name]
+        with pytest.raises(ValidationError, match="unknown node 'Z'"):
+            call()
+
+    @pytest.mark.parametrize("name", ["optimize", "front_sweep"])
+    def test_user_outside_the_topology(self, name, path3):
+        users = uniform_users(path3) + [UserGroup(node="Q", profile=dummy_profile())]
+        call = {
+            "optimize": lambda: optimize(path3, users, k=1),
+            "front_sweep": lambda: front_sweep(path3, users, 1, 3, 0),
+        }[name]
+        with pytest.raises(ValidationError, match="unknown node 'Q'"):
+            call()
+
+    @pytest.mark.parametrize("name", ["optimize", "one_center", "run"])
+    def test_no_users(self, name, path3):
+        cache = CacheConfig(capacity=3, policy="LRU")
+        call = {
+            "optimize": lambda: optimize(path3, [], k=1),
+            "one_center": lambda: one_center(path3.distance_matrix(), []),
+            "run": lambda: run(Scenario(path3, [], ("A",), {}, cache, "A", 0)),
+        }[name]
+        with pytest.raises(ValidationError, match="no users"):
+            call()
+
+
 @st.composite
 def weighted_user_sets(draw):
     """(topology, users in id order, the same users shuffled, k, seed). Edge
@@ -259,7 +296,7 @@ def _order_free_calls(topo, k, placement, closest, seed):
     cache = CacheConfig(capacity=3, policy="LRU")
     return {
         "front_sweep": lambda users: front_sweep(topo, users, k, 6, seed),
-        "greedy_correlation": lambda users: greedy_correlation(dm, users, placement, closest),
+        "greedy_correlation": lambda users: greedy_correlation(users, placement, closest),
         "run": lambda users: run(Scenario(topo, users, placement, closest, cache,
                                           placement[0], seed)),
         "optimize": lambda users: optimize(topo, users, k=k, optimizer="correlation"),

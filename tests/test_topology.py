@@ -194,6 +194,13 @@ def test_apsp_path(path3):
     assert dm.get("A", "A") == 0.0
 
 
+def test_unknown_node_is_rejected(path3):
+    dm = path3.distance_matrix()
+    for lookup in (lambda: dm.index("Z"), lambda: dm.get("A", "Z"), lambda: dm.get("Z", "A")):
+        with pytest.raises(ValidationError, match="unknown node 'Z'"):
+            lookup()
+
+
 def test_apsp_shortcut_triangle():
     topo = Topology(
         [("A", 1.0), ("B", 1.0), ("C", 1.0)],
