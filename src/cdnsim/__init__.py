@@ -10,7 +10,6 @@ from .assignment import (
 from .cache import (
     CacheConfig,
     CacheStats,
-    belady_misses,
     replay,
 )
 from .errors import InfeasibleError, ValidationError
@@ -32,7 +31,6 @@ from .profiles import (
     generate_users,
     load_trace,
     make_universe,
-    spearman,
     zipf_pmf,
 )
 from .rng import derive_seed, make_rng

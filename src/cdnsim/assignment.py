@@ -6,6 +6,11 @@ applies all proposed reassignments at once. A batch only sticks if the total
 correlation strictly improves; otherwise it is rolled back and the search
 stops, which keeps the simultaneous update from oscillating.
 
+A coefficient is Spearman's rho = 1 - 6*sum(d^2) / (n(n^2-1)) on descending
+midranks over the full service universe, without a tie-correction term: on
+heavily tied profiles the tie-corrected (Pearson-of-midranks) variant
+disagrees with this form, which the optimization is calibrated against.
+
 Every coefficient in this module comes from one batched kernel (`_CorrEval`),
 and it is exact, not approximate, so that ties in the ranks are reproducible:
 

@@ -227,15 +227,6 @@ def _victims(trace: list[ServiceId], config: CacheConfig) -> list[ServiceId | No
     return _smallest_key(trace, config.capacity, _KEYS[config.policy](trace))
 
 
-def belady_misses(trace: list[ServiceId], capacity: int) -> CacheStats:
-    """Offline optimum: evict the resident reused farthest in the future.
-
-    Items never used again beat any finite horizon; remaining ties break by
-    the lexicographically smallest service id.
-    """
-    return replay(trace, CacheConfig(capacity, "BELADY"))
-
-
 def replay(trace: list[ServiceId], config: CacheConfig) -> CacheStats:
     """Run a whole trace through one cache and return its statistics.
 

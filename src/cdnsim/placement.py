@@ -77,6 +77,8 @@ def _reduce(weighted: np.ndarray) -> PlacementObjective:
 
 
 def _check_k(k: int, n: int):
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValidationError(f"k must be an int, got {k!r}")
     if not 1 <= k <= n:
         raise InfeasibleError(f"k={k} out of range 1..{n}")
 
@@ -85,6 +87,8 @@ def closest_assignment(
     dm: DistanceMatrix, users: list[UserGroup], placement: Placement
 ) -> Assignment:
     """Map each user to its nearest server; distance ties go to the lower id."""
+    if not users:
+        raise ValidationError("no users")
     if not placement:
         raise ValidationError("empty placement")
     servers = sorted(placement)

@@ -1,9 +1,6 @@
-"""Request profiles: Zipf generation, trace loading, aggregation and correlation.
+"""Request profiles: Zipf generation, trace loading and midranks.
 
-A profile is a probability distribution over a fixed service universe. Rank
-correlation between two profiles uses descending midranks over the full
-universe and the difference-of-ranks form rho = 1 - 6*sum(d^2) / (n(n^2-1)),
-deliberately without a tie-correction term (see spearman).
+A profile is a probability distribution over a fixed service universe.
 """
 
 from __future__ import annotations
@@ -220,20 +217,3 @@ def midranks_descending(values: np.ndarray) -> np.ndarray:
     np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=-1)
     return ranks
 
-
-def spearman(p: Profile, q: Profile) -> float:
-    """Rank correlation of two profiles over their shared universe.
-
-    Uses rho = 1 - 6*sum(d^2) / (n(n^2-1)) on descending midranks. No tie
-    correction is applied: with heavily tied profiles the tie-corrected
-    (Pearson-of-midranks) variant disagrees with this form, and this form is
-    the one the rest of the optimization is calibrated against.
-    """
-    if p.universe != q.universe:
-        raise ValidationError("profiles have different universes")
-    n = len(p.universe)
-    if n < 2:
-        raise ValidationError("need at least 2 services for rank correlation")
-    ranks = midranks_descending(np.stack([p.probs, q.probs]))
-    d = ranks[0] - ranks[1]
-    return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1)))

@@ -177,11 +177,11 @@ def experiment_sweep(
     results = []
     for value in values:
         if axis == "cache_size":
-            scenario = replace(base, cache=replace(base.cache, capacity=int(value)))
+            scenario = replace(base, cache=replace(base.cache, capacity=value))
         elif axis == "policy":
-            scenario = replace(base, cache=replace(base.cache, policy=str(value)))
+            scenario = replace(base, cache=replace(base.cache, policy=value))
         else:
-            placement, assignment, _ = optimize(base.topology, base.users, k=int(value),
+            placement, assignment, _ = optimize(base.topology, base.users, k=value,
                                                 optimizer=optimizer)
             scenario = replace(base, placement=placement, assignment=assignment)
         results.append((value, run(scenario, streams)))

@@ -62,12 +62,6 @@ def midranks_loop(values) -> np.ndarray:
     return ranks
 
 
-def spearman_loop(p: np.ndarray, q: np.ndarray) -> float:
-    n = len(p)
-    d = midranks_loop(p) - midranks_loop(q)
-    return float(1.0 - 6.0 * float(d @ d) / (n * (n * n - 1)))
-
-
 class PairwiseCorr:
     """One candidate correlation per call, server sums kept per server in a dict."""
 

@@ -20,7 +20,6 @@ from cdnsim import (
     Scenario,
     Topology,
     UserGroup,
-    belady_misses,
     brute_force_placement,
     closest_assignment,
     dominates,
@@ -32,8 +31,8 @@ from cdnsim import (
     relocate_servers,
     replay,
     run,
-    spearman,
     total_correlation,
+    user_correlations,
     zipf_pmf,
 )
 from cdnsim.pareto import SolutionPoint
@@ -55,13 +54,15 @@ def zipf_trace(seed: int, length: int, universe: int, alpha: float = 0.8) -> lis
 
 
 def test_criterion_01_spearman_anchor():
-    u1 = Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0})
-    u2 = Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7})
-    srv = Profile.from_dict({"A": 0.4, "B": 0.25, "C": 0.35})
-    rho1, rho2 = spearman(u1, srv), spearman(u2, srv)
+    # the paper's server profile (A 0.4, B 0.25, C 0.35) is the mean of u1 and u2
+    users = [UserGroup(node="u1", profile=Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0})),
+             UserGroup(node="u2", profile=Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7}))]
+    assignment = {"u1": "srv", "u2": "srv"}
+    rho = user_correlations(users, assignment)
+    rho1, rho2 = rho["u1"], rho["u2"]
     start = time.perf_counter()
     for _ in range(100):
-        spearman(u1, srv)
+        user_correlations(users, assignment)
     per_call = (time.perf_counter() - start) / 100
     ok = abs(rho1 - 0.125) <= 1e-9 and abs(rho2 - 0.5) <= 1e-9 and per_call < 1e-3
     report(1, ok, f"rho1={rho1} rho2={rho2} per_call={per_call * 1e6:.1f}us")
@@ -99,7 +100,7 @@ def test_criterion_03_belady_dominance():
     for seed in range(100):
         trace = zipf_trace(seed, 1000, 30)
         for capacity in (2, 5, 10):
-            optimal = belady_misses(trace, capacity)
+            optimal = replay(trace, CacheConfig(capacity, "BELADY"))
             for policy in ("LRU", "LRU2", "LFU", "LIRS"):
                 online = replay(trace, CacheConfig(capacity, policy))
                 checks += 1

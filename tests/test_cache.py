@@ -9,7 +9,6 @@ import cdnsim.cache
 from cdnsim import (
     CacheConfig,
     ValidationError,
-    belady_misses,
     replay,
 )
 from cdnsim.cache import POLICIES, _victims
@@ -186,24 +185,24 @@ class TestLIRS:
 
 class TestBelady:
     def test_spec_trace(self):
-        stats = belady_misses(list("abacb"), 2)
+        stats = replay(list("abacb"), CacheConfig(2, "BELADY"))
         assert stats.misses == 3
         assert stats.hits == 2
         assert stats.cold_misses == 3
 
     def test_single_repeated_item(self):
-        stats = belady_misses(["x"] * 50, 4)
+        stats = replay(["x"] * 50, CacheConfig(4, "BELADY"))
         assert stats.misses == 1
 
     def test_evicts_never_reused_first(self):
         # at d: a never reused, b reused later -> evict a
-        stats = belady_misses(list("abdbd"), 2)
+        stats = replay(list("abdbd"), CacheConfig(2, "BELADY"))
         assert stats.misses == 3
         assert accesses(list("abdbd"), CacheConfig(2, "BELADY"))[2] == (False, "a")
 
     def test_tie_breaks_by_service_id(self):
         # c arrives, a is never reused and b is: evict a
-        stats = belady_misses(list("abcb"), 2)
+        stats = replay(list("abcb"), CacheConfig(2, "BELADY"))
         assert stats.misses == 3 and stats.hits == 1
         # c arrives, neither b nor a reused: evict "a" (lexicographic), not the
         # older b
@@ -212,7 +211,7 @@ class TestBelady:
     @pytest.mark.parametrize("seed", range(10))
     def test_dominates_online_policies(self, seed):
         trace = zipf_trace(seed, 400, 25)
-        optimal = belady_misses(trace, 3)
+        optimal = replay(trace, CacheConfig(3, "BELADY"))
         for policy in ONLINE:
             online = replay(trace, CacheConfig(3, policy))
             assert optimal.misses <= online.misses, policy
@@ -251,7 +250,7 @@ class TestHeapsAgainstScans:
     def test_belady(self, case):
         trace, capacity = case
         stats, victims = oracles.belady_scan(trace, capacity)
-        assert belady_misses(trace, capacity) == stats
+        assert replay(trace, CacheConfig(capacity, "BELADY")) == stats
         with heap_sizes() as sizes:
             assert _victims(trace, CacheConfig(capacity, "BELADY")) == victims
         assert max(sizes, default=0) <= 2 * capacity + 1

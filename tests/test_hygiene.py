@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: only the stdlib `ast` module."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cdnsim"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+README = PACKAGE.parent.parent / "README.md"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -67,3 +69,24 @@ def test_every_public_function_has_a_caller():
     imported = {alias.asname or alias.name for node in ast.walk(acceptance)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert uncalled_functions({p.stem: p.read_text() for p in MODULES}, imported) == []
+
+
+def readme_library_example() -> str:
+    """The python block of README's "Library" section."""
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """The example names only API that exists, and runs on a small weighted graph."""
+    ids = [f"n{i:03d}" for i in range(12)]
+    pairs = [(ids[i], ids[i + 1]) for i in range(11)] + [(ids[0], ids[6]), (ids[3], ids[9])]
+    edges = "".join(f'<edge source="{a}" target="{b}"><data key="w">{1 + i % 4 * 0.5}</data>'
+                    "</edge>" for i, (a, b) in enumerate(pairs))
+    (tmp_path / "net.graphml").write_text(
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+        '<key id="w" for="edge" attr.name="LinkSpeed" attr.type="double"/>'
+        '<graph edgedefault="undirected">'
+        + "".join(f'<node id="{n}"/>' for n in ids) + edges + "</graph></graphml>")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(readme_library_example(), "README.md", "exec"), {})

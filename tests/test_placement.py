@@ -152,6 +152,19 @@ class TestFarthestFirst:
         with pytest.raises(InfeasibleError):
             farthest_first_init(path3.distance_matrix(), uniform_users(path3), 4)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    @pytest.mark.parametrize("name", ["optimize", "brute_force_placement"])
+    def test_k_must_be_an_int(self, name, k, path3):
+        # the rule CacheConfig applies to a capacity: an int, not a bool
+        users = uniform_users(path3)
+        call = {
+            "optimize": lambda: optimize(path3, users, k=k),
+            "brute_force_placement": lambda: brute_force_placement(path3.distance_matrix(),
+                                                                   users, k),
+        }[name]
+        with pytest.raises(ValidationError, match="k must be an int"):
+            call()
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(shuffled_instances())
     def test_matches_the_first_maximum_loop(self, instance):
@@ -264,11 +277,15 @@ class TestDistanceInputErrors:
         with pytest.raises(ValidationError, match="unknown node 'Q'"):
             call()
 
-    @pytest.mark.parametrize("name", ["optimize", "one_center", "run"])
+    @pytest.mark.parametrize("name", ["optimize", "optimize_placement", "closest_assignment",
+                                      "one_center", "run"])
     def test_no_users(self, name, path3):
         cache = CacheConfig(capacity=3, policy="LRU")
         call = {
             "optimize": lambda: optimize(path3, [], k=1),
+            "optimize_placement": lambda: optimize(path3, [], placement=("A",)),
+            "closest_assignment": lambda: closest_assignment(path3.distance_matrix(), [],
+                                                             ("A",)),
             "one_center": lambda: one_center(path3.distance_matrix(), []),
             "run": lambda: run(Scenario(path3, [], ("A",), {}, cache, "A", 0)),
         }[name]

@@ -10,7 +10,7 @@ from cdnsim import (
     generate_requests,
     load_trace,
     make_universe,
-    spearman,
+    user_correlations,
     zipf_pmf,
 )
 from conftest import random_profile
@@ -138,42 +138,58 @@ class TestLoadTrace:
             load_trace(b"node_id,service_id,count\n")
 
 
+def one_server(*profiles: Profile) -> dict[str, float]:
+    """user_correlations of users u0, u1, ... all assigned to one server."""
+    users = [UserGroup(node=f"u{i}", profile=p) for i, p in enumerate(profiles)]
+    return user_correlations(users, {u.node: "srv" for u in users})
+
+
 class TestSpearman:
+    """The assignment kernel's coefficient, through `user_correlations`."""
+
     def test_worked_example_user1(self):
+        # the paper's server profile (A 0.4, B 0.25, C 0.35) is the mean of u1 and u2
         u1 = Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
-        srv = Profile.from_dict({"A": 0.4, "B": 0.25, "C": 0.35}, UNIVERSE_ABC)
-        assert spearman(u1, srv) == pytest.approx(0.125, abs=1e-9)
+        u2 = Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
+        assert one_server(u1, u2)["u0"] == pytest.approx(0.125, abs=1e-9)
 
     def test_worked_example_user2(self):
+        u1 = Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
         u2 = Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
-        srv = Profile.from_dict({"A": 0.4, "B": 0.25, "C": 0.35}, UNIVERSE_ABC)
-        assert spearman(u2, srv) == pytest.approx(0.5, abs=1e-9)
+        assert one_server(u1, u2)["u1"] == pytest.approx(0.5, abs=1e-9)
 
     def test_self_correlation_distinct_probs(self):
+        # a sole member's server profile is its own profile
         p = Profile.from_dict({"A": 0.5, "B": 0.3, "C": 0.2}, UNIVERSE_ABC)
-        assert spearman(p, p) == 1.0
+        assert one_server(p) == {"u0": 1.0}
 
     def test_reversed_ranks(self):
+        # two descending members outweigh the ascending one: the server ranks
+        # the services exactly the other way round
         universe = make_universe(6)
         asc = np.arange(1, 7, dtype=float)
         p = Profile(universe, asc / asc.sum())
         q = Profile(universe, asc[::-1] / asc.sum())
-        assert spearman(p, q) == pytest.approx(-1.0)
+        assert one_server(p, q, q)["u0"] == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetry(self, seed):
+        # a server's profile does not depend on which member holds which
+        # profile: swapping two members' profiles swaps their coefficients
         universe = make_universe(12)
         p, q = random_profile(seed, universe), random_profile(seed + 100, universe)
-        assert spearman(p, q) == spearman(q, p)
+        pq, qp = one_server(p, q), one_server(q, p)
+        assert (pq["u0"], pq["u1"]) == (qp["u1"], qp["u0"])
 
     def test_errors(self):
         p = random_profile(0, make_universe(4))
         q = random_profile(0, make_universe(5))
-        with pytest.raises(ValidationError):
-            spearman(p, q)
+        with pytest.raises(ValidationError, match="user 'u1' has a different universe"):
+            one_server(p, q)
         single = Profile.from_dict({"A": 1.0}, ("A",))
-        with pytest.raises(ValidationError):
-            spearman(single, single)
+        with pytest.raises(ValidationError,
+                           match="need at least 2 services for rank correlation"):
+            one_server(single, single)
 
 
 def test_sampled_frequencies_match_pmf_within_3_sigma():

@@ -277,6 +277,12 @@ class TestExperimentSweep:
         experiment_sweep(s, axis, values)
         assert sorted(calls) == sorted(u.node for u in s.users)
 
+    @pytest.mark.parametrize("axis, value", [("cache_size", 2.5), ("cache_size", True),
+                                             ("server_count", 1.5), ("server_count", True)])
+    def test_values_are_checked_not_coerced(self, axis, value):
+        with pytest.raises(ValidationError, match="must be an int"):
+            experiment_sweep(small_scenario(), axis, [value])
+
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
             experiment_sweep(small_scenario(), "cache_size", [])
