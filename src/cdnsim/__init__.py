@@ -4,7 +4,6 @@ from .assignment import (
     greedy_correlation,
     optimize,
     relocate_servers,
-    total_correlation,
     user_correlations,
 )
 from .cache import (
@@ -13,11 +12,10 @@ from .cache import (
     replay,
 )
 from .errors import InfeasibleError, ValidationError
-from .pareto import ParetoFront, SolutionPoint, dominates, front_sweep, non_dominated
+from .pareto import ParetoFront, SolutionPoint, front_sweep, non_dominated
 from .placement import (
     Placement,
     PlacementObjective,
-    brute_force_placement,
     closest_assignment,
     dragoon,
     farthest_first_init,

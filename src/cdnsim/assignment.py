@@ -151,15 +151,10 @@ def user_correlations(users: list[UserGroup], assignment: Assignment) -> dict[No
     """Each user's correlation with its own server's profile, in user-id order.
 
     These are the coefficients the greedy optimizes; their sum in this order
-    is total_correlation.
+    (`rng.left_sum`) is its total correlation.
     """
     ev = _CorrEval(users, tuple(set(assignment.values())))
     return dict(zip((u.node for u in ev.users), ev.own(assignment).tolist()))
-
-
-def total_correlation(users: list[UserGroup], assignment: Assignment) -> float:
-    """Sum over users of the correlation with their own server profile."""
-    return _CorrEval(users, tuple(set(assignment.values()))).total(assignment)
 
 
 def greedy_correlation(

@@ -33,13 +33,6 @@ class SolutionPoint:
 ParetoFront = list[SolutionPoint]
 
 
-def dominates(a: SolutionPoint, b: SolutionPoint) -> bool:
-    """a is at least as good in both objectives and strictly better in one."""
-    if a.avg_dist > b.avg_dist or a.total_corr < b.total_corr:
-        return False
-    return a.avg_dist < b.avg_dist or a.total_corr > b.total_corr
-
-
 def non_dominated(points: list[SolutionPoint]) -> ParetoFront:
     """Maximal non-dominated subset, deduplicated, ascending by avg_dist.
 
@@ -81,6 +74,8 @@ def front_sweep(
     randomly chosen improving reassignment per step, drawn from the greedy
     proposal set under the walk seed derived from `master_seed`.
     """
+    if not isinstance(steps, int) or isinstance(steps, bool):
+        raise ValidationError(f"steps must be an int, got {steps!r}")
     if steps < 2:
         raise ValidationError("steps must be at least 2")
     place0, a0, _ = optimize(topo, users, k=k)

@@ -1,4 +1,4 @@
-"""Server placement: priority-weighted k-center heuristics and exact baseline.
+"""Server placement: priority-weighted k-center heuristics.
 
 The placement objective is lexicographic: first minimize the maximum of
 priority * distance(user, closest server), then the average. Every algorithm
@@ -8,7 +8,6 @@ breaks ties by node id, so identical inputs always give identical placements.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +18,6 @@ from .topology import DistanceMatrix, NodeId, Topology
 
 Placement = tuple[NodeId, ...]
 Assignment = dict[NodeId, NodeId]  # user node -> server node
-
-BRUTE_FORCE_LIMIT = 10_000_000
 
 
 class PlacementObjective(NamedTuple):
@@ -175,21 +172,3 @@ def dragoon(
         if not moved:
             break
     return tuple(sorted(placement)), current, log
-
-
-def brute_force_placement(
-    dm: DistanceMatrix, users: list[UserGroup], k: int
-) -> tuple[Placement, PlacementObjective]:
-    """Exact optimum by enumerating every k-subset of nodes (desk scale only)."""
-    ids = dm.ids
-    n = len(ids)
-    _check_k(k, n)
-    if math.comb(n, k) > BRUTE_FORCE_LIMIT:
-        raise InfeasibleError(f"C({n},{k}) exceeds enumeration guard")
-    ev = _Eval(dm, users)
-    best: tuple[PlacementObjective, Placement] | None = None
-    for combo in combinations(ids, k):  # lexicographic, so ties resolve by id
-        obj = ev.objective(combo)
-        if best is None or obj < best[0]:
-            best = (obj, combo)
-    return best[1], best[0]

@@ -41,7 +41,10 @@ class Scenario:
 
     def validate(self) -> "Scenario":
         topo = self.topology
-        if self.requests_per_user < 100:
+        count = self.requests_per_user
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ValidationError(f"requests_per_user must be an int, got {count!r}")
+        if count < 100:
             raise ValidationError("requests_per_user must be at least 100")
         if self.origin not in topo:
             raise ValidationError(f"origin {self.origin!r} not in topology")
@@ -56,8 +59,6 @@ class Scenario:
         for u in self.users:
             if u.node not in topo:
                 raise ValidationError(f"user {u.node!r} not in topology")
-            if u.profile is None:
-                raise ValidationError(f"user {u.node!r} has no profile")
         if set(self.assignment) != nodes:
             raise ValidationError("assignment does not cover exactly the user set")
         for user_node, server in self.assignment.items():

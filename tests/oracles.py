@@ -23,24 +23,65 @@ These are the straightforward versions the fast paths replaced:
 - for the closest-server `argmin` over the user x server submatrix and the
   masked `argmax` of the farthest-first start, the per-user and per-node
   loops they replaced.
+
+The baselines the acceptance criteria measure against live here too: the
+exact placement by enumeration, the pairwise dominance test that the
+sort-and-scan `non_dominated` replaces, and the total correlation of an
+arbitrary assignment for the exhaustive assignment optimum.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from itertools import combinations
 
 import numpy as np
 
-from cdnsim.assignment import optimize
+from cdnsim.assignment import optimize, user_correlations
 from cdnsim.cache import _HIR_FRACTION, CacheStats, replay
-from cdnsim.errors import ValidationError
+from cdnsim.errors import InfeasibleError, ValidationError
 from cdnsim.pareto import SolutionPoint, non_dominated
-from cdnsim.placement import _Eval, one_center
-from cdnsim.profiles import ServiceId
-from cdnsim.rng import derive_seed, make_rng
+from cdnsim.placement import Placement, PlacementObjective, _check_k, _Eval, one_center
+from cdnsim.profiles import ServiceId, UserGroup
+from cdnsim.rng import derive_seed, left_sum, make_rng
 from cdnsim.simulation import SimulationResult, generate_requests
+from cdnsim.topology import DistanceMatrix
 
 _NEVER = float("inf")
+
+BRUTE_FORCE_LIMIT = 10_000_000
+
+
+def total_correlation(users, assignment) -> float:
+    """The coefficients of `user_correlations`, summed in user-id order: bit for
+    bit the total the greedy optimizes."""
+    return left_sum(user_correlations(users, assignment).values())
+
+
+def dominates(a: SolutionPoint, b: SolutionPoint) -> bool:
+    """a is at least as good in both objectives and strictly better in one."""
+    if a.avg_dist > b.avg_dist or a.total_corr < b.total_corr:
+        return False
+    return a.avg_dist < b.avg_dist or a.total_corr > b.total_corr
+
+
+def brute_force_placement(
+    dm: DistanceMatrix, users: list[UserGroup], k: int
+) -> tuple[Placement, PlacementObjective]:
+    """Exact optimum by enumerating every k-subset of nodes (desk scale only)."""
+    ids = dm.ids
+    n = len(ids)
+    _check_k(k, n)
+    if math.comb(n, k) > BRUTE_FORCE_LIMIT:
+        raise InfeasibleError(f"C({n},{k}) exceeds enumeration guard")
+    ev = _Eval(dm, users)
+    best: tuple[PlacementObjective, Placement] | None = None
+    for combo in combinations(ids, k):  # lexicographic, so ties resolve by id
+        obj = ev.objective(combo)
+        if best is None or obj < best[0]:
+            best = (obj, combo)
+    return best[1], best[0]
 
 
 def midranks_loop(values) -> np.ndarray:

@@ -20,9 +20,7 @@ from cdnsim import (
     Scenario,
     Topology,
     UserGroup,
-    brute_force_placement,
     closest_assignment,
-    dominates,
     dragoon,
     front_sweep,
     greedy_correlation,
@@ -31,13 +29,13 @@ from cdnsim import (
     relocate_servers,
     replay,
     run,
-    total_correlation,
     user_correlations,
     zipf_pmf,
 )
 from cdnsim.pareto import SolutionPoint
 from cdnsim.rng import derive_seed, make_rng, shuffled, weighted_sample_without_replacement
 from conftest import random_connected_topology, random_profile, ring_topology
+from oracles import brute_force_placement, dominates, total_correlation
 
 
 def report(criterion: int, ok: bool, detail: str = ""):

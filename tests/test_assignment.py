@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
+    CacheConfig,
     Profile,
+    Scenario,
     Topology,
     UserGroup,
     ValidationError,
     closest_assignment,
     dragoon,
+    experiment_sweep,
     front_sweep,
     greedy_correlation,
     optimize,
     relocate_servers,
-    total_correlation,
+    run,
     user_correlations,
 )
 from cdnsim.assignment import _CorrEval
 from cdnsim.rng import make_rng
 from conftest import path_topology, random_connected_topology, random_profile
-from oracles import relocate_servers_ranking
+from oracles import relocate_servers_ranking, total_correlation
 
 UNIVERSE_ABC = ("A", "B", "C")
 
@@ -132,34 +135,39 @@ class TestGreedyCorrelation:
             greedy_correlation(users, ("B",), {})
 
 
-def _correlation_calls(topo, users, assignment):
+def _profile_calls(topo, users, assignment):
     """Each public entry point that reads the users' profiles."""
     servers = tuple(sorted(set(assignment.values())))
+    scenario = Scenario(topology=topo, users=users, placement=servers, assignment=assignment,
+                        cache=CacheConfig(2), origin=servers[0], master_seed=0)
     return {
-        "total_correlation": lambda: total_correlation(users, assignment),
         "user_correlations": lambda: user_correlations(users, assignment),
         "greedy_correlation": lambda: greedy_correlation(users, servers, assignment),
         "optimize": lambda: optimize(topo, users, k=2, optimizer="correlation"),
         "front_sweep": lambda: front_sweep(topo, users, 2, 4, 0),
+        "run": lambda: run(scenario),
+        "cache_size_sweep": lambda: experiment_sweep(scenario, "cache_size", [2, 3]),
+        "server_count_sweep": lambda: experiment_sweep(scenario, "server_count", [2]),
     }
 
 
-@pytest.mark.parametrize("name", ["total_correlation", "user_correlations",
-                                  "greedy_correlation", "optimize", "front_sweep"])
+@pytest.mark.parametrize("name", ["user_correlations", "greedy_correlation", "optimize",
+                                  "front_sweep", "run", "cache_size_sweep",
+                                  "server_count_sweep"])
 def test_user_without_profile_is_rejected(name, path3):
     users = [UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC)),
              UserGroup(node="B"),
              UserGroup(node="C", profile=random_profile(2, UNIVERSE_ABC))]
-    call = _correlation_calls(path3, users, {"A": "A", "B": "A", "C": "C"})[name]
+    call = _profile_calls(path3, users, {"A": "A", "B": "A", "C": "C"})[name]
     with pytest.raises(ValidationError, match="user 'B' has no profile"):
         call()
 
 
-@pytest.mark.parametrize("name", ["total_correlation", "user_correlations"])
+@pytest.mark.parametrize("name", ["user_correlations"])
 def test_user_missing_from_assignment_is_rejected(name, path3):
     users = [UserGroup(node=n, profile=random_profile(i, UNIVERSE_ABC))
              for i, n in enumerate(path3.node_ids)]
-    call = _correlation_calls(path3, users, {"A": "B", "B": "B"})[name]
+    call = _profile_calls(path3, users, {"A": "B", "B": "B"})[name]
     with pytest.raises(ValidationError, match="user 'C' missing from assignment"):
         call()
 

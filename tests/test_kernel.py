@@ -17,7 +17,6 @@ from cdnsim import (
     generate_users,
     greedy_correlation,
     make_universe,
-    total_correlation,
     user_correlations,
     zipf_pmf,
 )
@@ -25,7 +24,7 @@ from cdnsim.assignment import _CorrEval
 from cdnsim.profiles import midranks_descending
 from cdnsim.rng import derive_seed, make_rng
 from conftest import random_connected_topology, ring_topology
-from oracles import PairwiseCorr, midranks_loop
+from oracles import PairwiseCorr, midranks_loop, total_correlation
 
 EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -141,7 +140,7 @@ class TestAgainstPairwiseOracle:
     @given(instances())
     def test_columns_do_not_depend_on_the_other_servers(self, inst):
         # an evaluator over the occupied servers plus one more gives that
-        # server's column of the full matrix: total_correlation, which holds
+        # server's column of the full matrix: user_correlations, which holds
         # only the occupied servers, relies on the others changing nothing
         _, users, placement, assignment = inst
         expected = PairwiseCorr(users, placement).matrix(assignment)

@@ -12,18 +12,16 @@ from cdnsim import (
     ValidationError,
     ZipfModel,
     closest_assignment,
-    dominates,
     front_sweep,
     generate_users,
     non_dominated,
     run,
-    total_correlation,
 )
 from cdnsim.pareto import SolutionPoint
 from cdnsim.placement import dragoon
 from cdnsim.rng import derive_seed, make_rng
 from conftest import desk_topology, path_topology, random_connected_topology, random_profile
-from oracles import front_sweep_pairwise
+from oracles import brute_force_placement, dominates, front_sweep_pairwise, total_correlation
 
 
 def point(avg_dist, total_corr, step=0):
@@ -167,8 +165,6 @@ class TestFrontSweep:
         dm = topo.distance_matrix()
 
         # distance endpoint: dragoon meets the exact k-center optimum here
-        from cdnsim import brute_force_placement
-
         place0, obj0, _ = dragoon(dm, topo, users, 2)
         _, bf_obj = brute_force_placement(dm, users, 2)
         assert obj0 == bf_obj
@@ -184,6 +180,12 @@ class TestFrontSweep:
     def test_steps_below_two_rejected(self):
         with pytest.raises(ValidationError):
             front_sweep(*walk_instance(6), 2, 1, 6)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True])
+    def test_steps_must_be_an_int(self, steps):
+        # the rule CacheConfig applies to a capacity: an int, not a bool
+        with pytest.raises(ValidationError, match="steps must be an int"):
+            front_sweep(*walk_instance(6), 2, steps, 6)
 
     def test_simulate_attaches_results(self):
         # front points are plain plans: each one replays through the public run()

@@ -10,7 +10,6 @@ from cdnsim import (
     UserGroup,
     ValidationError,
     ZipfModel,
-    brute_force_placement,
     closest_assignment,
     dragoon,
     farthest_first_init,
@@ -159,8 +158,8 @@ class TestFarthestFirst:
         users = uniform_users(path3)
         call = {
             "optimize": lambda: optimize(path3, users, k=k),
-            "brute_force_placement": lambda: brute_force_placement(path3.distance_matrix(),
-                                                                   users, k),
+            "brute_force_placement": lambda: oracles.brute_force_placement(
+                path3.distance_matrix(), users, k),
         }[name]
         with pytest.raises(ValidationError, match="k must be an int"):
             call()
@@ -187,7 +186,7 @@ class TestDragoon:
         dm = path5.distance_matrix()
         users = uniform_users(path5)
         placement, obj, _ = dragoon(dm, path5, users, 2)
-        _, opt = brute_force_placement(dm, users, 2)
+        _, opt = oracles.brute_force_placement(dm, users, 2)
         assert opt.max_dist == 1.0
         assert obj.max_dist == 1.0
 
@@ -220,7 +219,7 @@ class TestDragoon:
 
 class TestBruteForce:
     def test_path3(self, path3):
-        placement, obj = brute_force_placement(
+        placement, obj = oracles.brute_force_placement(
             path3.distance_matrix(), uniform_users(path3), 1
         )
         assert placement == ("B",)
@@ -228,7 +227,7 @@ class TestBruteForce:
 
     def test_star_center(self):
         topo = star_topology("m", ["a", "b", "c", "d"])
-        placement, obj = brute_force_placement(
+        placement, obj = oracles.brute_force_placement(
             topo.distance_matrix(), uniform_users(topo), 1
         )
         assert placement == ("m",)
@@ -237,7 +236,7 @@ class TestBruteForce:
     def test_guard_rejects_huge_instance(self):
         topo = random_connected_topology(0, 60)
         with pytest.raises(InfeasibleError, match="guard"):
-            brute_force_placement(topo.distance_matrix(), uniform_users(topo), 10)
+            oracles.brute_force_placement(topo.distance_matrix(), uniform_users(topo), 10)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -249,7 +248,7 @@ def test_dragoon_within_two_approx(seed):
         if k > len(topo.node_ids):
             continue
         _, obj, _ = dragoon(dm, topo, users, k)
-        _, opt = brute_force_placement(dm, users, k)
+        _, opt = oracles.brute_force_placement(dm, users, k)
         assert obj.max_dist <= 2 * opt.max_dist + 1e-12
 
 

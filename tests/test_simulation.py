@@ -220,6 +220,11 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match="at least 100"):
             s.validate()
 
+    @pytest.mark.parametrize("count", [150.0, True])
+    def test_requests_per_user_must_be_an_int(self, count):
+        with pytest.raises(ValidationError, match="requests_per_user must be an int"):
+            run(replace(small_scenario(), requests_per_user=count))
+
     def test_unknown_origin(self):
         s = small_scenario()
         s.origin = "nope"
