@@ -135,7 +135,8 @@ class _CorrEval:
 
     def proposals(self, assignment: Assignment) -> list[tuple[NodeId, NodeId]]:
         """(user, server) for each user whose best coefficient is positive and
-        strictly above its current one; ties go to the lower server id."""
+        strictly above its current one; ties go to the lower server id. Moves
+        come in order of falling gain, equal gains in user-id order."""
         rho = self.matrix(assignment)
         rows = np.arange(len(self.users))
         current = rho[rows, self.owners(assignment)]
@@ -143,8 +144,9 @@ class _CorrEval:
         better = (rho > 0) & (rho > current[:, None])
         # argmax takes the first maximum, i.e. the lowest server id
         best = np.where(better, rho, -np.inf).argmax(axis=1)
-        return [(u.node, self.servers[j])
-                for u, j, ok in zip(self.users, best, better.any(axis=1)) if ok]
+        movers = np.flatnonzero(better.any(axis=1))  # in user-id order
+        movers = movers[np.argsort(current[movers] - rho[movers, best[movers]], kind="stable")]
+        return [(self.users[i].node, self.servers[best[i]]) for i in movers]
 
 
 def user_correlations(users: list[UserGroup], assignment: Assignment) -> dict[NodeId, float]:

@@ -280,7 +280,7 @@ def cmd_simulate(args) -> int:
 def cmd_pareto(args) -> int:
     topo = _load_topology(args)
     users = _load_users(args, topo)
-    front = front_sweep(topo, users, args.k, args.steps, args.seed)
+    front = front_sweep(topo, users, args.k, args.steps)
     out = _outdir(args)
     _write_csv(
         out / "pareto.csv",

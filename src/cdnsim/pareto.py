@@ -1,9 +1,9 @@
 """Distance-correlation trade-off front between the two optimization extremes.
 
 The walk starts at the distance-optimal solution (dragoon placement, closest
-assignment) and moves toward the correlation optimum one seeded random
-reassignment at a time, recording every state; the non-dominated filter keeps
-the trade-off frontier. Distance is minimized, correlation is maximized.
+assignment) and moves toward the correlation optimum one steepest reassignment
+at a time, recording every state; the non-dominated filter keeps the trade-off
+frontier. Distance is minimized, correlation is maximized.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .assignment import _CorrEval, optimize
 from .errors import ValidationError
 from .placement import Assignment, Placement, _Eval
 from .profiles import UserGroup
-from .rng import derive_seed, make_rng
 from .topology import Topology
 
 
@@ -63,16 +62,13 @@ def _point(
     )
 
 
-def front_sweep(
-    topo: Topology, users: list[UserGroup], k: int, steps: int, master_seed: int
-) -> ParetoFront:
-    """Pareto front from a seeded walk between the two single-objective optima.
+def front_sweep(topo: Topology, users: list[UserGroup], k: int, steps: int) -> ParetoFront:
+    """Pareto front from a steepest walk between the two single-objective optima.
 
     Point 0 is optimize's "distance" solution (dragoon placement, closest
     assignment); the final point is its "correlation" solution on the same
     placement (greedy fixpoint, relocated servers). Interior points apply one
-    randomly chosen improving reassignment per step, drawn from the greedy
-    proposal set under the walk seed derived from `master_seed`.
+    reassignment per step: the greedy proposal with the largest gain.
     """
     if not isinstance(steps, int) or isinstance(steps, bool):
         raise ValidationError(f"steps must be an int, got {steps!r}")
@@ -82,14 +78,12 @@ def front_sweep(
     dist = _Eval(topo.distance_matrix(), users)
     ev = _CorrEval(users, place0)
     recorded = [_point(dist, place0, a0, ev.total(a0), step=0)]
-
-    rng = make_rng(derive_seed(master_seed, "pareto-walk"))
     assignment = dict(a0)
     for step in range(1, steps - 1):
         proposals = ev.proposals(assignment)
         if not proposals:
             break
-        user_node, server = proposals[int(rng.integers(len(proposals)))]
+        user_node, server = proposals[0]
         assignment[user_node] = server
         recorded.append(_point(dist, place0, assignment, ev.total(assignment), step))
 

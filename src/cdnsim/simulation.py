@@ -88,6 +88,8 @@ def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[Ser
     """
     if user.profile is None:
         raise ValidationError(f"user {user.node!r} has no profile")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValidationError(f"count must be a non-negative int, got {count!r}")
     rng = make_rng(derive_seed(master_seed, "requests", user.node))
     cdf = np.cumsum(user.profile.probs)
     draws = rng.random(count)

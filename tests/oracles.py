@@ -44,7 +44,7 @@ from cdnsim.errors import InfeasibleError, ValidationError
 from cdnsim.pareto import SolutionPoint, non_dominated
 from cdnsim.placement import Placement, PlacementObjective, _check_k, _Eval, one_center
 from cdnsim.profiles import ServiceId, UserGroup
-from cdnsim.rng import derive_seed, left_sum, make_rng
+from cdnsim.rng import left_sum
 from cdnsim.simulation import SimulationResult, generate_requests
 from cdnsim.topology import DistanceMatrix
 
@@ -156,8 +156,9 @@ class PairwiseCorr:
                 if best is None or rho > best[0]:
                     best = (rho, s)
             if best is not None:
-                proposals.append((u.node, best[1]))
-        return proposals
+                proposals.append((current - best[0], u.node, best[1]))
+        # falling gain, equal gains in user-id order
+        return [(node, server) for _, node, server in sorted(proposals)]
 
     def greedy(self, initial) -> tuple[dict, list[tuple]]:
         """The simultaneous-reassignment greedy; log rows match BatchRecord fields."""
@@ -493,9 +494,9 @@ def run_per_request(scenario) -> SimulationResult:
                             network_load=network_load)
 
 
-def front_sweep_pairwise(topo, users, k: int, steps: int, master_seed: int):
+def front_sweep_pairwise(topo, users, k: int, steps: int):
     """`pareto.front_sweep` with a fresh PairwiseCorr for every proposal set
-    and every recorded point's total."""
+    and every recorded point's total; each step takes the first proposal."""
     dist = _Eval(topo.distance_matrix(), users)
 
     def point(placement, assignment, step):
@@ -508,13 +509,12 @@ def front_sweep_pairwise(topo, users, k: int, steps: int, master_seed: int):
 
     place0, a0, _ = optimize(topo, users, k=k)
     recorded = [point(place0, a0, 0)]
-    rng = make_rng(derive_seed(master_seed, "pareto-walk"))
     assignment = dict(a0)
     for step in range(1, steps - 1):
         proposals = PairwiseCorr(users, place0).proposals(assignment)
         if not proposals:
             break
-        user_node, server = proposals[int(rng.integers(len(proposals)))]
+        user_node, server = proposals[0]
         assignment[user_node] = server
         recorded.append(point(place0, assignment, step))
     place_end, a_end, _ = optimize(topo, users, placement=place0, optimizer="correlation")

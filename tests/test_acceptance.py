@@ -310,7 +310,7 @@ def test_criterion_08_pareto_correctness():
                             assignment={u.node: topo.node_ids[0] for u in users},
                             cache=CacheConfig(3, "LRU"), origin=topo.node_ids[0],
                             master_seed=seed, requests_per_user=100)
-        front = front_sweep(scenario.topology, scenario.users, 2, 15, scenario.master_seed)
+        front = front_sweep(scenario.topology, scenario.users, 2, 15)
         for a, b in itertools.permutations(front, 2):
             if dominates(a, b):
                 dominated_pairs += 1
@@ -392,7 +392,7 @@ def test_criterion_10_desk_scale_performance(tmp_path):
                         cache=CacheConfig(10, "LRU"), origin=ids[0],
                         master_seed=124, requests_per_user=100)
     result = run(scenario)                                             # simulate
-    front = front_sweep(topo, users, 10, 50, scenario.master_seed)     # pareto
+    front = front_sweep(topo, users, 10, 50)                           # pareto
     elapsed = time.monotonic() - start
     ok = elapsed < 60
     report(10, ok, f"full pipeline on 124 nodes, k=10: {elapsed:.1f}s (< 60s);"

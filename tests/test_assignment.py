@@ -144,7 +144,7 @@ def _profile_calls(topo, users, assignment):
         "user_correlations": lambda: user_correlations(users, assignment),
         "greedy_correlation": lambda: greedy_correlation(users, servers, assignment),
         "optimize": lambda: optimize(topo, users, k=2, optimizer="correlation"),
-        "front_sweep": lambda: front_sweep(topo, users, 2, 4, 0),
+        "front_sweep": lambda: front_sweep(topo, users, 2, 4),
         "run": lambda: run(scenario),
         "cache_size_sweep": lambda: experiment_sweep(scenario, "cache_size", [2, 3]),
         "server_count_sweep": lambda: experiment_sweep(scenario, "server_count", [2]),

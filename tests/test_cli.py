@@ -392,16 +392,22 @@ class TestPareto:
                     continue
                 assert not (a[0] <= b[0] and a[1] >= b[1] and a != b)
 
-    def test_seed_keeps_endpoints(self, topo12, tmp_path):
+    def test_seed_does_not_reach_the_walk(self, topo12, tmp_path):
+        # a trace fixes the profiles, so the seed could only reach the front
+        # through the walk; it is echoed in the seed column and nowhere else
+        trace = tmp_path / "trace.csv"
+        trace.write_text("node_id,service_id,count\n" + "".join(
+            f"n{i:02d},s{(i + 7 * j) % 10},{1 + i * j % 7}\n"
+            for i in range(12) for j in range(1, 5)))
         fronts = []
         for seed in ("5", "99"):
             out = tmp_path / f"out{seed}"
-            main(["pareto", "--topology", str(topo12), "--k", "2", "--steps", "20",
-                  "--universe", "12", "--profile-size", "4", "--seed", seed,
-                  "--out", str(out)])
-            fronts.append(read_csv(out / "pareto.csv")[1:])
-        # different master seeds change the profiles too, so only shape holds
-        assert all(len(f) >= 1 for f in fronts)
+            assert main(["pareto", "--topology", str(topo12), "--k", "2", "--steps", "20",
+                         "--trace", str(trace), "--seed", seed, "--out", str(out)]) == 0
+            rows = read_csv(out / "pareto.csv")
+            assert {r[5] for r in rows[1:]} == {seed}
+            fronts.append([r[:5] + r[6:] for r in rows])
+        assert fronts[0] == fronts[1]
 
 
 class TestDeterminism:

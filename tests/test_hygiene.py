@@ -68,6 +68,13 @@ def test_every_public_function_has_a_caller():
     assert uncalled_functions({p.stem: p.read_text() for p in MODULES}) == []
 
 
+def test_random_streams_come_only_from_profiles_and_requests():
+    """Only user profiles and request streams draw random numbers; every other
+    result depends on its inputs alone."""
+    readers = [p.name for p in MODULES if _names(ast.parse(p.read_text()))["make_rng"]]
+    assert readers == ["profiles.py", "simulation.py"]
+
+
 def readme_library_example() -> str:
     """The python block of README's "Library" section."""
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]

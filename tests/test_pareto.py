@@ -116,32 +116,21 @@ def walk_instance(seed=0, n=10):
 
 class TestFrontSweep:
     def test_steps_two_gives_endpoints_only(self):
-        front = front_sweep(*walk_instance(1), k=2, steps=2, master_seed=1)
+        front = front_sweep(*walk_instance(1), k=2, steps=2)
         assert 1 <= len(front) <= 2
         assert {p.step for p in front} <= {0, 1}
 
     def test_no_dominated_pairs(self):
-        front = front_sweep(*walk_instance(2), k=2, steps=20, master_seed=2)
+        front = front_sweep(*walk_instance(2), k=2, steps=20)
         for a, b in itertools.permutations(front, 2):
             assert not dominates(a, b)
 
     def test_deterministic(self):
-        assert (front_sweep(*walk_instance(3), 2, 15, 3)
-                == front_sweep(*walk_instance(3), 2, 15, 3))
-
-    def test_seed_changes_interior_not_endpoints(self):
-        f1 = front_sweep(*walk_instance(4), 2, 25, 4)
-        f2 = front_sweep(*walk_instance(4), 2, 25, 999)
-        # the distance endpoint (step 0) is seed-independent
-        first1 = min(f1, key=lambda p: p.step)
-        first2 = min(f2, key=lambda p: p.step)
-        if first1.step == 0 and first2.step == 0:
-            assert first1.placement == first2.placement
-            assert first1.assignment == first2.assignment
+        assert front_sweep(*walk_instance(3), 2, 15) == front_sweep(*walk_instance(3), 2, 15)
 
     def test_endpoints_span_the_tradeoff(self):
         topo, users = walk_instance(5)
-        front = front_sweep(topo, users, 2, 30, 5)
+        front = front_sweep(topo, users, 2, 30)
         dm = topo.distance_matrix()
         place0, _, _ = dragoon(dm, topo, users, 2)
         a0 = closest_assignment(dm, users, place0)
@@ -161,7 +150,7 @@ class TestFrontSweep:
             UserGroup(node=f"n{i}", profile=(c1 if i in (0, 2, 4) else c2))
             for i in range(6)
         ]
-        front = front_sweep(topo, users, 2, 2, 7)
+        front = front_sweep(topo, users, 2, 2)
         dm = topo.distance_matrix()
 
         # distance endpoint: dragoon meets the exact k-center optimum here
@@ -179,18 +168,18 @@ class TestFrontSweep:
 
     def test_steps_below_two_rejected(self):
         with pytest.raises(ValidationError):
-            front_sweep(*walk_instance(6), 2, 1, 6)
+            front_sweep(*walk_instance(6), 2, 1)
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, True])
     def test_steps_must_be_an_int(self, steps):
         # the rule CacheConfig applies to a capacity: an int, not a bool
         with pytest.raises(ValidationError, match="steps must be an int"):
-            front_sweep(*walk_instance(6), 2, steps, 6)
+            front_sweep(*walk_instance(6), 2, steps)
 
     def test_simulate_attaches_results(self):
         # front points are plain plans: each one replays through the public run()
         topo, users = walk_instance(8)
-        for p in front_sweep(topo, users, 2, 5, 8):
+        for p in front_sweep(topo, users, 2, 5):
             result = run(Scenario(topology=topo, users=users, placement=p.placement,
                                   assignment=dict(p.assignment), cache=CacheConfig(3, "LRU"),
                                   origin=topo.node_ids[0], master_seed=8))
@@ -198,7 +187,7 @@ class TestFrontSweep:
 
     def test_front_is_finer_grained_than_four_points(self):
         # enough walk steps on a desk-size scenario produce a rich front
-        front = front_sweep(*walk_instance(9, n=16), k=3, steps=60, master_seed=9)
+        front = front_sweep(*walk_instance(9, n=16), k=3, steps=60)
         assert len(front) >= 4
 
 
@@ -217,13 +206,11 @@ class TestWalkAgainstPairwiseOracle:
         users = generate_users(topo, model, seed)
         k = data.draw(st.integers(1, min(4, n)))
         steps = data.draw(st.integers(2, 30))
-        assert (front_sweep(topo, users, k, steps, seed)
-                == front_sweep_pairwise(topo, users, k, steps, seed))
+        assert front_sweep(topo, users, k, steps) == front_sweep_pairwise(topo, users, k, steps)
 
     @pytest.mark.parametrize("steps", [10, 50])
     @pytest.mark.parametrize("seed", [124, 2718])
     def test_desk_instance(self, seed, steps):
         topo = desk_topology()
         users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=seed)
-        assert (front_sweep(topo, users, 10, steps, seed)
-                == front_sweep_pairwise(topo, users, 10, steps, seed))
+        assert front_sweep(topo, users, 10, steps) == front_sweep_pairwise(topo, users, 10, steps)

@@ -271,7 +271,7 @@ class TestDistanceInputErrors:
         users = uniform_users(path3) + [UserGroup(node="Q", profile=dummy_profile())]
         call = {
             "optimize": lambda: optimize(path3, users, k=1),
-            "front_sweep": lambda: front_sweep(path3, users, 1, 3, 0),
+            "front_sweep": lambda: front_sweep(path3, users, 1, 3),
         }[name]
         with pytest.raises(ValidationError, match="unknown node 'Q'"):
             call()
@@ -311,7 +311,7 @@ def _order_free_calls(topo, k, placement, closest, seed):
     dm = topo.distance_matrix()
     cache = CacheConfig(capacity=3, policy="LRU")
     return {
-        "front_sweep": lambda users: front_sweep(topo, users, k, 6, seed),
+        "front_sweep": lambda users: front_sweep(topo, users, k, 6),
         "greedy_correlation": lambda users: greedy_correlation(users, placement, closest),
         "run": lambda users: run(Scenario(topo, users, placement, closest, cache,
                                           placement[0], seed)),

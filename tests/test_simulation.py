@@ -72,6 +72,13 @@ class TestGenerateRequests:
         user = UserGroup(node="u", profile=Profile.from_dict({"a": 0.5, "b": 0.5, "c": 0.0}))
         assert "c" not in set(generate_requests(user, 11, 5000))
 
+    @pytest.mark.parametrize("count", [150.0, True, -1])
+    def test_count_must_be_a_non_negative_int(self, count):
+        # an int, not a bool, as for a CacheConfig capacity; 0 is an empty stream
+        user = UserGroup(node="u", profile=Profile.from_dict({"a": 0.5, "b": 0.5}))
+        with pytest.raises(ValidationError, match="count must be a non-negative int"):
+            generate_requests(user, 1, count)
+
 
 class TestRun:
     def test_capacity_covering_universe_leaves_only_cold_misses(self):
