@@ -40,7 +40,6 @@ from .simulation import (
     run,
 )
 from .topology import (
-    DistanceMatrix,
     Topology,
     all_pairs_shortest_paths,
     parse_topology,

@@ -34,10 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .placement import Assignment, Placement, closest_assignment, dragoon, one_center
+from .placement import (Assignment, Placement, _check_placement, closest_assignment, dragoon,
+                        one_center)
 from .profiles import UserGroup, midranks_descending
 from .rng import left_sum
-from .topology import DistanceMatrix, NodeId, Topology
+from .topology import NodeId, Topology
 
 OPTIMIZERS = ("distance", "correlation")
 
@@ -62,6 +63,7 @@ class _CorrEval:
     def __init__(self, users: list[UserGroup], placement: Placement):
         if not users:
             raise ValidationError("no users to assign")
+        _check_placement(placement)
         self.users = sorted(users, key=lambda u: u.node)
         self.servers = tuple(sorted(placement))
         self.server_index = {s: j for j, s in enumerate(self.servers)}
@@ -195,7 +197,7 @@ def greedy_correlation(
 
 
 def relocate_servers(
-    dm: DistanceMatrix,
+    topo: Topology,
     users: list[UserGroup],
     placement: Placement,
     assignment: Assignment,
@@ -207,9 +209,12 @@ def relocate_servers(
     two groups want the same node, the later server (id order) takes its best
     still-free candidate.
     """
+    _check_placement(placement)
     groups: dict[NodeId, list[UserGroup]] = {s: [] for s in placement}
     for u in users:
-        s = assignment[u.node]
+        s = assignment.get(u.node)
+        if s is None:
+            raise ValidationError(f"user {u.node!r} missing from assignment")
         if s not in groups:
             raise ValidationError(f"user {u.node!r} assigned outside placement")
         groups[s].append(u)
@@ -218,8 +223,8 @@ def relocate_servers(
     taken = set(new_location)
     for s in sorted(groups):
         if groups[s]:
-            free = tuple(n for n in dm.ids if n not in taken)
-            new_location[s] = one_center(dm, groups[s], candidates=free)
+            free = tuple(n for n in topo.node_ids if n not in taken)
+            new_location[s] = one_center(topo, groups[s], candidates=free)
             taken.add(new_location[s])
 
     new_placement = tuple(sorted(new_location.values()))
@@ -242,14 +247,13 @@ def optimize(
     """
     if optimizer not in OPTIMIZERS:
         raise ValidationError(f"unknown optimizer {optimizer!r}")
-    dm = topo.distance_matrix()
     if placement is None:
         if k is None:
             raise ValidationError("optimize needs k or a placement")
-        placement, _, _ = dragoon(dm, topo, users, k)
-    assignment = closest_assignment(dm, users, placement)
+        placement, _, _ = dragoon(topo, users, k)
+    assignment = closest_assignment(topo, users, placement)
     log: list[BatchRecord] = []
     if optimizer == "correlation":
         assignment, _, log = greedy_correlation(users, placement, assignment)
-        placement, assignment = relocate_servers(dm, users, placement, assignment)
+        placement, assignment = relocate_servers(topo, users, placement, assignment)
     return placement, assignment, log

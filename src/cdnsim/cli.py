@@ -160,8 +160,7 @@ def cmd_validate(args) -> int:
 def cmd_place(args) -> int:
     topo = _load_topology(args)
     users = _load_users(args, topo)
-    dm = topo.distance_matrix()
-    placement, objective, log = dragoon(dm, topo, users, args.k)
+    placement, objective, log = dragoon(topo, users, args.k)
     out = _outdir(args)
     (out / "placement.json").write_text(json.dumps(sorted(placement), indent=2) + "\n")
     _write_csv(
@@ -192,10 +191,9 @@ def cmd_assign(args) -> int:
                                           placement=_load_placement(args.placement, topo),
                                           optimizer="correlation")
     _warn_if_stalled(log)
-    dm = topo.distance_matrix()
     out = _outdir(args)
     rhos = user_correlations(users, assignment)
-    rows = [[node, assignment[node], repr(rho), repr(dm.get(node, assignment[node]))]
+    rows = [[node, assignment[node], repr(rho), repr(topo.distance(node, assignment[node]))]
             for node, rho in rhos.items()]
     _write_csv(out / "assignment.csv",
                ["user_node", "server_node", "rho", "distance"], rows)
@@ -223,7 +221,7 @@ def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario
         placement, assignment, log = optimize(topo, users, k=args.k, placement=placement,
                                               optimizer=args.optimizer)
         _warn_if_stalled(log)
-    origin = args.origin if args.origin else one_center(topo.distance_matrix(), users)
+    origin = args.origin if args.origin else one_center(topo, users)
     return Scenario(
         topology=topo,
         users=users,

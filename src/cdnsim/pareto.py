@@ -75,7 +75,7 @@ def front_sweep(topo: Topology, users: list[UserGroup], k: int, steps: int) -> P
     if steps < 2:
         raise ValidationError("steps must be at least 2")
     place0, a0, _ = optimize(topo, users, k=k)
-    dist = _Eval(topo.distance_matrix(), users)
+    dist = _Eval(topo, users)
     ev = _CorrEval(users, place0)
     recorded = [_point(dist, place0, a0, ev.total(a0), step=0)]
     assignment = dict(a0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ValidationError
 from .profiles import UserGroup
-from .topology import DistanceMatrix, NodeId, Topology
+from .topology import NodeId, Topology
 
 Placement = tuple[NodeId, ...]
 Assignment = dict[NodeId, NodeId]  # user node -> server node
@@ -42,22 +42,22 @@ class _Eval:
     """The one owner of priority * distance: users in node-id order, every
     (max, mean) reduced in that order, so the order of `users` never matters."""
 
-    def __init__(self, dm: DistanceMatrix, users: list[UserGroup]):
+    def __init__(self, topo: Topology, users: list[UserGroup]):
         if not users:
             raise ValidationError("no users")
-        self.dm = dm
+        self.topo = topo
         self.users = sorted(users, key=lambda u: u.node)
-        self.rows = np.array([dm.index(u.node) for u in self.users], dtype=int)
+        self.rows = np.array([topo.index(u.node) for u in self.users], dtype=int)
         self.prios = np.array([u.priority for u in self.users])
         # bounds every weighted sum; Python floats reach inf without a numpy warning
         total = sum(u.priority for u in self.users)
-        if not math.isfinite(total * float(dm.matrix[self.rows].max(initial=0.0))):
+        if not math.isfinite(total * float(topo.distances[self.rows].max(initial=0.0))):
             raise ValidationError(f"priority x distance overflows (priorities sum to {total!r})")
 
     def weighted(self, nodes: tuple[NodeId, ...]) -> np.ndarray:
         """Priority * distance, users x `nodes`."""
-        cols = [self.dm.index(s) for s in nodes]
-        return self.prios[:, None] * self.dm.matrix[np.ix_(self.rows, cols)]
+        cols = [self.topo.index(s) for s in nodes]
+        return self.prios[:, None] * self.topo.distances[np.ix_(self.rows, cols)]
 
     def objective(self, servers: Placement) -> PlacementObjective:
         """Each user at its closest server."""
@@ -65,8 +65,8 @@ class _Eval:
 
     def assigned(self, assignment: Assignment) -> PlacementObjective:
         """Each user at its assigned server."""
-        cols = [self.dm.index(assignment[u.node]) for u in self.users]
-        return _reduce(self.prios * self.dm.matrix[self.rows, cols])
+        cols = [self.topo.index(assignment[u.node]) for u in self.users]
+        return _reduce(self.prios * self.topo.distances[self.rows, cols])
 
 
 def _reduce(weighted: np.ndarray) -> PlacementObjective:
@@ -80,40 +80,45 @@ def _check_k(k: int, n: int):
         raise InfeasibleError(f"k={k} out of range 1..{n}")
 
 
-def closest_assignment(
-    dm: DistanceMatrix, users: list[UserGroup], placement: Placement
-) -> Assignment:
+def _check_placement(placement: Placement):
+    if not placement:
+        raise ValidationError("empty placement")
+    if len(set(placement)) != len(placement):
+        raise ValidationError("placement contains duplicate nodes")
+
+
+def closest_assignment(topo: Topology, users: list[UserGroup],
+                       placement: Placement) -> Assignment:
     """Map each user to its nearest server; distance ties go to the lower id."""
     if not users:
         raise ValidationError("no users")
-    if not placement:
-        raise ValidationError("empty placement")
+    _check_placement(placement)
     servers = sorted(placement)
-    rows = [dm.index(u.node) for u in users]
-    cols = [dm.index(s) for s in servers]
+    rows = [topo.index(u.node) for u in users]
+    cols = [topo.index(s) for s in servers]
     # argmin takes the first minimum of each row, i.e. the lowest server id
-    best = dm.matrix[np.ix_(rows, cols)].argmin(axis=1)
+    best = topo.distances[np.ix_(rows, cols)].argmin(axis=1)
     return {u.node: servers[j] for u, j in zip(users, best)}
 
 
 def one_center(
-    dm: DistanceMatrix,
+    topo: Topology,
     users: list[UserGroup],
     candidates: tuple[NodeId, ...] | None = None,
 ) -> NodeId:
     """Exhaustive single-server optimum over all candidate nodes."""
     if candidates is None:
-        candidates = dm.ids
+        candidates = topo.node_ids
     if not candidates:
         raise ValidationError("no candidate nodes")
-    weighted = _Eval(dm, users).weighted(candidates)
+    weighted = _Eval(topo, users).weighted(candidates)
     maxs = weighted.max(axis=0)
     avgs = weighted.mean(axis=0)
     best = min(range(len(candidates)), key=lambda i: (maxs[i], avgs[i], candidates[i]))
     return candidates[best]
 
 
-def farthest_first_init(dm: DistanceMatrix, users: list[UserGroup], k: int) -> Placement:
+def farthest_first_init(topo: Topology, users: list[UserGroup], k: int) -> Placement:
     """Deterministic farthest-first (2-Approx) start.
 
     An orientation mark at the 1-center picks the first server (the node
@@ -121,23 +126,22 @@ def farthest_first_init(dm: DistanceMatrix, users: list[UserGroup], k: int) -> P
     largest distance to its closest already-placed server. Candidate
     distances here are raw node distances, not priority-weighted.
     """
-    ids = dm.ids
+    ids = topo.node_ids
     _check_k(k, len(ids))
-    mark = one_center(dm, users)
+    mark = one_center(topo, users)
     placed = np.zeros(len(ids), dtype=bool)
     # distance from every node to the current server set; start from the mark
-    dist_to_set = dm.matrix[:, dm.index(mark)].copy()
+    dist_to_set = topo.distances[:, topo.index(mark)].copy()
     for _ in range(k):
         # argmax takes the first maximum among the free nodes, i.e. the lowest id
         best_i = int(np.where(placed, -np.inf, dist_to_set).argmax())
         placed[best_i] = True
-        dist_to_set = np.minimum(dist_to_set, dm.matrix[:, best_i])
+        dist_to_set = np.minimum(dist_to_set, topo.distances[:, best_i])
     return tuple(ids[i] for i in np.flatnonzero(placed))
 
 
-def dragoon(
-    dm: DistanceMatrix, topo: Topology, users: list[UserGroup], k: int
-) -> tuple[Placement, PlacementObjective, list[MoveRecord]]:
+def dragoon(topo: Topology, users: list[UserGroup],
+            k: int) -> tuple[Placement, PlacementObjective, list[MoveRecord]]:
     """Farthest-first initialization plus neighbor-move local search.
 
     Each iteration visits the servers in node-id order; a server may shift to
@@ -145,8 +149,8 @@ def dragoon(
     (max, avg) objective, at most once per iteration. Stops when an iteration
     moves nothing. The objective never worsens, so termination is guaranteed.
     """
-    ev = _Eval(dm, users)
-    placement = set(farthest_first_init(dm, users, k))
+    ev = _Eval(topo, users)
+    placement = set(farthest_first_init(topo, users, k))
     current = ev.objective(tuple(placement))
     log: list[MoveRecord] = []
     iteration = 0

@@ -38,19 +38,6 @@ class Profile:
         self.probs = probs
         self.probs.flags.writeable = False
 
-    @classmethod
-    def from_dict(
-        cls, entries: dict[ServiceId, float], universe: tuple[ServiceId, ...] | None = None
-    ) -> "Profile":
-        """Build from a service->probability map; absent services get 0."""
-        if universe is None:
-            universe = tuple(sorted(entries))
-        unknown = set(entries) - set(universe)
-        if unknown:
-            raise ValidationError(f"services outside universe: {sorted(unknown)[:5]}")
-        probs = np.array([entries.get(s, 0.0) for s in universe], dtype=np.float64)
-        return cls(universe, probs)
-
     @property
     def entries(self) -> dict[ServiceId, float]:
         return {s: float(p) for s, p in zip(self.universe, self.probs)}

@@ -18,7 +18,7 @@ import numpy as np
 from .assignment import OPTIMIZERS, optimize
 from .cache import CacheConfig, CacheStats, replay
 from .errors import ValidationError
-from .placement import Assignment, Placement, _Eval
+from .placement import Assignment, Placement, _check_placement, _Eval
 from .profiles import ServiceId, UserGroup
 from .rng import derive_seed, left_sum, make_rng
 from .topology import NodeId, Topology
@@ -48,8 +48,7 @@ class Scenario:
             raise ValidationError("requests_per_user must be at least 100")
         if self.origin not in topo:
             raise ValidationError(f"origin {self.origin!r} not in topology")
-        if not self.placement:
-            raise ValidationError("empty placement")
+        _check_placement(self.placement)
         for s in self.placement:
             if s not in topo:
                 raise ValidationError(f"server {s!r} not in topology")
@@ -108,7 +107,6 @@ def _server_streams(s: Scenario) -> list[ServerStream]:
     A server's stream interleaves its members round-robin in node-id order:
     request r of every member, then r + 1. It depends on the users, the
     assignment, the master seed and the request count, not on the cache."""
-    dm = s.topology.distance_matrix()
     members: dict[NodeId, list[UserGroup]] = {srv: [] for srv in s.placement}
     for u in sorted(s.users, key=lambda u: u.node):
         members[s.assignment[u.node]].append(u)
@@ -117,7 +115,7 @@ def _server_streams(s: Scenario) -> list[ServerStream]:
         streams = [generate_requests(u, s.master_seed, s.requests_per_user)
                    for u in members[server]]
         table.append((server, list(chain.from_iterable(zip(*streams))),
-                      [dm.get(u.node, server) for u in members[server]]))
+                      [s.topology.distance(u.node, server) for u in members[server]]))
     return table
 
 
@@ -130,8 +128,7 @@ def run(scenario: Scenario, streams: list[ServerStream] | None = None) -> Simula
     user-to-server distance per request in stream order, then misses x the
     origin distance."""
     s = scenario.validate()
-    dm = s.topology.distance_matrix()
-    dist = _Eval(dm, s.users)  # first: it rejects overflowing priorities before any replay
+    dist = _Eval(s.topology, s.users)  # first: it rejects overflowing priorities before any replay
     if streams is None:
         streams = _server_streams(s)
     per_server: dict[NodeId, CacheStats] = {}
@@ -140,7 +137,7 @@ def run(scenario: Scenario, streams: list[ServerStream] | None = None) -> Simula
         # one addition per request, in stream order: count x distance rounds differently
         network_load = left_sum(chain((network_load,), distances * s.requests_per_user))
         stats = replay(stream, s.cache)
-        network_load += stats.misses * dm.get(server, s.origin)
+        network_load += stats.misses * s.topology.distance(server, s.origin)
         per_server[server] = stats
 
     overall = CacheStats()

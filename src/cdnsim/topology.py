@@ -8,7 +8,6 @@ carry a finite positive priority used to weight the placement objectives.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,29 +18,8 @@ NodeId = str
 _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs shortest-path distances, indexed by sorted node id."""
-
-    ids: tuple[NodeId, ...]
-    matrix: np.ndarray
-
-    def index(self, node: NodeId) -> int:
-        try:
-            return self._index[node]
-        except KeyError:
-            raise ValidationError(f"unknown node {node!r}") from None
-
-    def get(self, a: NodeId, b: NodeId) -> float:
-        return float(self.matrix[self.index(a), self.index(b)])
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.ids)})
-
-
 class Topology:
-    """Validated undirected weighted graph; immutable after construction."""
+    """Validated undirected weighted graph and its `distances`; immutable."""
 
     def __init__(
         self,
@@ -91,9 +69,10 @@ class Topology:
             adj[a].append(b)
             adj[b].append(a)
         self._adj = {n: tuple(sorted(nbrs)) for n, nbrs in adj.items()}
+        self._index = {n: i for i, n in enumerate(self.node_ids)}
 
-        self._check_connected()
-        self._dm: DistanceMatrix | None = None
+        self._check_connected()  # by search: a path sum can overflow to inf
+        self.distances: np.ndarray = all_pairs_shortest_paths(self)
 
     def _check_connected(self):
         start = self.node_ids[0]
@@ -111,17 +90,20 @@ class Topology:
     def __contains__(self, node: NodeId) -> bool:
         return node in self.priorities
 
+    def index(self, node: NodeId) -> int:
+        """Row and column of `node` in `distances`."""
+        try:
+            return self._index[node]
+        except KeyError:
+            raise ValidationError(f"unknown node {node!r}") from None
+
+    def distance(self, a: NodeId, b: NodeId) -> float:
+        return float(self.distances[self.index(a), self.index(b)])
+
     def neighbors(self, node: NodeId) -> list[NodeId]:
         """Nodes sharing an edge with `node`, in id order."""
-        if node not in self._adj:
-            raise ValidationError(f"unknown node {node!r}")
+        self.index(node)  # rejects an unknown node
         return list(self._adj[node])
-
-    def distance_matrix(self) -> DistanceMatrix:
-        """All-pairs shortest paths; computed once and cached."""
-        if self._dm is None:
-            self._dm = all_pairs_shortest_paths(self)
-        return self._dm
 
 
 def _local(tag: str) -> str:
@@ -195,17 +177,18 @@ def parse_topology(
     return Topology(nodes, edges)
 
 
-def all_pairs_shortest_paths(topo: Topology) -> DistanceMatrix:
+def all_pairs_shortest_paths(topo: Topology) -> np.ndarray:
     """Exact weighted shortest-path distances by Floyd–Warshall (Floyd 1962,
     Warshall 1962): relax every pair through each node k in turn. Entries
     (i, j) and (j, i) add the same two numbers at every step, so the matrix is
-    exactly symmetric."""
-    ids = topo.node_ids
-    index = {n: i for i, n in enumerate(ids)}
-    d = np.full((len(ids), len(ids)), np.inf)
+    exactly symmetric. Read-only, rows and columns in node-id order."""
+    n = len(topo.node_ids)
+    d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     for a, b, w in topo.edges:
-        d[index[a], index[b]] = d[index[b], index[a]] = w
-    for k in range(len(ids)):
+        i, j = topo.index(a), topo.index(b)
+        d[i, j] = d[j, i] = w
+    for k in range(n):
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return DistanceMatrix(ids=ids, matrix=d)
+    d.flags.writeable = False
+    return d

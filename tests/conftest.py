@@ -58,8 +58,16 @@ def desk_topology() -> Topology:
     return Topology([(i, 1.0) for i in ids], edges)
 
 
+def profile_from_dict(entries: dict[str, float],
+                      universe: tuple[str, ...] | None = None) -> Profile:
+    """A profile from a service -> probability map; absent services get 0."""
+    universe = tuple(sorted(entries)) if universe is None else universe
+    assert set(entries) <= set(universe), "services outside universe"
+    return Profile(universe, [entries.get(s, 0.0) for s in universe])
+
+
 def dummy_profile(universe=("x", "y")) -> Profile:
-    return Profile.from_dict({universe[0]: 1.0}, tuple(universe))
+    return profile_from_dict({universe[0]: 1.0}, tuple(universe))
 
 
 def uniform_users(topo: Topology, profile: Profile | None = None) -> list[UserGroup]:

@@ -46,7 +46,7 @@ from cdnsim.placement import Placement, PlacementObjective, _check_k, _Eval, one
 from cdnsim.profiles import ServiceId, UserGroup
 from cdnsim.rng import left_sum
 from cdnsim.simulation import SimulationResult, generate_requests
-from cdnsim.topology import DistanceMatrix
+from cdnsim.topology import Topology
 
 _NEVER = float("inf")
 
@@ -67,15 +67,15 @@ def dominates(a: SolutionPoint, b: SolutionPoint) -> bool:
 
 
 def brute_force_placement(
-    dm: DistanceMatrix, users: list[UserGroup], k: int
+    topo: Topology, users: list[UserGroup], k: int
 ) -> tuple[Placement, PlacementObjective]:
     """Exact optimum by enumerating every k-subset of nodes (desk scale only)."""
-    ids = dm.ids
+    ids = topo.node_ids
     n = len(ids)
     _check_k(k, n)
     if math.comb(n, k) > BRUTE_FORCE_LIMIT:
         raise InfeasibleError(f"C({n},{k}) exceeds enumeration guard")
-    ev = _Eval(dm, users)
+    ev = _Eval(topo, users)
     best: tuple[PlacementObjective, Placement] | None = None
     for combo in combinations(ids, k):  # lexicographic, so ties resolve by id
         obj = ev.objective(combo)
@@ -182,7 +182,7 @@ class PairwiseCorr:
             assignment, total = candidate, new_total
 
 
-def relocate_servers_ranking(dm, users, placement, assignment):
+def relocate_servers_ranking(topo, users, placement, assignment):
     """Each server moves to its group's best free node by (max, avg, id) of the
     priority-weighted distances, ranked over every node; empty servers stay."""
     groups = {s: [] for s in placement}
@@ -195,13 +195,14 @@ def relocate_servers_ranking(dm, users, placement, assignment):
         if not members:
             new_location[s] = s
             continue
-        rows = [dm.index(u.node) for u in members]
+        rows = [topo.index(u.node) for u in members]
         prios = np.array([u.priority for u in members])
-        weighted = prios[:, None] * dm.matrix[rows, :]
+        weighted = prios[:, None] * topo.distances[rows, :]
         maxs = weighted.max(axis=0)
         avgs = weighted.mean(axis=0)
-        ranked = sorted(range(len(dm.ids)), key=lambda i: (maxs[i], avgs[i], dm.ids[i]))
-        target = next(dm.ids[i] for i in ranked if dm.ids[i] not in taken)
+        ids = topo.node_ids
+        ranked = sorted(range(len(ids)), key=lambda i: (maxs[i], avgs[i], ids[i]))
+        target = next(ids[i] for i in ranked if ids[i] not in taken)
         new_location[s] = target
         taken.add(target)
     new_placement = tuple(sorted(new_location.values()))
@@ -467,7 +468,7 @@ def run_per_request(scenario) -> SimulationResult:
     """`simulation.run` as one loop over the interleaved requests of all users,
     with a distance lookup and a network-load addition per request."""
     s = scenario.validate()
-    dm = s.topology.distance_matrix()
+    topo = s.topology
     users = sorted(s.users, key=lambda u: u.node)
     streams = {u.node: generate_requests(u, s.master_seed, s.requests_per_user)
                for u in users}
@@ -480,14 +481,14 @@ def run_per_request(scenario) -> SimulationResult:
     for server in sorted(s.placement):
         stream = per_server_stream[server]
         for user_node, _ in stream:
-            network_load += dm.get(user_node, server)
+            network_load += topo.distance(user_node, server)
         stats = replay([item for _, item in stream], s.cache)
-        network_load += stats.misses * dm.get(server, s.origin)
+        network_load += stats.misses * topo.distance(server, s.origin)
         per_server[server] = stats
     overall = CacheStats()
     for stats in per_server.values():
         overall = overall.add(stats)
-    max_dist, avg_dist = _Eval(dm, users).assigned(s.assignment)
+    max_dist, avg_dist = _Eval(topo, users).assigned(s.assignment)
     return SimulationResult(per_server=per_server, overall=overall,
                             miss_ratio=overall.miss_ratio,
                             max_user_distance=max_dist, avg_user_distance=avg_dist,
@@ -497,7 +498,7 @@ def run_per_request(scenario) -> SimulationResult:
 def front_sweep_pairwise(topo, users, k: int, steps: int):
     """`pareto.front_sweep` with a fresh PairwiseCorr for every proposal set
     and every recorded point's total; each step takes the first proposal."""
-    dist = _Eval(topo.distance_matrix(), users)
+    dist = _Eval(topo, users)
 
     def point(placement, assignment, step):
         max_dist, avg_dist = dist.assigned(assignment)
@@ -522,24 +523,24 @@ def front_sweep_pairwise(topo, users, k: int, steps: int):
     return non_dominated(recorded)
 
 
-def closest_assignment_loop(dm, users, placement):
+def closest_assignment_loop(topo, users, placement):
     """`placement.closest_assignment` with one `argmin` per user."""
     servers = sorted(placement)
-    cols = [dm.index(s) for s in servers]
+    cols = [topo.index(s) for s in servers]
     out = {}
     for u in users:
-        row = dm.matrix[dm.index(u.node), cols]
+        row = topo.distances[topo.index(u.node), cols]
         out[u.node] = servers[int(np.argmin(row))]  # argmin takes first == lowest id
     return out
 
 
-def farthest_first_init_loop(dm, users, k: int):
+def farthest_first_init_loop(topo, users, k: int):
     """`placement.farthest_first_init` with a scan for the first maximum."""
-    ids = dm.ids
-    mark = one_center(dm, users)
+    ids = topo.node_ids
+    mark = one_center(topo, users)
     placed = []
-    cols = [dm.index(i) for i in ids]
-    dist_to_set = dm.matrix[cols, dm.index(mark)].copy()
+    cols = [topo.index(i) for i in ids]
+    dist_to_set = topo.distances[cols, topo.index(mark)].copy()
     for _ in range(k):
         best_i = None
         for i, node in enumerate(ids):
@@ -548,5 +549,5 @@ def farthest_first_init_loop(dm, users, k: int):
             if best_i is None or dist_to_set[i] > dist_to_set[best_i]:
                 best_i = i  # id order: later equal distances never replace
         placed.append(ids[best_i])
-        dist_to_set = np.minimum(dist_to_set, dm.matrix[cols, dm.index(ids[best_i])])
+        dist_to_set = np.minimum(dist_to_set, topo.distances[cols, topo.index(ids[best_i])])
     return tuple(sorted(placed))

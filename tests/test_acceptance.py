@@ -34,7 +34,7 @@ from cdnsim import (
 )
 from cdnsim.pareto import SolutionPoint
 from cdnsim.rng import derive_seed, make_rng, shuffled, weighted_sample_without_replacement
-from conftest import random_connected_topology, random_profile, ring_topology
+from conftest import profile_from_dict, random_connected_topology, random_profile, ring_topology
 from oracles import brute_force_placement, dominates, total_correlation
 
 
@@ -53,8 +53,8 @@ def zipf_trace(seed: int, length: int, universe: int, alpha: float = 0.8) -> lis
 
 def test_criterion_01_spearman_anchor():
     # the paper's server profile (A 0.4, B 0.25, C 0.35) is the mean of u1 and u2
-    users = [UserGroup(node="u1", profile=Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0})),
-             UserGroup(node="u2", profile=Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7}))]
+    users = [UserGroup(node="u1", profile=profile_from_dict({"A": 0.5, "B": 0.5, "C": 0.0})),
+             UserGroup(node="u2", profile=profile_from_dict({"A": 0.3, "B": 0.0, "C": 0.7}))]
     assignment = {"u1": "srv", "u2": "srv"}
     rho = user_correlations(users, assignment)
     rho1, rho2 = rho["u1"], rho["u2"]
@@ -68,17 +68,16 @@ def test_criterion_01_spearman_anchor():
 
 def test_criterion_02_placement_optimality_ratio():
     start = time.monotonic()
-    profile = Profile.from_dict({"x": 1.0}, ("x", "y"))
+    profile = profile_from_dict({"x": 1.0}, ("x", "y"))
     cases = optimal = 0
     worst = 0.0
     for seed in range(70):
         n = 4 + seed % 9
         topo = random_connected_topology(seed, n, weighted=(seed % 2 == 0))
-        dm = topo.distance_matrix()
         users = [UserGroup(node=i, profile=profile) for i in topo.node_ids]
         for k in (1, 2, 3):
-            _, obj, _ = dragoon(dm, topo, users, k)
-            _, opt = brute_force_placement(dm, users, k)
+            _, obj, _ = dragoon(topo, users, k)
+            _, opt = brute_force_placement(topo, users, k)
             cases += 1
             assert obj.max_dist <= 2 * opt.max_dist + 1e-12, (seed, n, k)
             if abs(obj.max_dist - opt.max_dist) <= 1e-12:
@@ -197,9 +196,8 @@ def test_criterion_06_experiment2_direction():
     for seed in range(10):
         topo = ring_topology(len(TWO_CLUSTER_PATTERN))
         users = _two_cluster_users(seed)
-        dm = topo.distance_matrix()
-        placement, _, _ = dragoon(dm, topo, users, 2)
-        a_dist = closest_assignment(dm, users, placement)
+        placement, _, _ = dragoon(topo, users, 2)
+        a_dist = closest_assignment(topo, users, placement)
         cache = CacheConfig(capacity=6, policy="BELADY")  # C=6 < U=10
 
         def scenario(p, a):
@@ -209,7 +207,7 @@ def test_criterion_06_experiment2_direction():
 
         miss_dist = run(scenario(placement, a_dist)).miss_ratio
         a_corr, _, _ = greedy_correlation(users, placement, a_dist)
-        p_corr, a_corr = relocate_servers(dm, users, placement, a_corr)
+        p_corr, a_corr = relocate_servers(topo, users, placement, a_corr)
         miss_corr = run(scenario(p_corr, a_corr)).miss_ratio
         ratios.append(miss_corr / miss_dist)
     mean_ratio = float(np.mean(ratios))
@@ -252,8 +250,7 @@ def test_criterion_07_greedy_termination_and_quality():
     exhaustive_cases = exhaustive_matches = 0
     for seed in range(500):
         topo, users, servers = _fuzz_instance(seed)
-        dm = topo.distance_matrix()
-        a0 = closest_assignment(dm, users, servers)
+        a0 = closest_assignment(topo, users, servers)
         a, total_corr, log = greedy_correlation(users, servers, a0)
         assert len(log) <= 100, f"instance {seed} ran {len(log)} iterations"
         for rec in log:
@@ -383,11 +380,10 @@ def test_criterion_10_desk_scale_performance(tmp_path):
     from cdnsim import ZipfModel, generate_users
 
     users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124)
-    dm = topo.distance_matrix()
-    placement, _, _ = dragoon(dm, topo, users, 10)                     # place
-    a0 = closest_assignment(dm, users, placement)
+    placement, _, _ = dragoon(topo, users, 10)                         # place
+    a0 = closest_assignment(topo, users, placement)
     a1, _, _ = greedy_correlation(users, placement, a0)                # assign
-    p1, a1 = relocate_servers(dm, users, placement, a1)
+    p1, a1 = relocate_servers(topo, users, placement, a1)
     scenario = Scenario(topology=topo, users=users, placement=p1, assignment=a1,
                         cache=CacheConfig(10, "LRU"), origin=ids[0],
                         master_seed=124, requests_per_user=100)

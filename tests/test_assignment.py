@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
     CacheConfig,
-    Profile,
     Scenario,
     Topology,
     UserGroup,
@@ -23,15 +22,15 @@ from cdnsim import (
 )
 from cdnsim.assignment import _CorrEval
 from cdnsim.rng import make_rng
-from conftest import path_topology, random_connected_topology, random_profile
+from conftest import path_topology, profile_from_dict, random_connected_topology, random_profile
 from oracles import relocate_servers_ranking, total_correlation
 
 UNIVERSE_ABC = ("A", "B", "C")
 
 
 def two_user_example(nodes=("u1", "u2")):
-    p1 = Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
-    p2 = Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
+    p1 = profile_from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
+    p2 = profile_from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
     return [
         UserGroup(node=nodes[0], profile=p1),
         UserGroup(node=nodes[1], profile=p2),
@@ -84,8 +83,8 @@ class TestGreedyCorrelation:
     def test_two_clusters_converge_to_pure(self):
         # adversarial start: one cluster-1 user stranded with three others
         uni = tuple(f"s{i}" for i in range(4))
-        c1 = Profile.from_dict({"s0": 0.6, "s1": 0.4}, uni)
-        c2 = Profile.from_dict({"s2": 0.6, "s3": 0.4}, uni)
+        c1 = profile_from_dict({"s0": 0.6, "s1": 0.4}, uni)
+        c2 = profile_from_dict({"s2": 0.6, "s3": 0.4}, uni)
         users = [
             UserGroup(node="w", profile=c1),
             UserGroup(node="x", profile=c2),
@@ -106,7 +105,7 @@ class TestGreedyCorrelation:
         users = [UserGroup(node=n, profile=random_profile(seed * 31 + i, universe))
                  for i, n in enumerate(topo.node_ids)]
         servers = tuple(topo.node_ids[:2])
-        a0 = closest_assignment(topo.distance_matrix(), users, servers)
+        a0 = closest_assignment(topo, users, servers)
         _, total, log = greedy_correlation(users, servers, a0)
         for rec in log:
             if rec.accepted:
@@ -122,7 +121,7 @@ class TestGreedyCorrelation:
         users = [UserGroup(node=n, profile=random_profile(i, universe))
                  for i, n in enumerate(topo.node_ids)]
         servers = tuple(topo.node_ids[:3])
-        a0 = closest_assignment(topo.distance_matrix(), users, servers)
+        a0 = closest_assignment(topo, users, servers)
         first = greedy_correlation(users, servers, a0)
         second = greedy_correlation(users, servers, a0)
         assert first == second
@@ -136,12 +135,13 @@ class TestGreedyCorrelation:
 
 
 def _profile_calls(topo, users, assignment):
-    """Each public entry point that reads the users' profiles."""
+    """Each public entry point that reads the users' profiles or assignment."""
     servers = tuple(sorted(set(assignment.values())))
     scenario = Scenario(topology=topo, users=users, placement=servers, assignment=assignment,
                         cache=CacheConfig(2), origin=servers[0], master_seed=0)
     return {
         "user_correlations": lambda: user_correlations(users, assignment),
+        "relocate_servers": lambda: relocate_servers(topo, users, servers, assignment),
         "greedy_correlation": lambda: greedy_correlation(users, servers, assignment),
         "optimize": lambda: optimize(topo, users, k=2, optimizer="correlation"),
         "front_sweep": lambda: front_sweep(topo, users, 2, 4),
@@ -163,7 +163,7 @@ def test_user_without_profile_is_rejected(name, path3):
         call()
 
 
-@pytest.mark.parametrize("name", ["user_correlations"])
+@pytest.mark.parametrize("name", ["user_correlations", "relocate_servers"])
 def test_user_missing_from_assignment_is_rejected(name, path3):
     users = [UserGroup(node=n, profile=random_profile(i, UNIVERSE_ABC))
              for i, n in enumerate(path3.node_ids)]
@@ -206,7 +206,7 @@ def relocation_instances(draw):
     servers = tuple(sorted(rng.choice(ids, size=k, replace=False).tolist()))
     assignment = {u.node: servers[int(rng.integers(k))] for u in users}
     shuffled = [users[i] for i in rng.permutation(n)]
-    return topo.distance_matrix(), users, servers, assignment, shuffled
+    return topo, users, servers, assignment, shuffled
 
 
 class TestRelocateServers:
@@ -215,10 +215,10 @@ class TestRelocateServers:
     def test_matches_the_full_ranking_oracle(self, instance):
         # every caller passes users in node-id order, as the oracle gets them here;
         # the one_center path gives the same result for any user order
-        dm, users, servers, assignment, shuffled = instance
-        expected = relocate_servers_ranking(dm, users, servers, assignment)
-        assert relocate_servers(dm, users, servers, assignment) == expected
-        assert relocate_servers(dm, shuffled, servers, assignment) == expected
+        topo, users, servers, assignment, shuffled = instance
+        expected = relocate_servers_ranking(topo, users, servers, assignment)
+        assert relocate_servers(topo, users, servers, assignment) == expected
+        assert relocate_servers(topo, shuffled, servers, assignment) == expected
 
     def test_group_on_path_moves_to_middle(self, path3):
         users = [
@@ -226,43 +226,38 @@ class TestRelocateServers:
             UserGroup(node="C", profile=random_profile(1, UNIVERSE_ABC)),
         ]
         a = {"A": "A", "C": "A"}
-        placement, new_a = relocate_servers(path3.distance_matrix(), users, ("A",), a)
+        placement, new_a = relocate_servers(path3, users, ("A",), a)
         assert placement == ("B",)
         assert new_a == {"A": "B", "C": "B"}
 
     def test_singleton_group_stays_home(self, path3):
         users = [UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC))]
-        placement, new_a = relocate_servers(
-            path3.distance_matrix(), users, ("C",), {"A": "C"}
-        )
+        placement, new_a = relocate_servers(path3, users, ("C",), {"A": "C"})
         assert placement == ("A",)
         assert new_a == {"A": "A"}
 
     def test_empty_server_keeps_location(self, path3):
         users = [UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC))]
-        placement, new_a = relocate_servers(
-            path3.distance_matrix(), users, ("B", "C"), {"A": "C"}
-        )
+        placement, new_a = relocate_servers(path3, users, ("B", "C"), {"A": "C"})
         assert placement == ("A", "B")
         assert new_a == {"A": "A"}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_per_group_one_center_oracle(self, seed):
         topo = random_connected_topology(seed, 12, weighted=True)
-        dm = topo.distance_matrix()
         universe = tuple(f"s{i}" for i in range(4))
         users = [UserGroup(node=n, profile=random_profile(i, universe))
                  for i, n in enumerate(topo.node_ids)]
         servers = tuple(topo.node_ids[:3])
-        a = closest_assignment(dm, users, servers)
-        placement, new_a = relocate_servers(dm, users, servers, a)
+        a = closest_assignment(topo, users, servers)
+        placement, new_a = relocate_servers(topo, users, servers, a)
         # every group's new location minimizes the group's (max, avg) objective
         groups = {}
         for u in users:
             groups.setdefault(new_a[u.node], []).append(u)
         for server, members in groups.items():
-            w = lambda c: [m.priority * dm.get(m.node, c) for m in members]
-            best = min(dm.ids, key=lambda c: (max(w(c)), float(np.mean(w(c))), c))
+            w = lambda c: [m.priority * topo.distance(m.node, c) for m in members]
+            best = min(topo.node_ids, key=lambda c: (max(w(c)), float(np.mean(w(c))), c))
             claimed = set(placement) - {server}
             if best not in claimed:
                 assert server == best
@@ -270,20 +265,19 @@ class TestRelocateServers:
     @pytest.mark.parametrize("seed", range(6))
     def test_never_increases_group_max_distance(self, seed):
         topo = random_connected_topology(seed + 50, 12)
-        dm = topo.distance_matrix()
         universe = tuple(f"s{i}" for i in range(4))
         users = [UserGroup(node=n, profile=random_profile(i, universe))
                  for i, n in enumerate(topo.node_ids)]
         servers = tuple(topo.node_ids[:3])
-        a = closest_assignment(dm, users, servers)
-        placement, new_a = relocate_servers(dm, users, servers, a)
+        a = closest_assignment(topo, users, servers)
+        placement, new_a = relocate_servers(topo, users, servers, a)
         old_max = {s: 0.0 for s in servers}
         new_max = {}
         for u in users:
-            old_max[a[u.node]] = max(old_max[a[u.node]], dm.get(u.node, a[u.node]))
+            old_max[a[u.node]] = max(old_max[a[u.node]], topo.distance(u.node, a[u.node]))
         for u in users:
             s = new_a[u.node]
-            new_max[s] = max(new_max.get(s, 0.0), dm.get(u.node, s))
+            new_max[s] = max(new_max.get(s, 0.0), topo.distance(u.node, s))
         # compare per group via the old->new server mapping
         mapping = {a[u.node]: new_a[u.node] for u in users}
         for old_server, new_server in mapping.items():
@@ -299,12 +293,11 @@ class TestOptimize:
         universe = tuple(f"s{i}" for i in range(6))
         users = [UserGroup(node=n, profile=random_profile(seed * 17 + i, universe))
                  for i, n in enumerate(topo.node_ids)]
-        dm = topo.distance_matrix()
-        placement, _, _ = dragoon(dm, topo, users, 3)
-        closest = closest_assignment(dm, users, placement)
+        placement, _, _ = dragoon(topo, users, 3)
+        closest = closest_assignment(topo, users, placement)
         assert optimize(topo, users, k=3) == (placement, closest, [])
         greedy, _, log = greedy_correlation(users, placement, closest)
-        expected = (*relocate_servers(dm, users, placement, greedy), log)
+        expected = (*relocate_servers(topo, users, placement, greedy), log)
         # a given placement wins over k
         assert optimize(topo, users, k=1, placement=placement,
                         optimizer="correlation") == expected

@@ -44,27 +44,37 @@ def _names(tree: ast.AST) -> Counter:
 
 
 def uncalled_functions(sources: dict[str, str]) -> list[str]:
-    """Public module-level functions that no module names outside the function's
-    own body, as module.function."""
+    """Public module-level functions, and public methods of public classes, that
+    no module names outside their own body, as module.function or
+    module.Class.method."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     named = sum((_names(tree) for tree in trees.values()), Counter())
-    return [f"{module}.{node.name}"
-            for module, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-            and named[node.name] == _names(node)[node.name]]
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((module, node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defs += [(f"{module}.{node.name}", method) for method in node.body
+                         if isinstance(method, ast.FunctionDef)]
+    return [f"{owner}.{node.name}" for owner, node in defs
+            if not node.name.startswith("_") and named[node.name] == _names(node)[node.name]]
 
 
 def test_uncalled_functions_are_found():
     sources = {"a": "def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
-                    "def recursive(): recursive()\n",
-               "b": "from a import unused\nimport a\na.used()\n"}
-    assert uncalled_functions(sources) == ["a.unused", "a.recursive"]
+                    "def recursive(): recursive()\n"
+                    "class Public:\n    def called(self): pass\n    def uncalled(self): pass\n"
+                    "    def _private(self): pass\n"
+                    "class _Hidden:\n    def hidden(self): pass\n",
+               "b": "from a import unused\nimport a\na.used()\na.Public().called()\n"}
+    assert uncalled_functions(sources) == ["a.unused", "a.recursive", "a.Public.uncalled"]
 
 
 def test_every_public_function_has_a_caller():
-    """A public function of the package is called somewhere in it; __init__
-    re-exports and the tests do not count, so no test-only function lives in
-    the package."""
+    """A public function or method of the package is called somewhere in it;
+    __init__ re-exports and the tests do not count, so no test-only function
+    lives in the package."""
     assert uncalled_functions({p.stem: p.read_text() for p in MODULES}) == []
 
 

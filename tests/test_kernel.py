@@ -170,9 +170,8 @@ def test_ring_instance_matches_oracle():
     instance where the old fsum-based rho path disagreed with the optimizer."""
     topo = ring_topology(60)
     users = generate_users(topo, ZipfModel(0.3, 40, 10), master_seed=5)
-    dm = topo.distance_matrix()
-    placement, _, _ = dragoon(dm, topo, users, 6)
-    a0 = closest_assignment(dm, users, placement)
+    placement, _, _ = dragoon(topo, users, 6)
+    a0 = closest_assignment(topo, users, placement)
     oracle = PairwiseCorr(users, placement)
     ev = _CorrEval(users, placement)
     assert np.array_equal(ev.matrix(a0), oracle.matrix(a0))

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
     CacheConfig,
-    Profile,
     Scenario,
     UserGroup,
     ValidationError,
@@ -20,7 +19,8 @@ from cdnsim import (
 from cdnsim.pareto import SolutionPoint
 from cdnsim.placement import dragoon
 from cdnsim.rng import derive_seed, make_rng
-from conftest import desk_topology, path_topology, random_connected_topology, random_profile
+from conftest import (desk_topology, path_topology, profile_from_dict, random_connected_topology,
+                      random_profile)
 from oracles import brute_force_placement, dominates, front_sweep_pairwise, total_correlation
 
 
@@ -131,10 +131,9 @@ class TestFrontSweep:
     def test_endpoints_span_the_tradeoff(self):
         topo, users = walk_instance(5)
         front = front_sweep(topo, users, 2, 30)
-        dm = topo.distance_matrix()
-        place0, _, _ = dragoon(dm, topo, users, 2)
-        a0 = closest_assignment(dm, users, place0)
-        w = [u.priority * dm.get(u.node, a0[u.node]) for u in users]
+        place0, _, _ = dragoon(topo, users, 2)
+        a0 = closest_assignment(topo, users, place0)
+        w = [u.priority * topo.distance(u.node, a0[u.node]) for u in users]
         min_avg = float(np.mean(w))
         assert front[0].avg_dist == pytest.approx(min_avg)
         # recorded correlation endpoint is the best correlation on the front
@@ -143,19 +142,18 @@ class TestFrontSweep:
     def test_two_cluster_endpoints_match_exhaustive(self):
         # <= 8 users: endpoints checked against enumeration of all assignments
         uni = tuple(f"s{i}" for i in range(6))
-        c1 = Profile.from_dict({"s0": 0.5, "s1": 0.3, "s2": 0.2}, uni)
-        c2 = Profile.from_dict({"s3": 0.5, "s4": 0.3, "s5": 0.2}, uni)
+        c1 = profile_from_dict({"s0": 0.5, "s1": 0.3, "s2": 0.2}, uni)
+        c2 = profile_from_dict({"s3": 0.5, "s4": 0.3, "s5": 0.2}, uni)
         topo = path_topology([f"n{i}" for i in range(6)])
         users = [
             UserGroup(node=f"n{i}", profile=(c1 if i in (0, 2, 4) else c2))
             for i in range(6)
         ]
         front = front_sweep(topo, users, 2, 2)
-        dm = topo.distance_matrix()
 
         # distance endpoint: dragoon meets the exact k-center optimum here
-        place0, obj0, _ = dragoon(dm, topo, users, 2)
-        _, bf_obj = brute_force_placement(dm, users, 2)
+        place0, obj0, _ = dragoon(topo, users, 2)
+        _, bf_obj = brute_force_placement(topo, users, 2)
         assert obj0 == bf_obj
         assert front[0].avg_dist == pytest.approx(obj0.avg_dist)
 

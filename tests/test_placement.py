@@ -49,55 +49,52 @@ def shuffled_instances(draw):
 class TestClosestAssignment:
     def test_tie_breaks_to_lower_id(self, path3):
         users = uniform_users(path3)
-        a = closest_assignment(path3.distance_matrix(), users, ("A", "C"))
+        a = closest_assignment(path3, users, ("A", "C"))
         assert a["B"] == "A"
 
     def test_single_server(self, path5):
         users = uniform_users(path5)
-        a = closest_assignment(path5.distance_matrix(), users, ("C",))
+        a = closest_assignment(path5, users, ("C",))
         assert set(a.values()) == {"C"}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_user_argmin_oracle(self, seed):
         topo = random_connected_topology(seed, 8, weighted=True)
-        dm = topo.distance_matrix()
         users = uniform_users(topo)
         servers = tuple(topo.node_ids[:3])
-        a = closest_assignment(dm, users, servers)
+        a = closest_assignment(topo, users, servers)
         for u in users:
             # independent scan: smallest (distance, id) pair wins
-            best = min(servers, key=lambda s: (dm.get(u.node, s), s))
+            best = min(servers, key=lambda s: (topo.distance(u.node, s), s))
             assert a[u.node] == best
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(shuffled_instances())
     def test_matches_the_per_user_loop(self, instance):
         topo, users, servers = instance
-        dm = topo.distance_matrix()
-        assert closest_assignment(dm, users, servers) == \
-            oracles.closest_assignment_loop(dm, users, servers)
+        assert closest_assignment(topo, users, servers) == \
+            oracles.closest_assignment_loop(topo, users, servers)
 
 
 class TestEvaluatePlacement:
     """The placement objective under closest assignment."""
 
     def test_path_center(self, path3):
-        obj = _Eval(path3.distance_matrix(), uniform_users(path3)).objective(("B",))
+        obj = _Eval(path3, uniform_users(path3)).objective(("B",))
         assert obj == PlacementObjective(1.0, pytest.approx(2 / 3))
 
     def test_servers_everywhere(self, path5):
         users = uniform_users(path5)
-        obj = _Eval(path5.distance_matrix(), users).objective(path5.node_ids)
+        obj = _Eval(path5, users).objective(path5.node_ids)
         assert obj == PlacementObjective(0.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_recomputation_oracle(self, seed):
         topo = random_connected_topology(seed, 10, weighted=True)
-        dm = topo.distance_matrix()
         users = uniform_users(topo)
         servers = tuple(topo.node_ids[:2])
-        obj = _Eval(dm, users).objective(servers)
-        dists = [min(dm.get(u.node, s) for s in servers) for u in users]
+        obj = _Eval(topo, users).objective(servers)
+        dists = [min(topo.distance(u.node, s) for s in servers) for u in users]
         assert obj.max_dist == pytest.approx(max(dists))
         assert obj.avg_dist == pytest.approx(sum(dists) / len(dists))
 
@@ -106,27 +103,26 @@ class TestEvaluatePlacement:
             UserGroup(node="A", priority=5.0, profile=dummy_profile()),
             UserGroup(node="C", priority=1.0, profile=dummy_profile()),
         ]
-        obj = _Eval(path3.distance_matrix(), heavy).objective(("B",))
+        obj = _Eval(path3, heavy).objective(("B",))
         assert obj.max_dist == 5.0  # 5 * dist(A,B)
         assert obj.avg_dist == 3.0  # (5*1 + 1*1) / 2
 
 
 class TestOneCenter:
     def test_path3(self, path3):
-        assert one_center(path3.distance_matrix(), uniform_users(path3)) == "B"
+        assert one_center(path3, uniform_users(path3)) == "B"
 
     def test_path5_symmetry(self, path5):
-        assert one_center(path5.distance_matrix(), uniform_users(path5)) == "C"
+        assert one_center(path5, uniform_users(path5)) == "C"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exhaustive_scan_oracle(self, seed):
         topo = random_connected_topology(seed, 12, weighted=True)
-        dm = topo.distance_matrix()
         users = uniform_users(topo)
-        got = one_center(dm, users)
+        got = one_center(topo, users)
         best = None
-        for c in dm.ids:
-            w = [u.priority * dm.get(u.node, c) for u in users]
+        for c in topo.node_ids:
+            w = [u.priority * topo.distance(u.node, c) for u in users]
             key = (max(w), sum(w) / len(w), c)
             if best is None or key < best:
                 best = key
@@ -136,20 +132,20 @@ class TestOneCenter:
 class TestFarthestFirst:
     def test_path5_k2(self, path5):
         # mark C; farthest is A by tie-break; then E
-        got = farthest_first_init(path5.distance_matrix(), uniform_users(path5), 2)
+        got = farthest_first_init(path5, uniform_users(path5), 2)
         assert got == ("A", "E")
 
     def test_k_equals_node_count(self, path3):
-        got = farthest_first_init(path3.distance_matrix(), uniform_users(path3), 3)
+        got = farthest_first_init(path3, uniform_users(path3), 3)
         assert got == ("A", "B", "C")
 
     def test_k1_path3(self, path3):
-        got = farthest_first_init(path3.distance_matrix(), uniform_users(path3), 1)
+        got = farthest_first_init(path3, uniform_users(path3), 1)
         assert got == ("A",)
 
     def test_k_out_of_range(self, path3):
         with pytest.raises(InfeasibleError):
-            farthest_first_init(path3.distance_matrix(), uniform_users(path3), 4)
+            farthest_first_init(path3, uniform_users(path3), 4)
 
     @pytest.mark.parametrize("k", [1.5, 2.0, True])
     @pytest.mark.parametrize("name", ["optimize", "brute_force_placement"])
@@ -158,8 +154,7 @@ class TestFarthestFirst:
         users = uniform_users(path3)
         call = {
             "optimize": lambda: optimize(path3, users, k=k),
-            "brute_force_placement": lambda: oracles.brute_force_placement(
-                path3.distance_matrix(), users, k),
+            "brute_force_placement": lambda: oracles.brute_force_placement(path3, users, k),
         }[name]
         with pytest.raises(ValidationError, match="k must be an int"):
             call()
@@ -168,100 +163,90 @@ class TestFarthestFirst:
     @given(shuffled_instances())
     def test_matches_the_first_maximum_loop(self, instance):
         topo, users, servers = instance
-        dm, k = topo.distance_matrix(), len(servers)
-        assert farthest_first_init(dm, users, k) == \
-            oracles.farthest_first_init_loop(dm, users, k)
+        k = len(servers)
+        assert farthest_first_init(topo, users, k) == \
+            oracles.farthest_first_init_loop(topo, users, k)
 
 
 class TestDragoon:
     def test_path3_k1_moves_to_center(self, path3):
-        placement, obj, log = dragoon(
-            path3.distance_matrix(), path3, uniform_users(path3), 1
-        )
+        placement, obj, log = dragoon(path3, uniform_users(path3), 1)
         assert placement == ("B",)
         assert obj.max_dist == 1.0
         assert [(m.from_node, m.to_node) for m in log] == [("A", "B")]
 
     def test_path5_k2_reaches_optimum(self, path5):
-        dm = path5.distance_matrix()
         users = uniform_users(path5)
-        placement, obj, _ = dragoon(dm, path5, users, 2)
-        _, opt = oracles.brute_force_placement(dm, users, 2)
+        placement, obj, _ = dragoon(path5, users, 2)
+        _, opt = oracles.brute_force_placement(path5, users, 2)
         assert opt.max_dist == 1.0
         assert obj.max_dist == 1.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_never_worse_than_init(self, seed):
         topo = random_connected_topology(seed, 10, weighted=(seed % 2 == 0))
-        dm = topo.distance_matrix()
         users = uniform_users(topo)
         for k in (1, 2, 3):
-            init = farthest_first_init(dm, users, k)
-            init_obj = _Eval(dm, users).objective(init)
-            _, obj, _ = dragoon(dm, topo, users, k)
+            init = farthest_first_init(topo, users, k)
+            init_obj = _Eval(topo, users).objective(init)
+            _, obj, _ = dragoon(topo, users, k)
             assert obj <= init_obj
 
     def test_deterministic(self):
         topo = random_connected_topology(7, 15, weighted=True)
-        dm = topo.distance_matrix()
         users = uniform_users(topo)
-        runs = [dragoon(dm, topo, users, 3) for _ in range(3)]
+        runs = [dragoon(topo, users, 3) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_objective_decreases_along_log(self):
         topo = random_connected_topology(13, 20)
-        dm = topo.distance_matrix()
         users = uniform_users(topo)
-        _, _, log = dragoon(dm, topo, users, 2)
+        _, _, log = dragoon(topo, users, 2)
         objs = [(m.max_dist, m.avg_dist) for m in log]
         assert all(objs[i] > objs[i + 1] for i in range(len(objs) - 1))
 
 
 class TestBruteForce:
     def test_path3(self, path3):
-        placement, obj = oracles.brute_force_placement(
-            path3.distance_matrix(), uniform_users(path3), 1
-        )
+        placement, obj = oracles.brute_force_placement(path3, uniform_users(path3), 1)
         assert placement == ("B",)
         assert obj.max_dist == 1.0
 
     def test_star_center(self):
         topo = star_topology("m", ["a", "b", "c", "d"])
-        placement, obj = oracles.brute_force_placement(
-            topo.distance_matrix(), uniform_users(topo), 1
-        )
+        placement, obj = oracles.brute_force_placement(topo, uniform_users(topo), 1)
         assert placement == ("m",)
         assert obj.max_dist == 1.0
 
     def test_guard_rejects_huge_instance(self):
         topo = random_connected_topology(0, 60)
         with pytest.raises(InfeasibleError, match="guard"):
-            oracles.brute_force_placement(topo.distance_matrix(), uniform_users(topo), 10)
+            oracles.brute_force_placement(topo, uniform_users(topo), 10)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_dragoon_within_two_approx(seed):
     topo = random_connected_topology(seed, 4 + seed % 9, weighted=(seed % 3 == 0))
-    dm = topo.distance_matrix()
     users = uniform_users(topo)
     for k in (1, 2, 3):
         if k > len(topo.node_ids):
             continue
-        _, obj, _ = dragoon(dm, topo, users, k)
-        _, opt = oracles.brute_force_placement(dm, users, k)
+        _, obj, _ = dragoon(topo, users, k)
+        _, opt = oracles.brute_force_placement(topo, users, k)
         assert obj.max_dist <= 2 * opt.max_dist + 1e-12
 
 
 class TestDistanceInputErrors:
-    """Unknown nodes and empty user lists are input errors, not lookup failures."""
+    """Unknown nodes, empty user lists and repeated servers are input errors,
+    not lookup failures."""
 
     @pytest.mark.parametrize("name", ["optimize", "one_center", "closest_assignment"])
     def test_unknown_server_node(self, name, path3):
-        dm, users = path3.distance_matrix(), uniform_users(path3)
+        users = uniform_users(path3)
         call = {
             "optimize": lambda: optimize(path3, users, placement=("Z",)),
-            "one_center": lambda: one_center(dm, users, candidates=("Z",)),
-            "closest_assignment": lambda: closest_assignment(dm, users, ("Z",)),
+            "one_center": lambda: one_center(path3, users, candidates=("Z",)),
+            "closest_assignment": lambda: closest_assignment(path3, users, ("Z",)),
         }[name]
         with pytest.raises(ValidationError, match="unknown node 'Z'"):
             call()
@@ -283,12 +268,31 @@ class TestDistanceInputErrors:
         call = {
             "optimize": lambda: optimize(path3, [], k=1),
             "optimize_placement": lambda: optimize(path3, [], placement=("A",)),
-            "closest_assignment": lambda: closest_assignment(path3.distance_matrix(), [],
-                                                             ("A",)),
-            "one_center": lambda: one_center(path3.distance_matrix(), []),
+            "closest_assignment": lambda: closest_assignment(path3, [], ("A",)),
+            "one_center": lambda: one_center(path3, []),
             "run": lambda: run(Scenario(path3, [], ("A",), {}, cache, "A", 0)),
         }[name]
         with pytest.raises(ValidationError, match="no users"):
+            call()
+
+    @pytest.mark.parametrize("name", ["optimize", "optimize_correlation", "closest_assignment",
+                                      "greedy_correlation", "relocate_servers", "run"])
+    def test_placement_with_a_repeated_node(self, name, path5):
+        """A repeated server would hold an empty twin slot or vanish from the plan."""
+        users = generate_users(path5, ZipfModel(0.3, 20, 5), 0)
+        servers = ("B", "D", "D")
+        closest = {u.node: "B" if u.node < "D" else "D" for u in users}
+        cache = CacheConfig(capacity=3, policy="LRU")
+        call = {
+            "optimize": lambda: optimize(path5, users, placement=servers),
+            "optimize_correlation": lambda: optimize(path5, users, placement=servers,
+                                                     optimizer="correlation"),
+            "closest_assignment": lambda: closest_assignment(path5, users, servers),
+            "greedy_correlation": lambda: greedy_correlation(users, servers, closest),
+            "relocate_servers": lambda: relocate_servers(path5, users, servers, closest),
+            "run": lambda: run(Scenario(path5, users, servers, closest, cache, "A", 0)),
+        }[name]
+        with pytest.raises(ValidationError, match="placement contains duplicate nodes"):
             call()
 
 
@@ -308,7 +312,6 @@ def weighted_user_sets(draw):
 
 def _order_free_calls(topo, k, placement, closest, seed):
     """Each public entry point that takes users, its other inputs fixed."""
-    dm = topo.distance_matrix()
     cache = CacheConfig(capacity=3, policy="LRU")
     return {
         "front_sweep": lambda users: front_sweep(topo, users, k, 6),
@@ -316,9 +319,9 @@ def _order_free_calls(topo, k, placement, closest, seed):
         "run": lambda users: run(Scenario(topo, users, placement, closest, cache,
                                           placement[0], seed)),
         "optimize": lambda users: optimize(topo, users, k=k, optimizer="correlation"),
-        "dragoon": lambda users: dragoon(dm, topo, users, k),
-        "one_center": lambda users: one_center(dm, users),
-        "relocate_servers": lambda users: relocate_servers(dm, users, placement, closest),
+        "dragoon": lambda users: dragoon(topo, users, k),
+        "one_center": lambda users: one_center(topo, users),
+        "relocate_servers": lambda users: relocate_servers(topo, users, placement, closest),
     }
 
 

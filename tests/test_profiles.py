@@ -13,7 +13,7 @@ from cdnsim import (
     user_correlations,
     zipf_pmf,
 )
-from conftest import random_profile
+from conftest import profile_from_dict, random_profile
 
 UNIVERSE_ABC = ("A", "B", "C")
 
@@ -149,18 +149,18 @@ class TestSpearman:
 
     def test_worked_example_user1(self):
         # the paper's server profile (A 0.4, B 0.25, C 0.35) is the mean of u1 and u2
-        u1 = Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
-        u2 = Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
+        u1 = profile_from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
+        u2 = profile_from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
         assert one_server(u1, u2)["u0"] == pytest.approx(0.125, abs=1e-9)
 
     def test_worked_example_user2(self):
-        u1 = Profile.from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
-        u2 = Profile.from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
+        u1 = profile_from_dict({"A": 0.5, "B": 0.5, "C": 0.0}, UNIVERSE_ABC)
+        u2 = profile_from_dict({"A": 0.3, "B": 0.0, "C": 0.7}, UNIVERSE_ABC)
         assert one_server(u1, u2)["u1"] == pytest.approx(0.5, abs=1e-9)
 
     def test_self_correlation_distinct_probs(self):
         # a sole member's server profile is its own profile
-        p = Profile.from_dict({"A": 0.5, "B": 0.3, "C": 0.2}, UNIVERSE_ABC)
+        p = profile_from_dict({"A": 0.5, "B": 0.3, "C": 0.2}, UNIVERSE_ABC)
         assert one_server(p) == {"u0": 1.0}
 
     def test_reversed_ranks(self):
@@ -186,7 +186,7 @@ class TestSpearman:
         q = random_profile(0, make_universe(5))
         with pytest.raises(ValidationError, match="user 'u1' has a different universe"):
             one_server(p, q)
-        single = Profile.from_dict({"A": 1.0}, ("A",))
+        single = profile_from_dict({"A": 1.0}, ("A",))
         with pytest.raises(ValidationError,
                            match="need at least 2 services for rank correlation"):
             one_server(single, single)
@@ -209,7 +209,7 @@ def test_sampled_frequencies_match_pmf_within_3_sigma():
 
 def test_profile_validation():
     with pytest.raises(ValidationError):
-        Profile.from_dict({"A": 0.5, "B": 0.6}, ("A", "B"))
+        profile_from_dict({"A": 0.5, "B": 0.6}, ("A", "B"))
     with pytest.raises(ValidationError):
         Profile(("A", "B"), np.array([1.2, -0.2]))
     with pytest.raises(ValidationError):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cdnsim import (
     CacheConfig,
-    Profile,
     Scenario,
     UserGroup,
     ValidationError,
@@ -20,7 +19,7 @@ from cdnsim import simulation
 from cdnsim.cache import POLICIES
 from cdnsim.rng import derive_seed, make_rng
 from cdnsim.simulation import _server_streams
-from conftest import path_topology, random_connected_topology, random_profile
+from conftest import path_topology, profile_from_dict, random_connected_topology, random_profile
 from oracles import run_per_request
 
 
@@ -31,13 +30,12 @@ def small_scenario(seed=0, policy="LRU", capacity=3, requests=100):
         UserGroup(node=n, profile=random_profile(seed * 17 + i, universe))
         for i, n in enumerate(topo.node_ids)
     ]
-    dm = topo.distance_matrix()
     placement = (topo.node_ids[0], topo.node_ids[4])
     return Scenario(
         topology=topo,
         users=users,
         placement=placement,
-        assignment=closest_assignment(dm, users, placement),
+        assignment=closest_assignment(topo, users, placement),
         cache=CacheConfig(capacity, policy),
         origin=topo.node_ids[1],
         master_seed=seed,
@@ -47,7 +45,7 @@ def small_scenario(seed=0, policy="LRU", capacity=3, requests=100):
 
 class TestGenerateRequests:
     def test_degenerate_profile(self):
-        user = UserGroup(node="u", profile=Profile.from_dict({"a": 1.0}, ("a", "b")))
+        user = UserGroup(node="u", profile=profile_from_dict({"a": 1.0}, ("a", "b")))
         assert generate_requests(user, 1, 50) == ["a"] * 50
 
     def test_same_seed_same_stream(self):
@@ -62,20 +60,20 @@ class TestGenerateRequests:
 
     def test_frequencies_within_3_sigma(self):
         n = 100_000
-        user = UserGroup(node="u", profile=Profile.from_dict({"a": 0.75, "b": 0.25}))
+        user = UserGroup(node="u", profile=profile_from_dict({"a": 0.75, "b": 0.25}))
         draws = generate_requests(user, 42, n)
         count_a = draws.count("a")
         sigma = np.sqrt(n * 0.75 * 0.25)
         assert abs(count_a - n * 0.75) <= 3 * sigma
 
     def test_zero_probability_never_drawn(self):
-        user = UserGroup(node="u", profile=Profile.from_dict({"a": 0.5, "b": 0.5, "c": 0.0}))
+        user = UserGroup(node="u", profile=profile_from_dict({"a": 0.5, "b": 0.5, "c": 0.0}))
         assert "c" not in set(generate_requests(user, 11, 5000))
 
     @pytest.mark.parametrize("count", [150.0, True, -1])
     def test_count_must_be_a_non_negative_int(self, count):
         # an int, not a bool, as for a CacheConfig capacity; 0 is an empty stream
-        user = UserGroup(node="u", profile=Profile.from_dict({"a": 0.5, "b": 0.5}))
+        user = UserGroup(node="u", profile=profile_from_dict({"a": 0.5, "b": 0.5}))
         with pytest.raises(ValidationError, match="count must be a non-negative int"):
             generate_requests(user, 1, count)
 
@@ -88,7 +86,7 @@ class TestRun:
 
     def test_single_user_hand_computed(self):
         topo = path_topology(["A", "B"])
-        users = [UserGroup(node="A", profile=Profile.from_dict({"a": 1.0}, ("a",)))]
+        users = [UserGroup(node="A", profile=profile_from_dict({"a": 1.0}, ("a",)))]
         s = Scenario(
             topology=topo,
             users=users,
@@ -112,10 +110,8 @@ class TestRun:
         per = list(r.per_server.values())
         assert r.overall.requests == sum(st.requests for st in per)
         assert r.overall.misses == sum(st.misses for st in per)
-        dm = s.topology.distance_matrix()
-        floor = sum(
-            dm.get(u.node, s.assignment[u.node]) * s.requests_per_user for u in s.users
-        )
+        floor = sum(s.topology.distance(u.node, s.assignment[u.node]) * s.requests_per_user
+                    for u in s.users)
         assert r.network_load >= floor - 1e-9
 
     def test_deterministic(self):
@@ -140,8 +136,7 @@ class TestRun:
             requests_per_user=100,
         )
         r = run(s)
-        dm = topo.distance_matrix()
-        expected = sum(dm.get(n, "B") for n in topo.node_ids) * 100
+        expected = sum(topo.distance(n, "B") for n in topo.node_ids) * 100
         assert r.network_load == pytest.approx(expected)
 
     def test_belady_policy_runs_offline(self):

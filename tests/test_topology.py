@@ -189,16 +189,23 @@ def test_star_neighbors():
 
 
 def test_apsp_path(path3):
-    dm = path3.distance_matrix()
-    assert dm.get("A", "C") == 2.0
-    assert dm.get("A", "A") == 0.0
+    assert path3.distance("A", "C") == 2.0
+    assert path3.distance("A", "A") == 0.0
 
 
 def test_unknown_node_is_rejected(path3):
-    dm = path3.distance_matrix()
-    for lookup in (lambda: dm.index("Z"), lambda: dm.get("A", "Z"), lambda: dm.get("Z", "A")):
+    for lookup in (lambda: path3.index("Z"), lambda: path3.distance("A", "Z"),
+                   lambda: path3.distance("Z", "A"), lambda: path3.neighbors("Z")):
         with pytest.raises(ValidationError, match="unknown node 'Z'"):
             lookup()
+
+
+def test_distances_are_read_only(path3):
+    """A write would corrupt every later placement, assignment and load."""
+    for distances in (path3.distances, all_pairs_shortest_paths(path3)):
+        with pytest.raises(ValueError, match="read-only"):
+            distances[0, 2] = 0.0
+    assert path3.distance("A", "C") == 2.0
 
 
 def test_apsp_shortcut_triangle():
@@ -206,7 +213,7 @@ def test_apsp_shortcut_triangle():
         [("A", 1.0), ("B", 1.0), ("C", 1.0)],
         [("A", "B", 1.0), ("B", "C", 1.0), ("A", "C", 3.0)],
     )
-    assert topo.distance_matrix().get("A", "C") == 2.0  # via B
+    assert topo.distance("A", "C") == 2.0  # via B
 
 
 def assert_shortest_paths(m: np.ndarray, reference: np.ndarray, exact: bool):
@@ -228,7 +235,7 @@ def test_apsp_matches_floyd_warshall(seed, n):
     """The Floyd–Warshall APSP on seeded graphs, unit-weight at odd seeds and
     two-decimal weights at even ones, against the Dijkstra oracle."""
     topo = random_connected_topology(seed, n, weighted=(seed % 2 == 0))
-    assert_shortest_paths(all_pairs_shortest_paths(topo).matrix,
+    assert_shortest_paths(all_pairs_shortest_paths(topo),
                           oracles.dijkstra_apsp(topo), exact=seed % 2 == 1)
 
 
@@ -254,14 +261,14 @@ def weighted_graphs(draw):
 @given(weighted_graphs())
 def test_apsp_matches_dijkstra(case):
     topo, integral = case
-    assert_shortest_paths(all_pairs_shortest_paths(topo).matrix,
+    assert_shortest_paths(all_pairs_shortest_paths(topo),
                           oracles.dijkstra_apsp(topo), exact=integral)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_distance_matrix_invariants(seed):
     topo = random_connected_topology(seed, 20, weighted=True)
-    m = topo.distance_matrix().matrix
+    m = topo.distances
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0.0)
     assert np.isfinite(m).all()
@@ -275,5 +282,4 @@ def test_desk_scale_parse():
     # 124 nodes / 126 edges, the shape of the reference infrastructure
     topo = random_connected_topology(11, 124)
     assert len(topo.node_ids) == 124
-    dm = topo.distance_matrix()
-    assert np.isfinite(dm.matrix).all()
+    assert np.isfinite(topo.distances).all()
