@@ -34,8 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .placement import (Assignment, Placement, _check_placement, closest_assignment, dragoon,
-                        one_center)
+from .placement import Assignment, Placement, _members, closest_assignment, dragoon, one_center
 from .profiles import UserGroup, midranks_descending
 from .rng import left_sum
 from .topology import NodeId, Topology
@@ -63,7 +62,6 @@ class _CorrEval:
     def __init__(self, users: list[UserGroup], placement: Placement):
         if not users:
             raise ValidationError("no users to assign")
-        _check_placement(placement)
         self.users = sorted(users, key=lambda u: u.node)
         self.servers = tuple(sorted(placement))
         self.server_index = {s: j for j, s in enumerate(self.servers)}
@@ -81,14 +79,8 @@ class _CorrEval:
 
     def owners(self, assignment: Assignment) -> np.ndarray:
         """Server index of every user, in user-id order."""
-        owner = []
-        for u in self.users:
-            if u.node not in assignment:
-                raise ValidationError(f"user {u.node!r} missing from assignment")
-            if assignment[u.node] not in self.server_index:
-                raise ValidationError(f"user {u.node!r} assigned outside placement")
-            owner.append(self.server_index[assignment[u.node]])
-        return np.array(owner)
+        _members(self.users, self.servers, assignment)  # rejects an assignment that does not fit
+        return np.array([self.server_index[assignment[u.node]] for u in self.users])
 
     def _sums(self, owner: np.ndarray) -> np.ndarray:
         sums = np.zeros((len(self.servers), self.P.shape[1]))
@@ -209,22 +201,13 @@ def relocate_servers(
     two groups want the same node, the later server (id order) takes its best
     still-free candidate.
     """
-    _check_placement(placement)
-    groups: dict[NodeId, list[UserGroup]] = {s: [] for s in placement}
-    for u in users:
-        s = assignment.get(u.node)
-        if s is None:
-            raise ValidationError(f"user {u.node!r} missing from assignment")
-        if s not in groups:
-            raise ValidationError(f"user {u.node!r} assigned outside placement")
-        groups[s].append(u)
-
+    groups = _members(users, placement, assignment)
     new_location = {s: s for s, members in groups.items() if not members}
     taken = set(new_location)
-    for s in sorted(groups):
-        if groups[s]:
+    for s, members in groups.items():
+        if members:
             free = tuple(n for n in topo.node_ids if n not in taken)
-            new_location[s] = one_center(topo, groups[s], candidates=free)
+            new_location[s] = one_center(topo, members, candidates=free)
             taken.add(new_location[s])
 
     new_placement = tuple(sorted(new_location.values()))

@@ -16,7 +16,7 @@ from pathlib import Path
 from .assignment import OPTIMIZERS, BatchRecord, optimize, user_correlations
 from .cache import CacheConfig, POLICIES
 from .errors import InfeasibleError, ValidationError
-from .placement import dragoon, one_center
+from .placement import _check_placement, dragoon, one_center
 from .profiles import UserGroup, ZipfModel, generate_users, load_trace
 from .simulation import SWEEP_AXES, Scenario, experiment_sweep, run
 from .pareto import front_sweep
@@ -112,8 +112,7 @@ def _load_users(args, topo: Topology) -> list[UserGroup]:
     if args.trace:
         users = load_trace(Path(args.trace).read_bytes())
         for u in users:
-            if u.node not in topo:
-                raise ValidationError(f"trace user {u.node!r} not in topology")
+            topo.index(u.node)  # rejects an unknown node
             u.priority = topo.priorities[u.node]
         return users
     model = ZipfModel(alpha=args.alpha, universe_size=args.universe,
@@ -131,10 +130,8 @@ def _load_placement(path: str, topo: Topology) -> tuple[str, ...]:
     for s in servers:
         if not isinstance(s, str):
             raise ValidationError(f"placement entries must be node id strings, not {s!r}")
-        if s not in topo:
-            raise ValidationError(f"placement references unknown node {s!r}")
-    if len(set(servers)) != len(servers):
-        raise ValidationError("placement contains duplicate nodes")
+        topo.index(s)  # rejects an unknown node
+    _check_placement(servers)
     return tuple(sorted(servers))
 
 
@@ -255,8 +252,6 @@ def cmd_simulate(args) -> int:
         if not args.values:
             raise ValidationError("--sweep requires --values")
         raw = [v.strip() for v in args.values.split(",") if v.strip()]
-        if not raw:
-            raise ValidationError("empty sweep value list")
         if args.sweep == "policy":
             values = raw
         else:

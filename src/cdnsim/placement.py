@@ -87,6 +87,24 @@ def _check_placement(placement: Placement):
         raise ValidationError("placement contains duplicate nodes")
 
 
+def _members(users: list[UserGroup], placement: Placement,
+             assignment: Assignment) -> dict[NodeId, list[UserGroup]]:
+    """Each server in id order with its users in node-id order: the one check
+    that `assignment` maps exactly the users into a valid placement."""
+    _check_placement(placement)
+    members: dict[NodeId, list[UserGroup]] = {s: [] for s in sorted(placement)}
+    for u in sorted(users, key=lambda u: u.node):
+        if u.node not in assignment:
+            raise ValidationError(f"user {u.node!r} missing from assignment")
+        if assignment[u.node] not in members:
+            raise ValidationError(f"user {u.node!r} assigned outside placement")
+        members[assignment[u.node]].append(u)
+    strangers = set(assignment) - {u.node for u in users}
+    if strangers:
+        raise ValidationError(f"node {min(strangers)!r} in assignment is not a user")
+    return members
+
+
 def closest_assignment(topo: Topology, users: list[UserGroup],
                        placement: Placement) -> Assignment:
     """Map each user to its nearest server; distance ties go to the lower id."""

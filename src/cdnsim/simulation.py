@@ -18,7 +18,7 @@ import numpy as np
 from .assignment import OPTIMIZERS, optimize
 from .cache import CacheConfig, CacheStats, replay
 from .errors import ValidationError
-from .placement import Assignment, Placement, _check_placement, _Eval
+from .placement import Assignment, Placement, _Eval, _members
 from .profiles import ServiceId, UserGroup
 from .rng import derive_seed, left_sum, make_rng
 from .topology import NodeId, Topology
@@ -40,31 +40,16 @@ class Scenario:
     requests_per_user: int = 100
 
     def validate(self) -> "Scenario":
-        topo = self.topology
         count = self.requests_per_user
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValidationError(f"requests_per_user must be an int, got {count!r}")
         if count < 100:
             raise ValidationError("requests_per_user must be at least 100")
-        if self.origin not in topo:
-            raise ValidationError(f"origin {self.origin!r} not in topology")
-        _check_placement(self.placement)
-        for s in self.placement:
-            if s not in topo:
-                raise ValidationError(f"server {s!r} not in topology")
-        nodes = {u.node for u in self.users}
-        if len(nodes) != len(self.users):
+        for node in (self.origin, *self.placement, *(u.node for u in self.users)):
+            self.topology.index(node)  # rejects an unknown node
+        if len({u.node for u in self.users}) != len(self.users):
             raise ValidationError("duplicate user nodes")
-        for u in self.users:
-            if u.node not in topo:
-                raise ValidationError(f"user {u.node!r} not in topology")
-        if set(self.assignment) != nodes:
-            raise ValidationError("assignment does not cover exactly the user set")
-        for user_node, server in self.assignment.items():
-            if server not in self.placement:
-                raise ValidationError(
-                    f"user {user_node!r} assigned to non-server {server!r}"
-                )
+        _members(self.users, self.placement, self.assignment)
         return self
 
 
@@ -107,15 +92,11 @@ def _server_streams(s: Scenario) -> list[ServerStream]:
     A server's stream interleaves its members round-robin in node-id order:
     request r of every member, then r + 1. It depends on the users, the
     assignment, the master seed and the request count, not on the cache."""
-    members: dict[NodeId, list[UserGroup]] = {srv: [] for srv in s.placement}
-    for u in sorted(s.users, key=lambda u: u.node):
-        members[s.assignment[u.node]].append(u)
     table = []
-    for server in sorted(members):
-        streams = [generate_requests(u, s.master_seed, s.requests_per_user)
-                   for u in members[server]]
+    for server, members in _members(s.users, s.placement, s.assignment).items():
+        streams = [generate_requests(u, s.master_seed, s.requests_per_user) for u in members]
         table.append((server, list(chain.from_iterable(zip(*streams))),
-                      [s.topology.distance(u.node, server) for u in members[server]]))
+                      [s.topology.distance(u.node, server) for u in members]))
     return table
 
 

@@ -87,9 +87,6 @@ class Topology:
             missing = sorted(set(self.node_ids) - seen)[:5]
             raise ValidationError(f"graph is disconnected (e.g. unreachable: {missing})")
 
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self.priorities
-
     def index(self, node: NodeId) -> int:
         """Row and column of `node` in `distances`."""
         try:

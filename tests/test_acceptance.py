@@ -5,14 +5,12 @@ lines and the informational ratios.
 """
 
 import itertools
-import json
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from cdnsim import (
     CacheConfig,

@@ -163,12 +163,24 @@ def test_user_without_profile_is_rejected(name, path3):
         call()
 
 
-@pytest.mark.parametrize("name", ["user_correlations", "relocate_servers"])
+@pytest.mark.parametrize("name", ["user_correlations", "relocate_servers", "run",
+                                  "greedy_correlation"])
 def test_user_missing_from_assignment_is_rejected(name, path3):
     users = [UserGroup(node=n, profile=random_profile(i, UNIVERSE_ABC))
              for i, n in enumerate(path3.node_ids)]
     call = _profile_calls(path3, users, {"A": "B", "B": "B"})[name]
     with pytest.raises(ValidationError, match="user 'C' missing from assignment"):
+        call()
+
+
+@pytest.mark.parametrize("name", ["user_correlations", "greedy_correlation",
+                                  "relocate_servers", "run"])
+def test_assignment_entry_for_a_non_user_is_rejected(name, path3):
+    """Node C is in the topology but is no user, so its entry fits no user."""
+    users = [UserGroup(node=n, profile=random_profile(i, UNIVERSE_ABC))
+             for i, n in enumerate("AB")]
+    call = _profile_calls(path3, users, {"A": "A", "B": "A", "C": "A"})[name]
+    with pytest.raises(ValidationError, match="node 'C' in assignment is not a user"):
         call()
 
 

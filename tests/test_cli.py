@@ -252,6 +252,21 @@ class TestAssign:
             "error: placement entries must be node id strings, not ")
 
 
+@pytest.mark.parametrize("source", ["origin", "trace", "placement"])
+def test_unknown_node_from_outside_input(topo3, tmp_path, source, capsys):
+    """A node the topology lacks, named by a flag, a trace row or a placement
+    file, gets the one message `Topology.index` gives."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("node_id,service_id,count\nA,x,3\nZ,x,1\n")
+    placement = tmp_path / "placement.json"
+    placement.write_text('["Z"]')
+    argv = {"origin": ["simulate", "--k", "1", "--origin", "Z"],
+            "trace": ["place", "--k", "1", "--trace", str(trace)],
+            "placement": ["assign", "--placement", str(placement)]}[source]
+    assert main([*argv, "--topology", str(topo3), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: unknown node 'Z'\n"
+
+
 class TestSimulate:
     def test_single_run(self, topo12, tmp_path):
         out = tmp_path / "out"

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cdnsim"
-README = PACKAGE.parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cdnsim"
+README = ROOT / "README.md"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +33,8 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["json", "inf"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS_AND_SCRIPTS, ids=[p.name for p in MODULES]
+                         + [f"{p.parent.name}/{p.name}" for p in TESTS_AND_SCRIPTS])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from cdnsim import (
     CacheConfig,
     InfeasibleError,
-    Profile,
     Scenario,
     Topology,
     UserGroup,
@@ -24,7 +23,6 @@ from cdnsim import (
 from cdnsim.placement import PlacementObjective, _Eval
 from conftest import (
     dummy_profile,
-    path_topology,
     random_connected_topology,
     star_topology,
     uniform_users,

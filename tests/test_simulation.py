@@ -230,19 +230,21 @@ class TestScenarioValidation:
     def test_unknown_origin(self):
         s = small_scenario()
         s.origin = "nope"
-        with pytest.raises(ValidationError, match="origin"):
+        with pytest.raises(ValidationError, match="unknown node 'nope'"):
             s.validate()
 
     def test_assignment_must_cover_users(self):
         s = small_scenario()
         del s.assignment[s.users[0].node]
-        with pytest.raises(ValidationError, match="cover"):
+        with pytest.raises(ValidationError,
+                           match=f"user {s.users[0].node!r} missing from assignment"):
             s.validate()
 
     def test_assignment_target_in_placement(self):
         s = small_scenario()
         s.assignment[s.users[0].node] = s.topology.node_ids[2]
-        with pytest.raises(ValidationError, match="non-server"):
+        with pytest.raises(ValidationError,
+                           match=f"user {s.users[0].node!r} assigned outside placement"):
             s.validate()
 
 
