@@ -27,12 +27,18 @@ nodes, built by `bench/workloads.py` as the benchmark builds it; master seed
 reports the median milliseconds per call and the SHA-256 of the users'
 stacked probability vectors.
 
-Correlation-batch layer: `assignment._CorrEval.matrix` and `.total` on the
-desk instance with the 0.3/100/15 profiles, k=10 servers placed by
-`dragoon` and the closest-server assignment. Each reports the median
-nanoseconds per ranked column: a column is one server's candidate rows,
-ranked in one call (10 for `matrix`, one per occupied server for `total`).
-The SHA-256 covers the matrix bytes.
+Correlation layer: `assignment._CorrEval` on the desk instance with the
+0.3/100/15 profiles, k=10 servers placed by `dragoon` and the
+closest-server assignment. Building the evaluator ranks one column per server;
+it reports the median nanoseconds per column and the SHA-256 of the `rho`
+matrix. A fixed sequence of walk moves (the first 40 steps of the steepest
+walk from that assignment, each re-ranking two columns) is then replayed on a
+fresh evaluator; it reports the median nanoseconds per move and the SHA-256
+of the final `rho`.
+
+Pareto layer: `pareto.front_sweep` on the same desk users at k=10 with 10 and
+50 steps. Each reports the median milliseconds per call and the SHA-256 of
+the front's `repr`, every field of every point.
 
 The result is stored under `--label` in `--out` (default `BENCH_layers.json`
 at the repository root); runs under other labels in that file are kept, so
@@ -60,6 +66,7 @@ from cdnsim import (
     all_pairs_shortest_paths,
     closest_assignment,
     dragoon,
+    front_sweep,
     generate_users,
     parse_topology,
     replay,
@@ -83,6 +90,8 @@ GRAPH_EXTRA_EDGES = 500
 DESK_SEED = 124  # the master seed of the profiles
 PROFILE_SHAPES = ((0.8, 2000, 100), (0.3, 100, 15))  # (alpha, universe, profile size)
 SERVERS = 10
+WALK_MOVES = 40
+FRONT_STEPS = (10, 50)
 
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float) -> list[str]:
@@ -178,20 +187,49 @@ def measure_profiles(topo: Topology, repeats: int) -> list[dict]:
     return cells
 
 
-def measure_correlation(topo: Topology, repeats: int) -> dict:
+def desk_users(topo: Topology):
     alpha, universe, size = PROFILE_SHAPES[1]
-    users = generate_users(topo, ZipfModel(alpha, universe, size), DESK_SEED)
+    return generate_users(topo, ZipfModel(alpha, universe, size), DESK_SEED)
+
+
+def measure_correlation(topo: Topology, repeats: int) -> dict:
+    users = desk_users(topo)
     placement = dragoon(topo, users, SERVERS)[0]
     assignment = closest_assignment(topo, users, placement)
-    ev = _CorrEval(users, placement)
-    matrix_s, matrix = timed(lambda: ev.matrix(assignment), repeats)
-    total_s, total = timed(lambda: ev.total(assignment), repeats)
-    occupied = len(set(assignment.values()))
-    return {"users": len(users), "servers": SERVERS, "occupied": occupied,
-            "matrix_ns_per_column": round(matrix_s * 1e9 / SERVERS),
-            "total_ns_per_column": round(total_s * 1e9 / occupied),
+    build_s, ev = timed(lambda: _CorrEval(users, placement, assignment), repeats)
+    total, matrix = ev.total(), ev.rho.copy()
+    moves = []
+    for _ in range(WALK_MOVES):
+        proposals = ev.proposals()
+        if not proposals:
+            break
+        moves.append(proposals[0])
+        ev.move(*proposals[0])
+    seconds = []
+    for _ in range(repeats):
+        ev = _CorrEval(users, placement, assignment)
+        start = time.perf_counter()
+        for move in moves:
+            ev.move(*move)
+        seconds.append(time.perf_counter() - start)
+    return {"users": len(users), "servers": SERVERS,
+            "matrix_ns_per_column": round(build_s * 1e9 / SERVERS),
             "total": total,
-            "sha256": hashlib.sha256(matrix.tobytes()).hexdigest()}
+            "sha256": hashlib.sha256(matrix.tobytes()).hexdigest(),
+            "walk": {"moves": len(moves),
+                     "ns_per_move": round(statistics.median(seconds) * 1e9 / len(moves)),
+                     "sha256": hashlib.sha256(ev.rho.tobytes()).hexdigest()}}
+
+
+def measure_front(topo: Topology, repeats: int) -> list[dict]:
+    users = desk_users(topo)
+    cells = []
+    for steps in FRONT_STEPS:
+        median, front = timed(lambda: front_sweep(topo, users, SERVERS, steps), repeats)
+        cells.append({"steps": steps, "points": len(front),
+                      "ms_per_call": round(median * 1e3, 1),
+                      "sha256": hashlib.sha256(repr(front).encode()).hexdigest()})
+    return cells
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -206,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     desk = desk_topology()
     run["profiles"] = measure_profiles(desk, REPEATS)
     run["correlation"] = measure_correlation(desk, REPEATS)
+    run["front_sweep"] = measure_front(desk, REPEATS)
     run["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
                    "python": platform.python_version(), "numpy": np.__version__}
     run["repeats"] = REPEATS
@@ -229,8 +268,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  users {cell['alpha']}/{cell['universe']}/{cell['profile_size']:<4}"
               f" {cell['ms_per_call']:>9.2f} ms/call  sha256={cell['sha256']}")
     corr = run["correlation"]
-    print(f"  corr matrix {corr['matrix_ns_per_column']:>9} ns/column  total"
-          f" {corr['total_ns_per_column']:>9} ns/column  sha256={corr['sha256']}")
+    print(f"  corr matrix {corr['matrix_ns_per_column']:>9} ns/column  sha256={corr['sha256']}")
+    print(f"  corr walk {corr['walk']['ns_per_move']:>11} ns/move  sha256={corr['walk']['sha256']}")
+    for cell in run["front_sweep"]:
+        print(f"  front {cell['steps']:>2} steps {cell['ms_per_call']:>9.1f} ms/call"
+              f"  sha256={cell['sha256']}")
     return 0
 
 

@@ -15,16 +15,17 @@ Every coefficient in this module comes from one batched kernel (`_CorrEval`),
 and it is exact, not approximate, so that ties in the ranks are reproducible:
 
 - a server's sum vector accumulates its members' profiles with `+=` in
-  user-id order and is rebuilt from scratch for every assignment, never
-  updated by subtraction, because float rounding can create or break exact
-  ties and ties change ranks;
+  user-id order and is rebuilt from scratch for each server a move changes,
+  never updated by subtraction, because float rounding can create or break
+  exact ties and ties change ranks;
 - each candidate row is normalized on its own (`row / row.sum()`), which is
   bit for bit the one-vector computation;
 - midranks are multiples of 0.5, so sum(d^2) is exact in any order;
 - the total adds the users' coefficients left to right in user-id order
   (`rng.left_sum`), whatever the Python version;
 - the users x servers matrix is built one server column at a time, so memory
-  stays at users x universe rather than users x servers x universe.
+  stays at users x universe rather than users x servers x universe; a move
+  (one Pareto walk step) re-ranks two columns, its user's old and new server.
 """
 
 from __future__ import annotations
@@ -53,18 +54,20 @@ class BatchRecord(NamedTuple):
 
 
 class _CorrEval:
-    """Batched rank correlations of users against candidate server profiles.
+    """The rank correlations of one assignment: rho[user, server], each user
+    counted in, users and servers in id order.
 
-    The users' own ranks are computed once per evaluator; server sums are
-    rebuilt for every assignment (see the module docstring for why).
+    The users' own ranks are computed once. `move` changes the assignment and
+    rebuilds only the two servers it touches: for every other server j, a
+    user's candidate row is `sums[j]` or `sums[j] + P[user]` both before and
+    after the move.
     """
 
-    def __init__(self, users: list[UserGroup], placement: Placement):
+    def __init__(self, users: list[UserGroup], placement: Placement, assignment: Assignment):
         if not users:
             raise ValidationError("no users to assign")
         self.users = sorted(users, key=lambda u: u.node)
         self.servers = tuple(sorted(placement))
-        self.server_index = {s: j for j, s in enumerate(self.servers)}
         for u in self.users:
             if u.profile is None:
                 raise ValidationError(f"user {u.node!r} has no profile")
@@ -76,64 +79,48 @@ class _CorrEval:
         self.denom = n * (n * n - 1)
         self.P = np.stack([u.profile.probs for u in self.users])
         self.R = midranks_descending(self.P)
-
-    def owners(self, assignment: Assignment) -> np.ndarray:
-        """Server index of every user, in user-id order."""
         _members(self.users, self.servers, assignment)  # rejects an assignment that does not fit
-        return np.array([self.server_index[assignment[u.node]] for u in self.users])
+        self.assignment = dict(assignment)
+        self.user_index = {u.node: i for i, u in enumerate(self.users)}
+        self.server_index = {s: j for j, s in enumerate(self.servers)}
+        self.owner = np.array([self.server_index[assignment[u.node]] for u in self.users])
+        self.sums = np.zeros((len(self.servers), n))
+        self.rho = np.empty((len(self.users), len(self.servers)))
+        for j in range(len(self.servers)):
+            self._rebuild(j)
 
-    def _sums(self, owner: np.ndarray) -> np.ndarray:
-        sums = np.zeros((len(self.servers), self.P.shape[1]))
-        for i, j in enumerate(owner):
-            sums[j] += self.P[i]
-        return sums
+    def _rebuild(self, j: int):
+        """Server j's sum row from scratch, then its rho column."""
+        members = np.flatnonzero(self.owner == j)  # in user-id order
+        self.sums[j] = 0.0
+        for i in members:
+            self.sums[j] += self.P[i]
+        candidates = self.sums[j] + self.P
+        candidates[members] = self.sums[j]
+        d = midranks_descending(candidates / candidates.sum(axis=1, keepdims=True)) - self.R
+        self.rho[:, j] = 1.0 - 6.0 * (d * d).sum(axis=1) / self.denom
 
-    @staticmethod
-    def _ranks(candidates: np.ndarray) -> np.ndarray:
-        """Midranks of each candidate vector, normalized to a profile first."""
-        return midranks_descending(candidates / candidates.sum(axis=1, keepdims=True))
+    def move(self, user: NodeId, server: NodeId):
+        """Reassign `user` to `server`, a (user, server) pair from `proposals`."""
+        i = self.user_index[user]
+        source, target = self.owner[i], self.server_index[server]
+        self.assignment[user] = server
+        self.owner[i] = target
+        self._rebuild(source)
+        self._rebuild(target)
 
-    def _rho(self, ranks: np.ndarray, rows) -> np.ndarray:
-        """Coefficients of users `rows` against one row of candidate ranks each."""
-        d = ranks - self.R[rows]
-        return 1.0 - 6.0 * (d * d).sum(axis=1) / self.denom
+    def own(self) -> np.ndarray:
+        """Each user's coefficient with its own server, in user-id order."""
+        return self.rho[np.arange(len(self.users)), self.owner]
 
-    def _column(self, sums: np.ndarray, owner: np.ndarray, j: int,
-                rows: np.ndarray) -> np.ndarray:
-        """Coefficients of users `rows` with server j, each user counted in."""
-        candidates = sums[j] + self.P[rows]
-        candidates[owner[rows] == j] = sums[j]
-        return self._rho(self._ranks(candidates), rows)
+    def total(self) -> float:
+        return left_sum(self.own().tolist())
 
-    def matrix(self, assignment: Assignment) -> np.ndarray:
-        """rho[user, server], each user counted in, users and servers in id order."""
-        owner = self.owners(assignment)
-        sums = self._sums(owner)
-        rows = np.arange(len(self.users))
-        return np.column_stack(
-            [self._column(sums, owner, j, rows) for j in range(len(self.servers))]
-        )
-
-    def own(self, assignment: Assignment) -> np.ndarray:
-        """Each user's coefficient with its own server, in user-id order.
-
-        Members of a server share one candidate row, so only the occupied
-        servers' rows are ranked.
-        """
-        owner = self.owners(assignment)
-        occupied, slot = np.unique(owner, return_inverse=True)
-        return self._rho(self._ranks(self._sums(owner)[occupied])[slot], slice(None))
-
-    def total(self, assignment: Assignment) -> float:
-        return left_sum(self.own(assignment).tolist())
-
-    def proposals(self, assignment: Assignment) -> list[tuple[NodeId, NodeId]]:
+    def proposals(self) -> list[tuple[NodeId, NodeId]]:
         """(user, server) for each user whose best coefficient is positive and
         strictly above its current one; ties go to the lower server id. Moves
         come in order of falling gain, equal gains in user-id order."""
-        rho = self.matrix(assignment)
-        rows = np.arange(len(self.users))
-        current = rho[rows, self.owners(assignment)]
+        rho, current = self.rho, self.own()
         # the own server never passes: its coefficient equals `current`
         better = (rho > 0) & (rho > current[:, None])
         # argmax takes the first maximum, i.e. the lowest server id
@@ -149,8 +136,8 @@ def user_correlations(users: list[UserGroup], assignment: Assignment) -> dict[No
     These are the coefficients the greedy optimizes; their sum in this order
     (`rng.left_sum`) is its total correlation.
     """
-    ev = _CorrEval(users, tuple(set(assignment.values())))
-    return dict(zip((u.node for u in ev.users), ev.own(assignment).tolist()))
+    ev = _CorrEval(users, tuple(set(assignment.values())), assignment)
+    return dict(zip((u.node for u in ev.users), ev.own().tolist()))
 
 
 def greedy_correlation(
@@ -165,27 +152,26 @@ def greedy_correlation(
     Returns the final assignment, its total correlation (the log's last
     `total_corr_before`) and the log.
     """
-    ev = _CorrEval(users, placement)
-    assignment = dict(initial)
-    total = ev.total(assignment)
+    ev = _CorrEval(users, placement, initial)
+    total = ev.total()
     log: list[BatchRecord] = []
     iteration = 0
     while True:
         iteration += 1
-        proposals = ev.proposals(assignment)
+        proposals = ev.proposals()
         if not proposals:
             log.append(BatchRecord(iteration, 0, total, total, False))
             break
-        candidate = dict(assignment)
-        for user_node, server in proposals:
-            candidate[user_node] = server
-        new_total = ev.total(candidate)
+        batch = dict(ev.assignment)
+        batch.update(proposals)
+        candidate = _CorrEval(users, placement, batch)  # if kept, it serves the next round
+        new_total = candidate.total()
         accepted = new_total > total
         log.append(BatchRecord(iteration, len(proposals), total, new_total, accepted))
         if not accepted:
             break
-        assignment, total = candidate, new_total
-    return assignment, total, log
+        ev, total = candidate, new_total
+    return ev.assignment, total, log
 
 
 def relocate_servers(

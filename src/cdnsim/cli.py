@@ -210,6 +210,8 @@ def cmd_assign(args) -> int:
 
 
 def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario:
+    if args.origin:
+        topo.index(args.origin)  # an unknown origin fails before any planning runs
     placement = _load_placement(args.placement, topo) if args.placement else None
     assignment = {}
     if args.sweep != "server_count":  # that sweep plans every swept k itself

@@ -76,16 +76,14 @@ def front_sweep(topo: Topology, users: list[UserGroup], k: int, steps: int) -> P
         raise ValidationError("steps must be at least 2")
     place0, a0, _ = optimize(topo, users, k=k)
     dist = _Eval(topo, users)
-    ev = _CorrEval(users, place0)
-    recorded = [_point(dist, place0, a0, ev.total(a0), step=0)]
-    assignment = dict(a0)
+    ev = _CorrEval(users, place0, a0)
+    recorded = [_point(dist, place0, a0, ev.total(), step=0)]
     for step in range(1, steps - 1):
-        proposals = ev.proposals(assignment)
+        proposals = ev.proposals()
         if not proposals:
             break
-        user_node, server = proposals[0]
-        assignment[user_node] = server
-        recorded.append(_point(dist, place0, assignment, ev.total(assignment), step))
+        ev.move(*proposals[0])
+        recorded.append(_point(dist, place0, ev.assignment, ev.total(), step))
 
     # relocation keeps the greedy's groups, so its final total is the end point's
     place_end, a_end, log = optimize(topo, users, placement=place0, optimizer="correlation")

@@ -42,19 +42,19 @@ class TestCandidateCorr:
 
     def test_sole_member_is_self_correlation(self):
         users = two_user_example()
-        rho = _CorrEval(users, ("s", "t")).matrix({"u1": "s", "u2": "t"})
+        rho = _CorrEval(users, ("s", "t"), {"u1": "s", "u2": "t"}).rho
         assert rho[1, 1] == 1.0
 
     def test_worked_example_user1(self):
         users = two_user_example()
-        rho = _CorrEval(users, ("s",)).matrix({"u1": "s", "u2": "s"})
+        rho = _CorrEval(users, ("s",), {"u1": "s", "u2": "s"}).rho
         assert rho[0, 0] == pytest.approx(0.125)
         assert rho[1, 0] == pytest.approx(0.5)
 
     def test_empty_server_attracts_by_self_correlation(self):
         users = two_user_example()
         # u2 considering the empty server "t": would-be singleton
-        rho = _CorrEval(users, ("s", "t")).matrix({"u1": "s", "u2": "s"})
+        rho = _CorrEval(users, ("s", "t"), {"u1": "s", "u2": "s"}).rho
         assert rho[1, 1] == 1.0
 
 

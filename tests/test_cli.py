@@ -374,6 +374,15 @@ class TestSimulate:
                                       "its first batch of 118 moves")
 
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "policy", "--values", "LRU,LFU"]])
+    def test_desk_unknown_origin_fails_before_planning(self, desk, tmp_path, sweep, capsys):
+        # the correlation greedy stalls on this instance, so planning would warn
+        assert main(["simulate", "--k", "10", "--optimizer", "correlation", "--origin", "Z",
+                     *sweep, "--topology", str(desk), "--seed", "124",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: unknown node 'Z'\n"
+
+
 class TestPareto:
     def test_steps_two_max_two_rows(self, topo12, tmp_path):
         out = tmp_path / "out"

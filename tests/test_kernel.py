@@ -5,7 +5,7 @@ reference bit for bit, ties included.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cdnsim import (
     Profile,
@@ -120,13 +120,35 @@ def instances(draw):
     return topo, users, placement, assignment
 
 
+@st.composite
+def walks(draw):
+    """An instance with at least two servers and 1-8 moves of any user to any
+    other server; half the time the profiles are tie-heavy (alpha 0, or small
+    counts, over 2-5 services)."""
+    _, users, placement, assignment = draw(instances())
+    assume(len(placement) >= 2)
+    if draw(st.booleans()):
+        seed, size = draw(st.integers(0, 2**32)), draw(st.integers(2, 5))
+        nodes = [u.node for u in users]
+        users = (_users_from_zipf(seed, nodes, size, 0.0) if draw(st.booleans())
+                 else _users_from_counts(seed, nodes, size))
+    current = dict(assignment)
+    moves = []
+    for _ in range(draw(st.integers(1, 8))):
+        user = draw(st.sampled_from(sorted(current)))
+        server = draw(st.sampled_from([s for s in placement if s != current[user]]))
+        current[user] = server
+        moves.append((user, server))
+    return users, placement, assignment, moves
+
+
 class TestAgainstPairwiseOracle:
     @EXACT
     @given(instances())
     def test_matrix_total_and_own(self, inst):
         _, users, placement, assignment = inst
         oracle = PairwiseCorr(users, placement)
-        assert np.array_equal(_CorrEval(users, placement).matrix(assignment),
+        assert np.array_equal(_CorrEval(users, placement, assignment).rho,
                               oracle.matrix(assignment))
         assert total_correlation(users, assignment) == oracle.total(assignment)
         assert list(user_correlations(users, assignment).values()) == oracle.own(assignment)
@@ -135,6 +157,24 @@ class TestAgainstPairwiseOracle:
         assert total_correlation(backward, assignment) == oracle.total(assignment)
         assert (list(user_correlations(backward, assignment).items())
                 == list(user_correlations(users, assignment).items()))
+
+    @EXACT
+    @given(walks())
+    def test_moves_match_a_fresh_evaluator(self, walk):
+        # a move rebuilds two servers; every other column must already be right
+        users, placement, assignment, moves = walk
+        ev = _CorrEval(users, placement, assignment)
+        for user, server in moves:
+            ev.move(user, server)
+            fresh = _CorrEval(users, placement, ev.assignment)
+            assert np.array_equal(ev.sums, fresh.sums)
+            assert np.array_equal(ev.rho, fresh.rho)
+            assert np.array_equal(ev.own(), fresh.own())
+            assert ev.total() == fresh.total()
+        oracle = PairwiseCorr(users, placement)
+        assert np.array_equal(ev.rho, oracle.matrix(ev.assignment))
+        assert ev.own().tolist() == oracle.own(ev.assignment)
+        assert ev.total() == oracle.total(ev.assignment)
 
     @EXACT
     @given(instances())
@@ -147,7 +187,7 @@ class TestAgainstPairwiseOracle:
         occupied = set(assignment.values())
         for j, server in enumerate(placement):
             servers = tuple(sorted(occupied | {server}))
-            rho = _CorrEval(users, servers).matrix(assignment)
+            rho = _CorrEval(users, servers, assignment).rho
             assert np.array_equal(rho[:, servers.index(server)], expected[:, j])
 
     @EXACT
@@ -155,7 +195,7 @@ class TestAgainstPairwiseOracle:
     def test_proposals_and_greedy_log(self, inst):
         _, users, placement, assignment = inst
         oracle = PairwiseCorr(users, placement)
-        assert (_CorrEval(users, placement).proposals(assignment)
+        assert (_CorrEval(users, placement, assignment).proposals()
                 == oracle.proposals(assignment))
         final, total, log = greedy_correlation(users, placement, assignment)
         expected_final, expected_log = oracle.greedy(assignment)
@@ -173,9 +213,9 @@ def test_ring_instance_matches_oracle():
     placement, _, _ = dragoon(topo, users, 6)
     a0 = closest_assignment(topo, users, placement)
     oracle = PairwiseCorr(users, placement)
-    ev = _CorrEval(users, placement)
-    assert np.array_equal(ev.matrix(a0), oracle.matrix(a0))
-    assert ev.proposals(a0) == oracle.proposals(a0)
+    ev = _CorrEval(users, placement, a0)
+    assert np.array_equal(ev.rho, oracle.matrix(a0))
+    assert ev.proposals() == oracle.proposals(a0)
     final, total, log = greedy_correlation(users, placement, a0)
     expected_final, expected_log = oracle.greedy(a0)
     assert [tuple(b) for b in log] == expected_log

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdnsim.assignment
 from cdnsim import (
     CacheConfig,
     Scenario,
@@ -18,6 +19,7 @@ from cdnsim import (
 )
 from cdnsim.pareto import SolutionPoint
 from cdnsim.placement import dragoon
+from cdnsim.profiles import midranks_descending
 from cdnsim.rng import derive_seed, make_rng
 from conftest import (desk_topology, path_topology, profile_from_dict, random_connected_topology,
                       random_profile)
@@ -212,3 +214,23 @@ class TestWalkAgainstPairwiseOracle:
         topo = desk_topology()
         users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=seed)
         assert front_sweep(topo, users, 10, steps) == front_sweep_pairwise(topo, users, 10, steps)
+
+
+def test_a_walk_step_re_ranks_two_columns(monkeypatch):
+    # one step more re-ranks the candidate rows of the two servers the move
+    # changes, one row per user each; the end points cost the same either way
+    topo = desk_topology()
+    users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124)
+    rows = [0]
+
+    def counting(values):
+        rows[0] += len(values) if np.ndim(values) == 2 else 1
+        return midranks_descending(values)
+
+    monkeypatch.setattr(cdnsim.assignment, "midranks_descending", counting)
+    ranked = []
+    for steps in (10, 11):
+        rows[0] = 0
+        front_sweep(topo, users, 10, steps)
+        ranked.append(rows[0])
+    assert ranked[1] - ranked[0] == 2 * len(users)
