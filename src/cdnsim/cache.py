@@ -23,7 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .profiles import ServiceId
 
 POLICIES = ("LRU", "LRU2", "LFU", "LIRS", "BELADY")
@@ -37,9 +37,7 @@ class CacheConfig:
     policy: str = "LRU"
 
     def __post_init__(self):
-        if (not isinstance(self.capacity, int) or isinstance(self.capacity, bool)
-                or self.capacity < 1):
-            raise ValidationError(f"cache capacity must be an int >= 1, got {self.capacity!r}")
+        _check_int("cache capacity", self.capacity, 1)
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy!r}; one of {POLICIES}")
 

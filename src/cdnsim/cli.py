@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--k", type=int, default=None, help="optimize placement here")
     source.add_argument("--placement", default=None, help="placement JSON from `place`")
-    p.add_argument("--policy", default="LRU", choices=POLICIES)
-    p.add_argument("--capacity", type=int, default=10)
+    p.add_argument("--policy", default=None, choices=POLICIES, help="default: LRU")
+    p.add_argument("--capacity", type=int, default=None, help="default: 10")
     p.add_argument("--origin", default=None, help="origin node (default: 1-center)")
     p.add_argument("--optimizer", default="distance", choices=OPTIMIZERS)
     p.add_argument("--sweep", default=None, choices=SWEEP_AXES)
@@ -226,7 +226,8 @@ def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario
         users=users,
         placement=placement or (),
         assignment=assignment,
-        cache=CacheConfig(capacity=args.capacity, policy=args.policy),
+        cache=CacheConfig(capacity=10 if args.capacity is None else args.capacity,
+                          policy="LRU" if args.policy is None else args.policy),
         origin=origin,
         master_seed=args.seed,
         requests_per_user=args.requests,
@@ -243,9 +244,17 @@ def _sim_row(value, result) -> list:
             result.overall.cold_misses]
 
 
+# the flags whose value each sweep axis replaces
+_SWEPT_FLAGS = {"server_count": ("k", "placement"), "policy": ("policy",),
+                "cache_size": ("capacity",)}
+
+
 def cmd_simulate(args) -> int:
     if args.values is not None and not args.sweep:
         raise ValidationError("--values requires --sweep")
+    for flag in _SWEPT_FLAGS.get(args.sweep, ()):
+        if getattr(args, flag) is not None:
+            raise ValidationError(f"--{flag} is not allowed with --sweep {args.sweep}")
     topo = _load_topology(args)
     users = _load_users(args, topo)
     scenario = _assemble_scenario(args, topo, users)

@@ -1,4 +1,7 @@
-"""Exception types shared across modules."""
+"""Exception types shared across modules, and the two rules for numbers from outside."""
+
+import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -7,3 +10,21 @@ class ValidationError(ValueError):
 
 class InfeasibleError(ValueError):
     """Structurally valid request that cannot be satisfied (e.g. k > node count)."""
+
+
+def _check_int(name: str, value, low: int | None = None):
+    """A count or seed: an int, not a bool, >= `low` when given."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{name} must be an int{bound}, got {value!r}")
+    return value
+
+
+def _check_real(name: str, value, zero: bool = False):
+    """A priority, weight or exponent: a finite real, not a bool, > 0 (>= 0 with `zero`)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (0 <= value if zero else 0 < value) or not value <= sys.float_info.max):
+        bound = ">= 0" if zero else "> 0"
+        raise ValidationError(f"{name} must be a finite real {bound}, got {value!r}")
+    return value

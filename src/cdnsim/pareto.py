@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import _CorrEval, optimize
-from .errors import ValidationError
+from .errors import _check_int
 from .placement import Assignment, Placement, _Eval
 from .profiles import UserGroup
 from .topology import Topology
@@ -70,10 +70,7 @@ def front_sweep(topo: Topology, users: list[UserGroup], k: int, steps: int) -> P
     placement (greedy fixpoint, relocated servers). Interior points apply one
     reassignment per step: the greedy proposal with the largest gain.
     """
-    if not isinstance(steps, int) or isinstance(steps, bool):
-        raise ValidationError(f"steps must be an int, got {steps!r}")
-    if steps < 2:
-        raise ValidationError("steps must be at least 2")
+    _check_int("steps", steps, 2)
     place0, a0, _ = optimize(topo, users, k=k)
     dist = _Eval(topo, users)
     ev = _CorrEval(users, place0, a0)

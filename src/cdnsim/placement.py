@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, _check_int
 from .profiles import UserGroup
 from .topology import NodeId, Topology
 
@@ -74,9 +74,7 @@ def _reduce(weighted: np.ndarray) -> PlacementObjective:
 
 
 def _check_k(k: int, n: int):
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValidationError(f"k must be an int, got {k!r}")
-    if not 1 <= k <= n:
+    if not 1 <= _check_int("k", k) <= n:
         raise InfeasibleError(f"k={k} out of range 1..{n}")
 
 

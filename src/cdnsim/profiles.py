@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_int, _check_real
 from .rng import derive_seed, make_rng, shuffled, weighted_sample_without_replacement
 from .topology import NodeId, Topology
 
@@ -63,8 +63,7 @@ class UserGroup:
     profile: Profile | None = None
 
     def __post_init__(self):
-        if not 0 < self.priority < np.inf:
-            raise ValidationError(f"user {self.node!r}: non-positive or non-finite priority")
+        _check_real(f"user {self.node!r} priority", self.priority)
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,9 @@ class ZipfModel:
     profile_size: int = 15
 
     def __post_init__(self):
-        if not 0 <= self.alpha < np.inf:
-            raise ValidationError("alpha must be finite and non-negative")
-        if self.universe_size < 1:
-            raise ValidationError("universe_size must be positive")
-        if not 1 <= self.profile_size <= self.universe_size:
+        _check_real("alpha", self.alpha, zero=True)
+        _check_int("universe_size", self.universe_size, 1)
+        if _check_int("profile_size", self.profile_size, 1) > self.universe_size:
             raise ValidationError("profile_size must be in 1..universe_size")
 
 
@@ -92,9 +89,8 @@ def make_universe(size: int) -> tuple[ServiceId, ...]:
 
 def zipf_pmf(alpha: float, n: int) -> np.ndarray:
     """Normalized 1/r^alpha over ranks 1..n; descending, sums to 1."""
-    if n < 1:
-        raise ValidationError("need at least one rank")
-    weights = np.arange(1, n + 1, dtype=np.float64) ** (-float(alpha))
+    _check_real("alpha", alpha, zero=True)
+    weights = np.arange(1, _check_int("n", n, 1) + 1, dtype=np.float64) ** (-float(alpha))
     return weights / weights.sum()
 
 

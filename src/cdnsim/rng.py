@@ -13,6 +13,8 @@ from functools import reduce
 
 import numpy as np
 
+from .errors import _check_int
+
 
 def derive_seed(master_seed: int, *parts: str | int) -> int:
     """Derive a 64-bit child seed from a master seed and a label path.
@@ -21,7 +23,7 @@ def derive_seed(master_seed: int, *parts: str | int) -> int:
     ASCII unit separator; the top 8 digest bytes form the child seed.
     """
     h = hashlib.sha256()
-    h.update(str(int(master_seed)).encode("ascii"))
+    h.update(str(_check_int("master seed", master_seed)).encode("ascii"))
     for part in parts:
         h.update(b"\x1f")
         h.update(str(part).encode("utf-8"))
@@ -30,7 +32,7 @@ def derive_seed(master_seed: int, *parts: str | int) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator for the given seed."""
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_check_int("seed", seed, 0)))
 
 
 def weighted_sample_without_replacement(

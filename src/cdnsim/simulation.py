@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import OPTIMIZERS, optimize
 from .cache import CacheConfig, CacheStats, replay
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .placement import Assignment, Placement, _Eval, _members
 from .profiles import ServiceId, UserGroup
 from .rng import derive_seed, left_sum, make_rng
@@ -40,11 +40,7 @@ class Scenario:
     requests_per_user: int = 100
 
     def validate(self) -> "Scenario":
-        count = self.requests_per_user
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise ValidationError(f"requests_per_user must be an int, got {count!r}")
-        if count < 100:
-            raise ValidationError("requests_per_user must be at least 100")
+        _check_int("requests_per_user", self.requests_per_user, 100)
         for node in (self.origin, *self.placement, *(u.node for u in self.users)):
             self.topology.index(node)  # rejects an unknown node
         if len({u.node for u in self.users}) != len(self.users):
@@ -72,8 +68,7 @@ def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[Ser
     """
     if user.profile is None:
         raise ValidationError(f"user {user.node!r} has no profile")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ValidationError(f"count must be a non-negative int, got {count!r}")
+    _check_int("count", count, 0)
     rng = make_rng(derive_seed(master_seed, "requests", user.node))
     cdf = np.cumsum(user.profile.probs)
     draws = rng.random(count)

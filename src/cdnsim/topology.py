@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_real
 
 NodeId = str
 
@@ -33,33 +33,25 @@ class Topology:
         only connection, non-positive or non-finite weights or priorities, or a
         disconnected graph.
         """
-        seen: set[NodeId] = set()
-        for nid, _ in nodes:
-            if nid in seen:
+        self.priorities: dict[NodeId, float] = {}
+        for nid, prio in nodes:
+            if nid in self.priorities:
                 raise ValidationError(f"duplicate node id {nid!r}")
-            seen.add(nid)
+            self.priorities[nid] = float(_check_real(f"node {nid!r} priority", prio))
         if not nodes:
             raise ValidationError("topology has no nodes")
 
-        self.node_ids: tuple[NodeId, ...] = tuple(sorted(seen))
-        self.priorities: dict[NodeId, float] = {}
-        for nid, prio in nodes:
-            if not 0 < prio < np.inf:
-                raise ValidationError(
-                    f"node {nid!r} has non-positive or non-finite priority {prio}")
-            self.priorities[nid] = float(prio)
+        self.node_ids: tuple[NodeId, ...] = tuple(sorted(self.priorities))
 
         collapsed: dict[tuple[NodeId, NodeId], float] = {}
         for a, b, w in edges:
-            if a not in seen or b not in seen:
+            if a not in self.priorities or b not in self.priorities:
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown node")
             if a == b:
                 continue  # self-loops carry no distance information
-            if not 0 < w < np.inf:
-                raise ValidationError(
-                    f"edge ({a!r}, {b!r}) has non-positive or non-finite weight {w}")
+            w = float(_check_real(f"edge ({a!r}, {b!r}) weight", w))
             key = (a, b) if a < b else (b, a)
-            collapsed[key] = max(collapsed.get(key, 0.0), float(w))
+            collapsed[key] = max(collapsed.get(key, 0.0), w)
         self.edges: tuple[tuple[NodeId, NodeId, float], ...] = tuple(
             (a, b, w) for (a, b), w in sorted(collapsed.items())
         )

@@ -1,4 +1,5 @@
 import heapq
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -304,11 +305,12 @@ class TestReplayAndStats:
 
     # each was accepted once: nan and inf as an unbounded cache, nan with LIRS
     # as a bare ValueError out of round(), 2.5 as is and True as capacity 1
-    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 2.5, True],
-                             ids=["nan", "inf", "2.5", "True"])
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 2.5, True, "2", None],
+                             ids=["nan", "inf", "2.5", "True", "str", "None"])
     def test_capacity_must_be_an_int(self, capacity):
+        message = re.escape(f"cache capacity must be an int >= 1, got {capacity!r}")
         for policy in POLICIES:
-            with pytest.raises(ValidationError, match="capacity"):
+            with pytest.raises(ValidationError, match=message):
                 CacheConfig(capacity, policy)
 
 

@@ -91,7 +91,8 @@ class TestNonFiniteInput:
     def test_validate_infinite_weight(self, tmp_path, capsys):
         topo = self.graphml(tmp_path, weight="inf")
         assert main(["validate", "--topology", topo, "--weight-key", "w"]) == 1
-        assert "non-finite weight" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: edge ('A', 'B') weight must be a finite real > 0, got inf\n")
 
     def test_place_infinite_priority(self, tmp_path, capsys):
         topo = self.graphml(tmp_path, priority="inf")
@@ -99,7 +100,8 @@ class TestNonFiniteInput:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "non-finite priority" in captured.err and "objective" not in captured.out
+        assert captured.err == "error: node 'A' priority must be a finite real > 0, got inf\n"
+        assert "objective" not in captured.out
 
     def test_place_overflowing_priority(self, tmp_path, capsys):
         # 1e308 x distance 2 is inf; no numpy overflow warning may come first
@@ -119,7 +121,7 @@ class TestNonFiniteInput:
                 "--alpha", alpha, "--universe", "5", "--profile-size", "3",
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert "alpha must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: alpha must be a finite real >= 0, got {alpha}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,7 +305,7 @@ class TestSimulate:
 
         monkeypatch.setattr(cdnsim.cli, "optimize", counting_optimize)
         monkeypatch.setattr(cdnsim.simulation, "optimize", counting_optimize)
-        assert main(["simulate", "--topology", str(topo12), "--k", "2",
+        assert main(["simulate", "--topology", str(topo12),
                      "--optimizer", "correlation", "--universe", "20", "--profile-size", "5",
                      "--sweep", "server_count", "--values", "1,2,3",
                      "--out", str(tmp_path)]) == 0
@@ -312,10 +314,29 @@ class TestSimulate:
     def test_server_count_sweep_needs_no_k(self, topo12, tmp_path):
         common = ["simulate", "--topology", str(topo12), "--universe", "20",
                   "--profile-size", "5", "--sweep", "server_count", "--values", "1,2,3"]
-        assert main([*common, "--k", "3", "--out", str(tmp_path / "k")]) == 0
+        assert main([*common, "--k", "3", "--out", str(tmp_path / "k")]) == 1
         assert main([*common, "--out", str(tmp_path / "none")]) == 0
-        assert ((tmp_path / "none" / "simulation.csv").read_bytes()
-                == (tmp_path / "k" / "simulation.csv").read_bytes())
+        assert not (tmp_path / "k" / "simulation.csv").exists()
+        assert (tmp_path / "none" / "simulation.csv").exists()
+
+    @pytest.mark.parametrize("axis, values, flag, value", [
+        ("server_count", "1,2", "--k", "2"),
+        ("server_count", "1,2", "--placement", None),  # None: a valid placement file
+        ("policy", "LRU", "--policy", "LFU"),
+        ("cache_size", "5", "--capacity", "77"),
+    ], ids=["server_count-k", "server_count-placement", "policy-policy",
+            "cache_size-capacity"])
+    def test_sweep_rejects_the_flag_it_sets(self, topo12, tmp_path, axis, values, flag, value,
+                                            capsys):
+        # the swept values replace the flag's, which would be dropped unread
+        placement = tmp_path / "placement.json"
+        placement.write_text('["n00", "n05"]')
+        k = [] if axis == "server_count" else ["--k", "2"]
+        assert main(["simulate", "--topology", str(topo12), *k, "--sweep", axis,
+                     "--values", values, flag, value or str(placement),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {flag} is not allowed with --sweep {axis}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_server_count_sweep_checks_its_values(self, topo12, tmp_path):
         assert main(["simulate", "--topology", str(topo12), "--sweep", "server_count",
@@ -330,7 +351,7 @@ class TestSimulate:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "out" / "simulation.csv").exists()
         assert main([*common, "--placement", str(placement),
-                     "--sweep", "server_count", "--values", "1,2"]) == 0
+                     "--sweep", "server_count", "--values", "1,2"]) == 1
 
     @pytest.mark.parametrize("flag", ["--placement", "--trace"])
     def test_missing_input_file_is_an_io_failure(self, topo12, tmp_path, flag, capsys):

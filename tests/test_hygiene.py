@@ -88,6 +88,26 @@ def test_random_streams_come_only_from_profiles_and_requests():
     assert readers == ["profiles.py", "simulation.py"]
 
 
+def isinstance_bool_checks(source: str) -> int:
+    """How many `isinstance` calls name `bool` in their type argument."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "isinstance" and len(node.args) == 2
+               and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_isinstance_bool_checks_are_found():
+    source = "isinstance(x, bool)\nisinstance(x, (int, bool))\nisinstance(bool, int)\n"
+    assert isinstance_bool_checks(source) == 2
+
+
+def test_only_errors_rejects_a_bool_for_a_number():
+    """Counts, seeds, priorities and weights from outside pass the two checks
+    in errors.py, so no other module tells a bool from a number itself."""
+    owners = [p.name for p in MODULES if isinstance_bool_checks(p.read_text())]
+    assert owners == ["errors.py"]
+
+
 def readme_library_example() -> str:
     """The python block of README's "Library" section."""
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]

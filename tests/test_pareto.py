@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -170,10 +171,11 @@ class TestFrontSweep:
         with pytest.raises(ValidationError):
             front_sweep(*walk_instance(6), 2, 1)
 
-    @pytest.mark.parametrize("steps", [2.5, 3.0, True])
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3", None])
     def test_steps_must_be_an_int(self, steps):
         # the rule CacheConfig applies to a capacity: an int, not a bool
-        with pytest.raises(ValidationError, match="steps must be an int"):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"steps must be an int >= 2, got {steps!r}")):
             front_sweep(*walk_instance(6), 2, steps)
 
     def test_simulate_attaches_results(self):

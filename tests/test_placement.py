@@ -154,7 +154,7 @@ class TestFarthestFirst:
             "optimize": lambda: optimize(path3, users, k=k),
             "brute_force_placement": lambda: oracles.brute_force_placement(path3, users, k),
         }[name]
-        with pytest.raises(ValidationError, match="k must be an int"):
+        with pytest.raises(ValidationError, match=f"k must be an int, got {k!r}$"):
             call()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

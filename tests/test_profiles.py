@@ -222,8 +222,10 @@ def test_non_finite_input_rejected():
     with pytest.raises(ValidationError, match="non-finite probability"):
         Profile(("a", "b"), np.array([np.inf, 0.0]))
     for priority in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="non-finite priority"):
+        with pytest.raises(ValidationError,
+                           match=f"user 'n' priority must be a finite real > 0, got {priority}$"):
             UserGroup(node="n", priority=priority)
     for alpha in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="alpha must be finite"):
+        with pytest.raises(ValidationError,
+                           match=f"alpha must be a finite real >= 0, got {alpha}$"):
             ZipfModel(alpha=alpha)

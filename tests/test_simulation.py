@@ -1,4 +1,5 @@
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -70,11 +71,12 @@ class TestGenerateRequests:
         user = UserGroup(node="u", profile=profile_from_dict({"a": 0.5, "b": 0.5, "c": 0.0}))
         assert "c" not in set(generate_requests(user, 11, 5000))
 
-    @pytest.mark.parametrize("count", [150.0, True, -1])
+    @pytest.mark.parametrize("count", [150.0, True, -1, 2.5, "150", None])
     def test_count_must_be_a_non_negative_int(self, count):
         # an int, not a bool, as for a CacheConfig capacity; 0 is an empty stream
         user = UserGroup(node="u", profile=profile_from_dict({"a": 0.5, "b": 0.5}))
-        with pytest.raises(ValidationError, match="count must be a non-negative int"):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"count must be an int >= 0, got {count!r}")):
             generate_requests(user, 1, count)
 
 
@@ -219,12 +221,14 @@ class TestScenarioValidation:
     def test_requests_per_user_floor(self):
         s = small_scenario()
         s.requests_per_user = 99
-        with pytest.raises(ValidationError, match="at least 100"):
+        with pytest.raises(ValidationError,
+                           match="requests_per_user must be an int >= 100, got 99$"):
             s.validate()
 
-    @pytest.mark.parametrize("count", [150.0, True])
+    @pytest.mark.parametrize("count", [150.0, True, 2.5, "150", None])
     def test_requests_per_user_must_be_an_int(self, count):
-        with pytest.raises(ValidationError, match="requests_per_user must be an int"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"requests_per_user must be an int >= 100, got {count!r}")):
             run(replace(small_scenario(), requests_per_user=count))
 
     def test_unknown_origin(self):

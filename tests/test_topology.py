@@ -1,4 +1,5 @@
 import io
+import re
 
 import networkx as nx
 import numpy as np
@@ -68,24 +69,36 @@ def test_parse_errors():
 
 def test_negative_weight_rejected():
     doc = GRAPHML_ATTRS.replace(b">3.5<", b">-1<")
-    with pytest.raises(ValidationError, match="non-positive"):
+    with pytest.raises(ValidationError, match=re.escape(
+            "edge ('A', 'B') weight must be a finite real > 0, got -1.0")):
         parse_topology(doc, weight_key="LinkSpeed")
 
 
-@pytest.mark.parametrize("nodes, edges", [
-    ([("A", np.inf), ("B", 1.0)], [("A", "B", 1.0)]),
-    ([("A", np.nan), ("B", 1.0)], [("A", "B", 1.0)]),
-    ([("A", 1.0), ("B", 1.0)], [("A", "B", np.inf)]),
-    ([("A", 1.0), ("B", 1.0)], [("A", "B", np.nan)]),
-], ids=["inf-priority", "nan-priority", "inf-weight", "nan-weight"])
-def test_non_finite_priority_or_weight_rejected(nodes, edges):
-    with pytest.raises(ValidationError, match="non-positive or non-finite"):
+PRIORITY = "node 'A' priority must be a finite real > 0, got "
+WEIGHT = "edge ('A', 'B') weight must be a finite real > 0, got "
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    ([("A", np.inf), ("B", 1.0)], [("A", "B", 1.0)], PRIORITY + "inf"),
+    ([("A", np.nan), ("B", 1.0)], [("A", "B", 1.0)], PRIORITY + "nan"),
+    ([("A", 1.0), ("B", 1.0)], [("A", "B", np.inf)], WEIGHT + "inf"),
+    ([("A", 1.0), ("B", 1.0)], [("A", "B", np.nan)], WEIGHT + "nan"),
+    ([("A", "1"), ("B", 1.0)], [("A", "B", 1.0)], PRIORITY + "'1'"),
+    ([("A", None), ("B", 1.0)], [("A", "B", 1.0)], PRIORITY + "None"),
+    ([("A", True), ("B", 1.0)], [("A", "B", 1.0)], PRIORITY + "True"),
+    ([("A", 1.0), ("B", 1.0)], [("A", "B", "1")], WEIGHT + "'1'"),
+    ([("A", 1.0), ("B", 1.0)], [("A", "B", None)], WEIGHT + "None"),
+    ([("A", 1.0), ("B", 1.0)], [("A", "B", True)], WEIGHT + "True"),
+], ids=["inf-priority", "nan-priority", "inf-weight", "nan-weight", "str-priority",
+        "None-priority", "True-priority", "str-weight", "None-weight", "True-weight"])
+def test_non_finite_priority_or_weight_rejected(nodes, edges, message):
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
         Topology(nodes, edges)
 
 
 def test_parsed_infinite_weight_rejected():
     doc = GRAPHML_ATTRS.replace(b">3.5<", b">inf<")
-    with pytest.raises(ValidationError, match="non-finite weight"):
+    with pytest.raises(ValidationError, match=re.escape(WEIGHT + "inf")):
         parse_topology(doc, weight_key="LinkSpeed")
 
 
