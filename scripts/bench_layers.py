@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer micro-benchmarks: `cache.replay` per policy, APSP, user profiles
-and the rank-correlation batch.
+"""Per-layer micro-benchmarks: `cache.replay` per policy, APSP, user profiles,
+the rank-correlation batch, the Pareto walk and CLI start-up.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --label after
 
@@ -15,10 +15,10 @@ the same work and their times do not compare.
 APSP layer: `topology.all_pairs_shortest_paths` on two seeded connected
 500-node graphs, a random spanning tree plus 500 random extra edges, once with
 unit weights and once with two-decimal weights in [1, 5). Each graph is built
-through `parse_topology` from GraphML, which already fills the topology's
-`distances` once; the timed calls recompute them. Each graph reports the
-median milliseconds per call over the repeats and the SHA-256 of the matrix
-bytes.
+through `parse_topology` from GraphML, which leaves the topology's
+`distances` to their first read; the timed calls compute the matrix. Each
+graph reports the median milliseconds per call over the repeats and the
+SHA-256 of the matrix bytes.
 
 Profile layer: `generate_users` on the criterion-10 desk topology (124
 nodes, built by `bench/workloads.py` as the benchmark builds it; master seed
@@ -40,6 +40,12 @@ Pareto layer: `pareto.front_sweep` on the same desk users at k=10 with 10 and
 50 steps. Each reports the median milliseconds per call and the SHA-256 of
 the front's `repr`, every field of every point.
 
+Startup layer: the median wall milliseconds of 21 fresh `python -m cdnsim
+validate` processes on the desk GraphML, after one untimed run that writes
+the bytecode, with the `cdnsim` package this script imported. It has no
+checksum: `validate` prints one fixed line, and the modules the interpreter
+loads at start-up differ between Python versions.
+
 The result is stored under `--label` in `--out` (default `BENCH_layers.json`
 at the repository root); runs under other labels in that file are kept, so
 one file can hold a before and an after run.
@@ -53,12 +59,15 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+import cdnsim
 from cdnsim import (
     CacheConfig,
     Topology,
@@ -92,6 +101,7 @@ PROFILE_SHAPES = ((0.8, 2000, 100), (0.3, 100, 15))  # (alpha, universe, profile
 SERVERS = 10
 WALK_MOVES = 40
 FRONT_STEPS = (10, 50)
+STARTUP_RUNS = 21
 
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float) -> list[str]:
@@ -159,10 +169,13 @@ def measure_apsp(repeats: int) -> list[dict]:
             for kind, topo in graphs.items()]
 
 
+def desk_graphml() -> str:
+    """The benchmark's desk topology (criterion 10's instance) as GraphML."""
+    return workloads.graphml(*workloads.desk_graph(workloads.TOPOLOGY_SEED))
+
+
 def desk_topology() -> Topology:
-    """The benchmark's desk topology (criterion 10's instance), from its GraphML."""
-    ids, edges = workloads.desk_graph(workloads.TOPOLOGY_SEED)
-    return parse_topology(workloads.graphml(ids, edges).encode())
+    return parse_topology(desk_graphml().encode())
 
 
 def timed(call, repeats: int) -> tuple[float, object]:
@@ -232,6 +245,25 @@ def measure_front(topo: Topology, repeats: int) -> list[dict]:
     return cells
 
 
+def measure_startup(runs: int) -> dict:
+    src = str(Path(cdnsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # an installed package has its bytecode compiled; the first run writes it
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "desk.graphml"
+        graph.write_text(desk_graphml())
+        argv = [sys.executable, "-m", "cdnsim", "validate", "--topology", str(graph)]
+
+        def validate():
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+
+        validate()
+        median, _ = timed(validate, runs)
+    return {"command": "validate", "processes": runs, "ms_per_process": round(median * 1e3, 1)}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="current", help="key of this run in --out")
@@ -245,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     run["profiles"] = measure_profiles(desk, REPEATS)
     run["correlation"] = measure_correlation(desk, REPEATS)
     run["front_sweep"] = measure_front(desk, REPEATS)
+    run["startup"] = measure_startup(STARTUP_RUNS)
     run["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
                    "python": platform.python_version(), "numpy": np.__version__}
     run["repeats"] = REPEATS
@@ -273,6 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     for cell in run["front_sweep"]:
         print(f"  front {cell['steps']:>2} steps {cell['ms_per_call']:>9.1f} ms/call"
               f"  sha256={cell['sha256']}")
+    print(f"  startup validate {run['startup']['ms_per_process']:>7.1f} ms/process")
     return 0
 
 

@@ -34,13 +34,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import OPTIMIZERS, ValidationError, _check_choice
 from .placement import Assignment, Placement, _members, closest_assignment, dragoon, one_center
 from .profiles import UserGroup, midranks_descending
 from .rng import left_sum
 from .topology import NodeId, Topology
-
-OPTIMIZERS = ("distance", "correlation")
 
 
 class BatchRecord(NamedTuple):
@@ -67,7 +65,6 @@ class _CorrEval:
         if not users:
             raise ValidationError("no users to assign")
         self.users = sorted(users, key=lambda u: u.node)
-        self.servers = tuple(sorted(placement))
         for u in self.users:
             if u.profile is None:
                 raise ValidationError(f"user {u.node!r} has no profile")
@@ -79,7 +76,8 @@ class _CorrEval:
         self.denom = n * (n * n - 1)
         self.P = np.stack([u.profile.probs for u in self.users])
         self.R = midranks_descending(self.P)
-        _members(self.users, self.servers, assignment)  # rejects an assignment that does not fit
+        # in id order; rejects a placement or an assignment that does not fit
+        self.servers = tuple(_members(self.users, placement, assignment))
         self.assignment = dict(assignment)
         self.user_index = {u.node: i for i, u in enumerate(self.users)}
         self.server_index = {s: j for j, s in enumerate(self.servers)}
@@ -214,8 +212,7 @@ def optimize(
     closest server; the "correlation" optimizer then runs greedy_correlation
     and relocate_servers. The log is the greedy's, empty for "distance".
     """
-    if optimizer not in OPTIMIZERS:
-        raise ValidationError(f"unknown optimizer {optimizer!r}")
+    _check_choice("optimizer", optimizer, OPTIMIZERS)
     if placement is None:
         if k is None:
             raise ValidationError("optimize needs k or a placement")

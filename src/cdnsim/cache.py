@@ -22,11 +22,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING
 
-from .errors import ValidationError, _check_int
-from .profiles import ServiceId
+from .errors import POLICIES, _check_choice, _check_int
 
-POLICIES = ("LRU", "LRU2", "LFU", "LIRS", "BELADY")
+if TYPE_CHECKING:
+    from .profiles import ServiceId
 
 _HIR_FRACTION = 0.1
 
@@ -38,8 +39,7 @@ class CacheConfig:
 
     def __post_init__(self):
         _check_int("cache capacity", self.capacity, 1)
-        if self.policy not in POLICIES:
-            raise ValidationError(f"unknown policy {self.policy!r}; one of {POLICIES}")
+        _check_choice("policy", self.policy, POLICIES)
 
 
 @dataclass

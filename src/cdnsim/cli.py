@@ -12,15 +12,17 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .assignment import OPTIMIZERS, BatchRecord, optimize, user_correlations
-from .cache import CacheConfig, POLICIES
-from .errors import InfeasibleError, ValidationError
-from .placement import _check_placement, dragoon, one_center
-from .profiles import UserGroup, ZipfModel, generate_users, load_trace
-from .simulation import SWEEP_AXES, Scenario, experiment_sweep, run
-from .pareto import front_sweep
+# Only these two modules load with the CLI. The others import numpy, so each
+# command imports what it calls: validate, --help and usage errors run without it.
+from .errors import OPTIMIZERS, POLICIES, SWEEP_AXES, InfeasibleError, ValidationError
 from .topology import Topology, parse_topology
+
+if TYPE_CHECKING:
+    from .assignment import BatchRecord
+    from .profiles import UserGroup
+    from .simulation import Scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,6 +111,8 @@ def _load_topology(args) -> Topology:
 
 
 def _load_users(args, topo: Topology) -> list[UserGroup]:
+    from .profiles import ZipfModel, generate_users, load_trace
+
     if args.trace:
         users = load_trace(Path(args.trace).read_bytes())
         for u in users:
@@ -121,17 +125,17 @@ def _load_users(args, topo: Topology) -> list[UserGroup]:
 
 
 def _load_placement(path: str, topo: Topology) -> tuple[str, ...]:
+    from .placement import _check_placement
+
     try:
         servers = json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad placement JSON: {exc}") from exc
     if not isinstance(servers, list) or not servers:
         raise ValidationError("placement JSON must be a non-empty list of node ids")
-    for s in servers:
-        if not isinstance(s, str):
-            raise ValidationError(f"placement entries must be node id strings, not {s!r}")
-        topo.index(s)  # rejects an unknown node
     _check_placement(servers)
+    for s in servers:
+        topo.index(s)  # rejects an unknown node
     return tuple(sorted(servers))
 
 
@@ -155,6 +159,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_place(args) -> int:
+    from .placement import dragoon
+
     topo = _load_topology(args)
     users = _load_users(args, topo)
     placement, objective, log = dragoon(topo, users, args.k)
@@ -182,6 +188,8 @@ def _warn_if_stalled(log: list[BatchRecord]):
 
 
 def cmd_assign(args) -> int:
+    from .assignment import optimize, user_correlations
+
     topo = _load_topology(args)
     users = _load_users(args, topo)
     placement, assignment, log = optimize(topo, users,
@@ -210,6 +218,11 @@ def cmd_assign(args) -> int:
 
 
 def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario:
+    from .assignment import optimize
+    from .cache import CacheConfig
+    from .placement import one_center
+    from .simulation import Scenario
+
     if args.origin:
         topo.index(args.origin)  # an unknown origin fails before any planning runs
     placement = _load_placement(args.placement, topo) if args.placement else None
@@ -250,6 +263,8 @@ _SWEPT_FLAGS = {"server_count": ("k", "placement"), "policy": ("policy",),
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import experiment_sweep, run
+
     if args.values is not None and not args.sweep:
         raise ValidationError("--values requires --sweep")
     for flag in _SWEPT_FLAGS.get(args.sweep, ()):
@@ -282,6 +297,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    from .pareto import front_sweep
+
     topo = _load_topology(args)
     users = _load_users(args, topo)
     front = front_sweep(topo, users, args.k, args.steps)

@@ -1,7 +1,15 @@
-"""Exception types shared across modules, and the two rules for numbers from outside."""
+"""Exception types shared across modules, and the rules for numbers and words from outside.
+
+The three vocabularies live here, beside their one check, because this module
+imports no numpy: the CLI's parser reads them without loading the library.
+"""
 
 import numbers
 import sys
+
+POLICIES = ("LRU", "LRU2", "LFU", "LIRS", "BELADY")
+OPTIMIZERS = ("distance", "correlation")
+SWEEP_AXES = ("server_count", "cache_size", "policy")
 
 
 class ValidationError(ValueError):
@@ -27,4 +35,11 @@ def _check_real(name: str, value, zero: bool = False):
             or not (0 <= value if zero else 0 < value) or not value <= sys.float_info.max):
         bound = ">= 0" if zero else "> 0"
         raise ValidationError(f"{name} must be a finite real {bound}, got {value!r}")
+    return value
+
+
+def _check_choice(name: str, value, choices: tuple[str, ...]):
+    """A word from one of the vocabularies above: one of `choices`."""
+    if value not in choices:
+        raise ValidationError(f"unknown {name} {value!r}; one of {choices}")
     return value

@@ -79,8 +79,12 @@ def _check_k(k: int, n: int):
 
 
 def _check_placement(placement: Placement):
+    """The one check of a placement from outside; it runs before anything sorts one."""
     if not placement:
         raise ValidationError("empty placement")
+    for s in placement:
+        if not isinstance(s, str):
+            raise ValidationError(f"placement entries must be node id strings, not {s!r}")
     if len(set(placement)) != len(placement):
         raise ValidationError("placement contains duplicate nodes")
 

@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import _check_int
+from .errors import ValidationError, _check_int
 
 
 def derive_seed(master_seed: int, *parts: str | int) -> int:
@@ -70,8 +70,8 @@ def weighted_sample_without_replacement(
     a negative weight, for which c need not be non-decreasing, disables the
     filter.
     """
-    if k > len(weights):
-        raise ValueError(f"cannot draw {k} items from {len(weights)} weights")
+    if _check_int("k", k, 0) > len(weights):
+        raise ValidationError(f"cannot draw {k} items from {len(weights)} weights")
     remaining = np.array(weights, dtype=np.float64)  # drawn items weigh 0
     n = len(remaining)
     out: list[int] = []

@@ -15,15 +15,13 @@ from itertools import chain
 
 import numpy as np
 
-from .assignment import OPTIMIZERS, optimize
+from .assignment import optimize
 from .cache import CacheConfig, CacheStats, replay
-from .errors import ValidationError, _check_int
+from .errors import OPTIMIZERS, SWEEP_AXES, ValidationError, _check_choice, _check_int
 from .placement import Assignment, Placement, _Eval, _members
 from .profiles import ServiceId, UserGroup
 from .rng import derive_seed, left_sum, make_rng
 from .topology import NodeId, Topology
-
-SWEEP_AXES = ("server_count", "cache_size", "policy")
 
 
 @dataclass
@@ -142,12 +140,10 @@ def experiment_sweep(
     cache_size and policy keep the base placement and assignment fixed, so
     their runs replay one set of request streams, built once.
     """
-    if axis not in SWEEP_AXES:
-        raise ValidationError(f"unknown sweep axis {axis!r}; one of {SWEEP_AXES}")
+    _check_choice("sweep axis", axis, SWEEP_AXES)
     if not values:
         raise ValidationError("sweep needs at least one value")
-    if optimizer not in OPTIMIZERS:
-        raise ValidationError(f"unknown optimizer {optimizer!r}")
+    _check_choice("optimizer", optimizer, OPTIMIZERS)
 
     streams = None if axis == "server_count" else _server_streams(base.validate())
     results = []

@@ -8,10 +8,13 @@ carry a finite positive priority used to weight the placement objectives.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError, _check_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NodeId = str
 
@@ -19,7 +22,11 @@ _GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
 
 class Topology:
-    """Validated undirected weighted graph and its `distances`; immutable."""
+    """Validated undirected weighted graph and its `distances`; immutable.
+
+    Every check runs when the topology is built; the distances are computed
+    on their first read, so a caller that only validates a graph loads no
+    numpy."""
 
     def __init__(
         self,
@@ -35,6 +42,8 @@ class Topology:
         """
         self.priorities: dict[NodeId, float] = {}
         for nid, prio in nodes:
+            if not isinstance(nid, str):
+                raise ValidationError(f"node ids must be strings, not {nid!r}")
             if nid in self.priorities:
                 raise ValidationError(f"duplicate node id {nid!r}")
             self.priorities[nid] = float(_check_real(f"node {nid!r} priority", prio))
@@ -45,7 +54,8 @@ class Topology:
 
         collapsed: dict[tuple[NodeId, NodeId], float] = {}
         for a, b, w in edges:
-            if a not in self.priorities or b not in self.priorities:
+            if not (isinstance(a, str) and isinstance(b, str)
+                    and a in self.priorities and b in self.priorities):
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown node")
             if a == b:
                 continue  # self-loops carry no distance information
@@ -64,7 +74,12 @@ class Topology:
         self._index = {n: i for i, n in enumerate(self.node_ids)}
 
         self._check_connected()  # by search: a path sum can overflow to inf
-        self.distances: np.ndarray = all_pairs_shortest_paths(self)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The shortest-path matrix, rows and columns in node-id order: one
+        read-only Floyd–Warshall result, computed on the first read."""
+        return all_pairs_shortest_paths(self)
 
     def _check_connected(self):
         start = self.node_ids[0]
@@ -171,6 +186,8 @@ def all_pairs_shortest_paths(topo: Topology) -> np.ndarray:
     Warshall 1962): relax every pair through each node k in turn. Entries
     (i, j) and (j, i) add the same two numbers at every step, so the matrix is
     exactly symmetric. Read-only, rows and columns in node-id order."""
+    import numpy as np  # here only: validating a graph needs no numpy
+
     n = len(topo.node_ids)
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-import cdnsim.cli
+import cdnsim.assignment
 import cdnsim.simulation
 from cdnsim import optimize
 from cdnsim.cli import main
@@ -303,7 +303,7 @@ class TestSimulate:
             planned.append(kwargs["k"])
             return optimize(*args, **kwargs)
 
-        monkeypatch.setattr(cdnsim.cli, "optimize", counting_optimize)
+        monkeypatch.setattr(cdnsim.assignment, "optimize", counting_optimize)
         monkeypatch.setattr(cdnsim.simulation, "optimize", counting_optimize)
         assert main(["simulate", "--topology", str(topo12),
                      "--optimizer", "correlation", "--universe", "20", "--profile-size", "5",

@@ -1,4 +1,4 @@
-"""Bad numbers from outside are ValidationErrors that name the value.
+"""Bad numbers and words from outside are ValidationErrors that name the value.
 
 Each row is one number a caller passes in, checked by `errors._check_int` or
 `errors._check_real`. Numbers that have a parametrized test of their own take
@@ -12,16 +12,21 @@ import re
 import pytest
 
 from cdnsim import (
+    CacheConfig,
+    Scenario,
     UserGroup,
     ValidationError,
     ZipfModel,
     derive_seed,
     dragoon,
+    experiment_sweep,
     generate_profile,
     generate_users,
     make_universe,
+    optimize,
     zipf_pmf,
 )
+from cdnsim.errors import OPTIMIZERS, POLICIES, SWEEP_AXES
 from conftest import path_topology, uniform_users
 
 PATH = path_topology(["A", "B", "C"])
@@ -55,4 +60,26 @@ CASES = [(row, value) for row, (_, _, values) in ROWS.items() for value in value
 def test_bad_number_is_a_validation_error(row, value):
     call, message, _ = ROWS[row]
     with pytest.raises(ValidationError, match=re.escape(f"{message}, got {value!r}")):
+        call(value)
+
+
+SCENARIO = Scenario(PATH, uniform_users(PATH), ("B",), dict.fromkeys("ABC", "B"),
+                    CacheConfig(1), "A", 0)
+WORDS = {  # row: (call with the word, message before the word, the words it takes)
+    "policy": (lambda v: CacheConfig(1, v), "unknown policy", POLICIES),
+    "optimize": (lambda v: optimize(PATH, uniform_users(PATH), k=1, optimizer=v),
+                 "unknown optimizer", OPTIMIZERS),
+    "sweep_optimizer": (lambda v: experiment_sweep(SCENARIO, "policy", ["LRU"], optimizer=v),
+                        "unknown optimizer", OPTIMIZERS),
+    "sweep_axis": (lambda v: experiment_sweep(SCENARIO, v, [1]), "unknown sweep axis",
+                   SWEEP_AXES),
+}
+
+
+@pytest.mark.parametrize("row", WORDS)
+@pytest.mark.parametrize("value", ["bogus", "lru", None])
+def test_bad_word_is_a_validation_error(row, value):
+    call, message, words = WORDS[row]
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{message} {value!r}; one of {words}") + "$"):
         call(value)

@@ -1,11 +1,17 @@
 """Source hygiene checks that need no linter: only the stdlib `ast` module."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import cdnsim
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cdnsim"
@@ -127,3 +133,46 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
         + "".join(f'<node id="{n}"/>' for n in ids) + edges + "</graph></graphml>")
     monkeypatch.chdir(tmp_path)
     exec(compile(readme_library_example(), "README.md", "exec"), {})
+
+
+def fresh_interpreter(code: str) -> str:
+    """The stdout of `code` run by a new interpreter that imports cdnsim from src/."""
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert fresh_interpreter("import sys, cdnsim; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_validate_help_and_usage_errors_load_no_numpy(tmp_path):
+    """validate only parses and checks a graph, and --help and a usage error
+    stop in the parser, so none of them waits for numpy to load."""
+    graph = tmp_path / "tiny.graphml"
+    graph.write_text('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+                     '<graph edgedefault="undirected"><node id="A"/><node id="B"/>'
+                     '<edge source="A" target="B"/></graph></graphml>')
+    runs = [["validate", "--topology", str(graph)], ["--help"],
+            ["simulate", "--topology", str(graph), "--sweep", "bogus"]]
+    code = f"""
+import contextlib, io, json, sys
+from cdnsim.cli import main
+results = []
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse ends --help itself
+            status = exc.code
+    results.append([status, "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+    assert json.loads(fresh_interpreter(code)) == [[0, False], [0, False], [1, False]]
+
+
+def test_every_export_resolves():
+    """`import cdnsim` loads each public name from its module on first read."""
+    assert cdnsim.__all__ and all(getattr(cdnsim, name) is not None for name in cdnsim.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cdnsim.no_such_name

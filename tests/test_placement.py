@@ -19,6 +19,7 @@ from cdnsim import (
     optimize,
     relocate_servers,
     run,
+    user_correlations,
 )
 from cdnsim.placement import PlacementObjective, _Eval
 from conftest import (
@@ -291,6 +292,24 @@ class TestDistanceInputErrors:
             "run": lambda: run(Scenario(path5, users, servers, closest, cache, "A", 0)),
         }[name]
         with pytest.raises(ValidationError, match="placement contains duplicate nodes"):
+            call()
+
+    @pytest.mark.parametrize("name", ["optimize", "closest_assignment", "greedy_correlation",
+                                      "user_correlations", "relocate_servers"])
+    def test_placement_entry_that_is_not_a_string(self, name, path3):
+        """Placements are sorted by node id: a non-string entry is rejected first."""
+        users = uniform_users(path3)
+        servers = ("A", 2)
+        assignment = {"A": "A", "B": 2, "C": 2}
+        call = {
+            "optimize": lambda: optimize(path3, users, placement=servers),
+            "closest_assignment": lambda: closest_assignment(path3, users, servers),
+            "greedy_correlation": lambda: greedy_correlation(users, servers, assignment),
+            "user_correlations": lambda: user_correlations(users, assignment),
+            "relocate_servers": lambda: relocate_servers(path3, users, servers, assignment),
+        }[name]
+        with pytest.raises(ValidationError,
+                           match="placement entries must be node id strings, not 2"):
             call()
 
 

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdnsim import ZipfModel, generate_users, zipf_pmf
+from cdnsim import ValidationError, ZipfModel, generate_users, zipf_pmf
 from cdnsim import rng as rng_module
 from cdnsim.rng import derive_seed, left_sum, make_rng, weighted_sample_without_replacement
 from conftest import desk_topology
@@ -105,3 +107,13 @@ def test_a_point_above_a_rounded_down_partial_sum_is_not_trusted():
     assert float(np.cumsum(w)[1]) - 4.0 < w[1]
     assert weighted_sample_without_replacement(make_rng(2), w, 2) == [0, 1]
     assert weighted_sample_scan(make_rng(2), w, 2) == [0, 1]
+
+
+@pytest.mark.parametrize("k, message", [
+    (4, "cannot draw 4 items from 3 weights"),
+    (-1, "k must be an int >= 0, got -1"),
+    (1.0, "k must be an int >= 0, got 1.0"),
+])
+def test_weighted_sample_rejects_a_bad_k(k, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        weighted_sample_without_replacement(make_rng(0), [1.0, 2.0, 3.0], k)

@@ -96,6 +96,18 @@ def test_non_finite_priority_or_weight_rejected(nodes, edges, message):
         Topology(nodes, edges)
 
 
+@pytest.mark.parametrize("nodes, edges, message", [
+    ([(1, 1.0), ("B", 1.0)], [(1, "B", 1.0)], "node ids must be strings, not 1"),
+    ([(1, 1.0), (2, 1.0)], [(1, 2, 1.0)], "node ids must be strings, not 1"),
+    ([(["A"], 1.0)], [], "node ids must be strings, not ['A']"),
+    ([("A", 1.0), ("B", 1.0)], [("A", ["B"], 1.0)], "edge ('A', ['B']) references unknown node"),
+], ids=["mixed", "all-int", "unhashable", "unhashable-endpoint"])
+def test_node_id_that_is_not_a_string_is_rejected(nodes, edges, message):
+    """Node ids are sorted, so a non-string id is rejected before it is compared."""
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        Topology(nodes, edges)
+
+
 def test_parsed_infinite_weight_rejected():
     doc = GRAPHML_ATTRS.replace(b">3.5<", b">inf<")
     with pytest.raises(ValidationError, match=re.escape(WEIGHT + "inf")):
