@@ -24,8 +24,10 @@ Profile layer: `generate_users` on the criterion-10 desk topology (124
 nodes, built by `bench/workloads.py` as the benchmark builds it; master seed
 124) at the two benchmark workload shapes, Zipf
 0.8/2000/100 (`cache-churn`) and 0.3/100/15 (`desk-pipeline`). Each shape
-reports the median milliseconds per call and the SHA-256 of the users'
-stacked probability vectors.
+reports the median milliseconds per call, `profile_mib`, the MiB of
+`tracemalloc`-traced allocations that one more call's users hold (the
+universe and every profile), and the SHA-256 of the users' stacked dense
+probability vectors.
 
 Correlation layer: `assignment._CorrEval` on the desk instance with the
 0.3/100/15 profiles, k=10 servers placed by `dragoon` and the
@@ -63,6 +65,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,9 +196,17 @@ def measure_profiles(topo: Topology, repeats: int) -> list[dict]:
     for alpha, universe, size in PROFILE_SHAPES:
         model = ZipfModel(alpha, universe, size)
         median, users = timed(lambda: generate_users(topo, model, DESK_SEED), repeats)
+        del users  # the traced call below counts only the users it builds itself
+        tracemalloc.start()
+        try:
+            users = generate_users(topo, model, DESK_SEED)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
         probs = np.stack([u.profile.probs for u in users])
         cells.append({"alpha": alpha, "universe": universe, "profile_size": size,
                       "ms_per_call": round(median * 1e3, 2),
+                      "profile_mib": round(held / 2**20, 3),
                       "sha256": hashlib.sha256(probs.tobytes()).hexdigest()})
     return cells
 
@@ -299,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  APSP {cell['graph']:>8} {cell['ms_per_call']:>9.1f} ms/call  sha256={cell['sha256']}")
     for cell in run["profiles"]:
         print(f"  users {cell['alpha']}/{cell['universe']}/{cell['profile_size']:<4}"
-              f" {cell['ms_per_call']:>9.2f} ms/call  sha256={cell['sha256']}")
+              f" {cell['ms_per_call']:>9.2f} ms/call {cell['profile_mib']:>7.3f} MiB"
+              f"  sha256={cell['sha256']}")
     corr = run["correlation"]
     print(f"  corr matrix {corr['matrix_ns_per_column']:>9} ns/column  sha256={corr['sha256']}")
     print(f"  corr walk {corr['walk']['ns_per_move']:>11} ns/move  sha256={corr['walk']['sha256']}")

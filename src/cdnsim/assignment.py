@@ -134,7 +134,11 @@ def user_correlations(users: list[UserGroup], assignment: Assignment) -> dict[No
     These are the coefficients the greedy optimizes; their sum in this order
     (`rng.left_sum`) is its total correlation.
     """
-    ev = _CorrEval(users, tuple(set(assignment.values())), assignment)
+    servers: list = []
+    for server in assignment.values():  # by equality: _members rejects an unhashable one
+        if server not in servers:
+            servers.append(server)
+    ev = _CorrEval(users, tuple(servers), assignment)
     return dict(zip((u.node for u in ev.users), ev.own().tolist()))
 
 

@@ -98,9 +98,11 @@ def _members(users: list[UserGroup], placement: Placement,
     for u in sorted(users, key=lambda u: u.node):
         if u.node not in assignment:
             raise ValidationError(f"user {u.node!r} missing from assignment")
-        if assignment[u.node] not in members:
+        server = assignment[u.node]
+        # placement entries are strings: anything else, unhashable too, is outside
+        if not isinstance(server, str) or server not in members:
             raise ValidationError(f"user {u.node!r} assigned outside placement")
-        members[assignment[u.node]].append(u)
+        members[server].append(u)
     strangers = set(assignment) - {u.node for u in users}
     if strangers:
         raise ValidationError(f"node {min(strangers)!r} in assignment is not a user")

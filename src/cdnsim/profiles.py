@@ -21,9 +21,14 @@ PROB_SUM_TOL = 1e-9
 
 
 class Profile:
-    """Immutable probability map over an ordered service universe."""
+    """Immutable probability map over an ordered service universe.
 
-    __slots__ = ("universe", "probs")
+    Only the support is stored: `support` holds the ascending universe indices
+    of the nonzero probabilities and `values` the probabilities there, so a
+    profile's size grows with the services it likes, not with the universe.
+    """
+
+    __slots__ = ("universe", "support", "values")
 
     def __init__(self, universe: tuple[ServiceId, ...], probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
@@ -35,8 +40,18 @@ class Profile:
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"probabilities sum to {total}, not 1")
         self.universe = tuple(universe)
-        self.probs = probs
-        self.probs.flags.writeable = False
+        self.support = np.flatnonzero(probs)
+        self.values = probs[self.support]
+        self.support.flags.writeable = False
+        self.values.flags.writeable = False
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The dense probability vector in universe order, built on each read."""
+        probs = np.zeros(len(self.universe))
+        probs[self.support] = self.values
+        probs.flags.writeable = False
+        return probs
 
     @property
     def entries(self) -> dict[ServiceId, float]:
@@ -46,7 +61,8 @@ class Profile:
         return (
             isinstance(other, Profile)
             and self.universe == other.universe
-            and np.array_equal(self.probs, other.probs)
+            and np.array_equal(self.support, other.support)
+            and np.array_equal(self.values, other.values)
         )
 
     def __repr__(self) -> str:

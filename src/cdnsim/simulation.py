@@ -62,17 +62,21 @@ def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[Ser
 
     The stream is pinned by PCG64 under the seed derived from
     (master_seed, "requests", node): inverse-CDF over the profile's
-    cumulative probabilities in universe order.
+    cumulative probabilities in universe order. Only the liked services are
+    summed; a zero adds +0.0, which is exact, so every cumulative value is the
+    one the dense vector gives. A draw at or past the last cumulative value
+    maps to the universe's last service.
     """
-    if user.profile is None:
+    profile = user.profile
+    if profile is None:
         raise ValidationError(f"user {user.node!r} has no profile")
     _check_int("count", count, 0)
     rng = make_rng(derive_seed(master_seed, "requests", user.node))
-    cdf = np.cumsum(user.profile.probs)
+    cdf = np.cumsum(profile.values)
     draws = rng.random(count)
-    idx = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
-    universe = user.profile.universe
-    return [universe[i] for i in idx.tolist()]
+    idx = np.append(profile.support, len(profile.universe) - 1)
+    universe = profile.universe
+    return [universe[i] for i in idx[np.searchsorted(cdf, draws, side="right")].tolist()]
 
 
 # (server, its interleaved request stream, its members' distances to it)

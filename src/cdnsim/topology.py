@@ -98,7 +98,7 @@ class Topology:
         """Row and column of `node` in `distances`."""
         try:
             return self._index[node]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise ValidationError(f"unknown node {node!r}") from None
 
     def distance(self, a: NodeId, b: NodeId) -> float:

@@ -15,6 +15,8 @@ These are the straightforward versions the fast paths replaced:
 - for the Floyd–Warshall APSP, a heap-based Dijkstra run from every node;
 - for the bisection over cumulative weights, weighted sampling by a linear
   scan;
+- for the request draw over a profile's liked services, the draw over the
+  cumulative sum of its whole dense vector;
 - for the per-server request streams of the simulation, one loop over every
   user's interleaved requests with a distance lookup per request;
 - for the Pareto walk's one evaluator, a fresh pairwise evaluator per step
@@ -40,11 +42,11 @@ import numpy as np
 
 from cdnsim.assignment import optimize, user_correlations
 from cdnsim.cache import _HIR_FRACTION, CacheStats, replay
-from cdnsim.errors import InfeasibleError, ValidationError
+from cdnsim.errors import InfeasibleError, ValidationError, _check_int
 from cdnsim.pareto import SolutionPoint, non_dominated
 from cdnsim.placement import Placement, PlacementObjective, _check_k, _Eval, one_center
 from cdnsim.profiles import ServiceId, UserGroup
-from cdnsim.rng import left_sum
+from cdnsim.rng import derive_seed, left_sum, make_rng
 from cdnsim.simulation import SimulationResult, generate_requests
 from cdnsim.topology import Topology
 
@@ -462,6 +464,21 @@ def weighted_sample_scan(rng, weights, k) -> list[int]:
         out.append(items.pop(pick))
         remaining.pop(pick)
     return out
+
+
+def generate_requests_dense(user: UserGroup, master_seed: int, count: int) -> list[ServiceId]:
+    """`simulation.generate_requests` over the dense vector: inverse-CDF over the
+    cumulative sum of every universe entry, a draw past the last cumulative
+    value clamped to the universe's last index."""
+    if user.profile is None:
+        raise ValidationError(f"user {user.node!r} has no profile")
+    _check_int("count", count, 0)
+    rng = make_rng(derive_seed(master_seed, "requests", user.node))
+    cdf = np.cumsum(user.profile.probs)
+    draws = rng.random(count)
+    idx = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
+    universe = user.profile.universe
+    return [universe[i] for i in idx.tolist()]
 
 
 def run_per_request(scenario) -> SimulationResult:

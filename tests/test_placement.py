@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -311,6 +313,34 @@ class TestDistanceInputErrors:
         with pytest.raises(ValidationError,
                            match="placement entries must be node id strings, not 2"):
             call()
+
+    @pytest.mark.parametrize("name", ["greedy_correlation", "user_correlations",
+                                      "relocate_servers", "run"])
+    @pytest.mark.parametrize("value", [2, ["A"]], ids=["int", "unhashable"])
+    def test_assignment_value_that_is_not_a_string(self, name, value, path3):
+        """`_members` rejects the value, unhashable too, before anything hashes
+        it; `user_correlations` takes its placement from the values."""
+        users = uniform_users(path3)
+        assignment = {"A": value, "B": "A", "C": "A"}
+        cache = CacheConfig(capacity=1, policy="LRU")
+        call = {
+            "greedy_correlation": lambda: greedy_correlation(users, ("A",), assignment),
+            "user_correlations": lambda: user_correlations(users, assignment),
+            "relocate_servers": lambda: relocate_servers(path3, users, ("A",), assignment),
+            "run": lambda: run(Scenario(path3, users, ("A",), assignment, cache, "A", 0)),
+        }[name]
+        message = (f"placement entries must be node id strings, not {value!r}"
+                   if name == "user_correlations" else "user 'A' assigned outside placement")
+        with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+            call()
+
+    def test_unhashable_placement_entry_reaches_run(self, path3):
+        """`Scenario.validate` sends each placement entry through `Topology.index`."""
+        users = uniform_users(path3)
+        scenario = Scenario(path3, users, (["A"],), {u.node: "A" for u in users},
+                            CacheConfig(capacity=1, policy="LRU"), "A", 0)
+        with pytest.raises(ValidationError, match=re.escape("unknown node ['A']") + "$"):
+            run(scenario)
 
 
 @st.composite

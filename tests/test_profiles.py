@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cdnsim import (
     Profile,
@@ -8,12 +11,15 @@ from cdnsim import (
     ZipfModel,
     generate_profile,
     generate_requests,
+    generate_users,
     load_trace,
     make_universe,
     user_correlations,
     zipf_pmf,
 )
-from conftest import profile_from_dict, random_profile
+from cdnsim import simulation
+from conftest import desk_topology, profile_from_dict, random_profile
+from oracles import generate_requests_dense
 
 UNIVERSE_ABC = ("A", "B", "C")
 
@@ -229,3 +235,94 @@ def test_non_finite_input_rejected():
         with pytest.raises(ValidationError,
                            match=f"alpha must be a finite real >= 0, got {alpha}$"):
             ZipfModel(alpha=alpha)
+
+
+# small integer weights: ties are common, and so are zeros at either end
+weights = st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]), min_size=1, max_size=40)
+
+
+def normalized(w: list[int]) -> np.ndarray:
+    """`w` as a probability vector, normalized as `generate_profile` normalizes;
+    an all-zero `w` likes its last service only."""
+    probs = np.array(w, dtype=np.float64)
+    if not probs.any():
+        probs[-1] = 1.0
+    probs /= probs.sum()
+    return probs
+
+
+class TestSparseProfile:
+    """A profile stores only its liked services; every read keeps its dense meaning,
+    and the request draw over the liked services equals the draw over the dense
+    vector, list for list."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=weights, seed=st.integers(0, 2**32), count=st.integers(0, 300))
+    @example(w=[0, 3, 3, 0], seed=1, count=0)  # zeros at both ends, ties, no draws
+    @example(w=[0, 0, 5, 0, 0], seed=2, count=200)  # a single liked service
+    @example(w=[1], seed=3, count=50)  # a one-service universe
+    def test_draw_equals_the_dense_draw(self, w, seed, count):
+        probs = normalized(w)
+        user = UserGroup(node="u", profile=Profile(make_universe(len(w)), probs))
+        assert generate_requests(user, seed, count) == generate_requests_dense(user, seed, count)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["n1", "n2", "n3"]),
+                                   st.sampled_from(["a", "b", "c", "d", "e"]),
+                                   st.integers(1, 4)), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32))
+    def test_trace_profiles_draw_as_dense(self, rows, seed):
+        """A trace's universe is every service of every node, so a node's
+        profile has zeros wherever the others alone request."""
+        text = "node_id,service_id,count\n" + "".join(f"{n},{s},{c}\n" for n, s, c in rows)
+        for user in load_trace(text.encode()):
+            assert generate_requests(user, seed, 100) == generate_requests_dense(user, seed, 100)
+
+    def test_draw_past_the_last_cumulative_value(self, monkeypatch):
+        """The liked probabilities sum to just under 1, so a draw can reach past
+        their last cumulative value: it names the universe's last service,
+        which this profile does not like, as the dense clamp did."""
+        probs = np.array([0.5, 0.5 - 1e-10, 0.0])
+        user = UserGroup(node="u", profile=Profile(("a", "b", "c"), probs))
+        draws = np.array([0.25, 0.5, 1 - 1e-10, 1 - 5e-11])
+
+        class Fixed:
+            def random(self, count):
+                return draws[:count]
+
+        monkeypatch.setattr(simulation, "make_rng", lambda seed: Fixed())
+        assert generate_requests(user, 0, 4) == ["a", "b", "c", "c"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=weights, v=weights)
+    def test_reads_keep_their_dense_meaning(self, w, v):
+        probs = normalized(w)
+        universe = make_universe(len(w))
+        p = Profile(universe, probs)
+        assert np.array_equal(p.probs, probs)
+        assert not p.probs.flags.writeable
+        assert p.entries == {s: float(x) for s, x in zip(universe, probs)}
+        assert p == Profile(universe, probs.copy())
+        q = Profile(make_universe(len(v)), normalized(v))
+        assert (p == q) == (len(v) == len(w) and np.array_equal(probs, normalized(v)))
+
+    def test_storage_is_the_support(self):
+        p = Profile(("a", "b", "c", "d"), np.array([0.0, 0.75, 0.0, 0.25]))
+        assert p.support.tolist() == [1, 3]
+        assert p.values.tolist() == [0.75, 0.25]
+        assert not p.support.flags.writeable and not p.values.flags.writeable
+
+
+def test_users_hold_memory_by_profile_size_not_universe():
+    """124 users liking 100 of 20,000 services each: a dense vector per user
+    would hold 19.8 MB, the liked services about 0.2 MB; most of the rest is
+    the universe's 20,000 id strings, shared by every profile."""
+    topo = desk_topology()
+    tracemalloc.start()
+    try:
+        users = generate_users(topo, ZipfModel(0.8, 20_000, 100), 124)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(users) == 124
+    assert held < 4 * 2**20

@@ -108,6 +108,14 @@ def test_node_id_that_is_not_a_string_is_rejected(nodes, edges, message):
         Topology(nodes, edges)
 
 
+@pytest.mark.parametrize("node", [1, ["A"]], ids=["int", "unhashable"])
+def test_lookup_of_a_node_that_is_not_a_string(node, path3):
+    """`Topology.index` is the one check of a node from outside: an id that is
+    not a string, unhashable or not, is an unknown node."""
+    with pytest.raises(ValidationError, match=re.escape(f"unknown node {node!r}") + "$"):
+        path3.index(node)
+
+
 def test_parsed_infinite_weight_rejected():
     doc = GRAPHML_ATTRS.replace(b">3.5<", b">inf<")
     with pytest.raises(ValidationError, match=re.escape(WEIGHT + "inf")):
