@@ -65,7 +65,7 @@ def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[Ser
     cumulative probabilities in universe order. Only the liked services are
     summed; a zero adds +0.0, which is exact, so every cumulative value is the
     one the dense vector gives. A draw at or past the last cumulative value
-    maps to the universe's last service.
+    maps to the last liked service.
     """
     profile = user.profile
     if profile is None:
@@ -74,44 +74,39 @@ def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[Ser
     rng = make_rng(derive_seed(master_seed, "requests", user.node))
     cdf = np.cumsum(profile.values)
     draws = rng.random(count)
-    idx = np.append(profile.support, len(profile.universe) - 1)
+    idx = np.append(profile.support, profile.support[-1])
     universe = profile.universe
     return [universe[i] for i in idx[np.searchsorted(cdf, draws, side="right")].tolist()]
 
 
-# (server, its interleaved request stream, its members' distances to it)
-ServerStream = tuple[NodeId, list[ServiceId], list[float]]
+def _requests(s: Scenario) -> dict[NodeId, list[ServiceId]]:
+    """Each user's request list, one `generate_requests` call per user. It depends on
+    the users, the master seed and the request count, never on the plan or the cache."""
+    return {u.node: generate_requests(u, s.master_seed, s.requests_per_user) for u in s.users}
 
 
-def _server_streams(s: Scenario) -> list[ServerStream]:
-    """Every server's request stream, in server-id order, for a validated scenario.
-
-    A server's stream interleaves its members round-robin in node-id order:
-    request r of every member, then r + 1. It depends on the users, the
-    assignment, the master seed and the request count, not on the cache."""
-    table = []
-    for server, members in _members(s.users, s.placement, s.assignment).items():
-        streams = [generate_requests(u, s.master_seed, s.requests_per_user) for u in members]
-        table.append((server, list(chain.from_iterable(zip(*streams))),
-                      [s.topology.distance(u.node, server) for u in members]))
-    return table
-
-
-def run(scenario: Scenario, streams: list[ServerStream] | None = None) -> SimulationResult:
+def run(scenario: Scenario,
+        requests: dict[NodeId, list[ServiceId]] | None = None) -> SimulationResult:
     """Replay the scenario's full request workload and collect statistics.
 
-    `streams` is the table `_server_streams(scenario)` builds; a sweep that
-    keeps the users, plan and seed fixed builds it once and passes it to each
-    run. The network load adds, server by server in id order, one
-    user-to-server distance per request in stream order, then misses x the
-    origin distance."""
+    `requests` maps every user's node to its `requests_per_user` requests, as
+    `generate_requests` draws them; without it `run` draws them itself, and a
+    sweep draws them once and passes them to each run. A server's stream interleaves its members round-robin in
+    node-id order: request r of every member, then r + 1. The network load
+    adds, server by server in id order, one user-to-server distance per
+    request in stream order, then misses x the origin distance."""
     s = scenario.validate()
     dist = _Eval(s.topology, s.users)  # first: it rejects overflowing priorities before any replay
-    if streams is None:
-        streams = _server_streams(s)
+    if requests is None:
+        requests = _requests(s)
+    for u in s.users:
+        if len(requests.get(u.node, ())) != s.requests_per_user:
+            raise ValidationError(f"request table needs {s.requests_per_user} for user {u.node!r}")
     per_server: dict[NodeId, CacheStats] = {}
     network_load = 0.0
-    for server, stream, distances in streams:
+    for server, members in _members(s.users, s.placement, s.assignment).items():
+        stream = list(chain.from_iterable(zip(*(requests[u.node] for u in members))))
+        distances = [s.topology.distance(u.node, server) for u in members]
         # one addition per request, in stream order: count x distance rounds differently
         network_load = left_sum(chain((network_load,), distances * s.requests_per_user))
         stats = replay(stream, s.cache)
@@ -140,16 +135,17 @@ def experiment_sweep(
 ) -> list[tuple[object, SimulationResult]]:
     """One run per axis value under a shared master seed.
 
-    server_count re-plans each value through optimize with `optimizer`.
-    cache_size and policy keep the base placement and assignment fixed, so
-    their runs replay one set of request streams, built once.
+    server_count re-plans each value through optimize with `optimizer`;
+    cache_size and policy keep the base placement and assignment. Every axis
+    draws the request table once, after the first value's scenario validates,
+    and replays it for every value.
     """
     _check_choice("sweep axis", axis, SWEEP_AXES)
     if not values:
         raise ValidationError("sweep needs at least one value")
     _check_choice("optimizer", optimizer, OPTIMIZERS)
 
-    streams = None if axis == "server_count" else _server_streams(base.validate())
+    requests = None
     results = []
     for value in values:
         if axis == "cache_size":
@@ -160,6 +156,7 @@ def experiment_sweep(
             placement, assignment, _ = optimize(base.topology, base.users, k=value,
                                                 optimizer=optimizer)
             scenario = replace(base, placement=placement, assignment=assignment)
-        results.append((value, run(scenario, streams)))
+        if requests is None:
+            requests = _requests(scenario.validate())
+        results.append((value, run(scenario, requests)))
     return results
-

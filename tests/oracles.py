@@ -469,14 +469,15 @@ def weighted_sample_scan(rng, weights, k) -> list[int]:
 def generate_requests_dense(user: UserGroup, master_seed: int, count: int) -> list[ServiceId]:
     """`simulation.generate_requests` over the dense vector: inverse-CDF over the
     cumulative sum of every universe entry, a draw past the last cumulative
-    value clamped to the universe's last index."""
+    value clamped to the last nonzero index."""
     if user.profile is None:
         raise ValidationError(f"user {user.node!r} has no profile")
     _check_int("count", count, 0)
     rng = make_rng(derive_seed(master_seed, "requests", user.node))
     cdf = np.cumsum(user.profile.probs)
     draws = rng.random(count)
-    idx = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
+    last = np.flatnonzero(user.profile.probs)[-1]
+    idx = np.minimum(np.searchsorted(cdf, draws, side="right"), last)
     universe = user.profile.universe
     return [universe[i] for i in idx.tolist()]
 

@@ -280,8 +280,8 @@ class TestSparseProfile:
 
     def test_draw_past_the_last_cumulative_value(self, monkeypatch):
         """The liked probabilities sum to just under 1, so a draw can reach past
-        their last cumulative value: it names the universe's last service,
-        which this profile does not like, as the dense clamp did."""
+        their last cumulative value: it names the last liked service, not the
+        universe's last service, which this profile does not like."""
         probs = np.array([0.5, 0.5 - 1e-10, 0.0])
         user = UserGroup(node="u", profile=Profile(("a", "b", "c"), probs))
         draws = np.array([0.25, 0.5, 1 - 1e-10, 1 - 5e-11])
@@ -291,7 +291,7 @@ class TestSparseProfile:
                 return draws[:count]
 
         monkeypatch.setattr(simulation, "make_rng", lambda seed: Fixed())
-        assert generate_requests(user, 0, 4) == ["a", "b", "c", "c"]
+        assert generate_requests(user, 0, 4) == ["a", "b", "b", "b"]
 
     @settings(max_examples=100, deadline=None)
     @given(w=weights, v=weights)

@@ -17,9 +17,10 @@ from cdnsim import (
     run,
 )
 from cdnsim import simulation
+from cdnsim.assignment import optimize
 from cdnsim.cache import POLICIES
 from cdnsim.rng import derive_seed, make_rng
-from cdnsim.simulation import _server_streams
+from cdnsim.simulation import _requests
 from conftest import path_topology, profile_from_dict, random_connected_topology, random_profile
 from oracles import run_per_request
 
@@ -198,23 +199,53 @@ def test_run_matches_the_per_request_loop(policy, data):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cache_axis_sweeps_match_the_per_request_loop(data):
-    """cache_size and policy sweeps replay one prebuilt set of streams: every
-    value equals the per-request loop on its own scenario, network load to the
-    last bit, and the table does not depend on the cache it was built under."""
+    """Every sweep replays one request table: each value equals the per-request
+    loop on its own scenario (its own plan on the server_count axis), network
+    load to the last bit, and the table depends on neither the plan nor the
+    cache it was built under."""
     base = data.draw(weighted_scenarios(data.draw(st.sampled_from(POLICIES))))
+    nodes = base.topology.node_ids
     capacities = data.draw(st.lists(st.integers(1, 16), min_size=2, max_size=4))
     policies = data.draw(st.permutations(POLICIES))[:data.draw(st.integers(2, 5))]
-    sweeps = [("cache_size", capacities, lambda c: replace(base.cache, capacity=c)),
-              ("policy", policies, lambda p: replace(base.cache, policy=p))]
-    for axis, values, config in sweeps:
+    counts = data.draw(st.lists(st.integers(1, len(nodes)), min_size=2, max_size=3))
+
+    def planned(k):
+        placement, assignment, _ = optimize(base.topology, base.users, k=k)
+        return replace(base, placement=placement, assignment=assignment)
+
+    def cached(**change):
+        return replace(base, cache=replace(base.cache, **change))
+
+    sweeps = [("cache_size", capacities, lambda c: cached(capacity=c)),
+              ("policy", policies, lambda p: cached(policy=p)),
+              ("server_count", counts, planned)]
+    for axis, values, scenario in sweeps:
         table = experiment_sweep(base, axis, values)
         assert [value for value, _ in table] == values
         for value, result in table:
-            want = run_per_request(replace(base, cache=config(value)))
+            want = run_per_request(scenario(value))
             assert result == want
             assert result.network_load.hex() == want.network_load.hex()
-    other = replace(base, cache=CacheConfig(1, "LRU" if base.cache.policy != "LRU" else "LFU"))
-    assert run(base) == run(base, _server_streams(other.validate()))
+    server = nodes[0] if base.placement == (nodes[-1],) else nodes[-1]
+    other = replace(base, placement=(server,), assignment={u.node: server for u in base.users},
+                    cache=CacheConfig(1, "LRU" if base.cache.policy != "LRU" else "LFU"))
+    assert run(base) == run(base, _requests(other))
+
+
+@pytest.mark.parametrize("edit", [lambda table, node: table.pop(node),
+                                  lambda table, node: table.clear(),
+                                  lambda table, node: table[node].pop(),
+                                  lambda table, node: table[node].append(table[node][0])],
+                         ids=["missing-user", "empty", "one-short", "one-long"])
+def test_run_rejects_a_table_that_does_not_fit(edit):
+    """`run` replays a passed table only if it holds `requests_per_user`
+    requests for every user of the scenario."""
+    s = small_scenario(seed=3)
+    table = _requests(s)
+    edit(table, s.users[0].node)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"request table needs 100 for user {s.users[0].node!r}")):
+        run(s, table)
 
 
 class TestScenarioValidation:
@@ -277,7 +308,8 @@ class TestExperimentSweep:
         assert dists[0] >= dists[-1]
 
     @pytest.mark.parametrize("axis, values", [("cache_size", [1, 2, 3, 6, 12]),
-                                              ("policy", list(POLICIES))])
+                                              ("policy", list(POLICIES)),
+                                              ("server_count", [1, 2, 4])])
     def test_cache_axes_draw_each_stream_once(self, monkeypatch, axis, values):
         s = small_scenario(seed=13)
         calls = []
@@ -299,6 +331,16 @@ class TestExperimentSweep:
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
             experiment_sweep(small_scenario(), "cache_size", [])
+
+    @pytest.mark.parametrize("axis, value", [("cache_size", 3), ("policy", "LFU"),
+                                             ("server_count", 2)])
+    def test_bad_request_count_fails_before_the_draw(self, axis, value):
+        """The sweep draws only after a swept scenario validates, so a bad base
+        reads the scenario's message, not `generate_requests`' count check."""
+        base = replace(small_scenario(), requests_per_user=-5)
+        with pytest.raises(ValidationError,
+                           match=re.escape("requests_per_user must be an int >= 100, got -5")):
+            experiment_sweep(base, axis, [value])
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValidationError):
