@@ -34,9 +34,9 @@ Correlation layer: `assignment._CorrEval` on the desk instance with the
 closest-server assignment. Building the evaluator ranks one column per server;
 it reports the median nanoseconds per column and the SHA-256 of the `rho`
 matrix. A fixed sequence of walk moves (the first 40 steps of the steepest
-walk from that assignment, each re-ranking two columns) is then replayed on a
-fresh evaluator; it reports the median nanoseconds per move and the SHA-256
-of the final `rho`.
+walk from that assignment, each a one-pair `move` that re-ranks two columns)
+is then replayed on a fresh evaluator; it reports the median nanoseconds per
+move and the SHA-256 of the final `rho`.
 
 Pareto layer: `pareto.front_sweep` on the same desk users at k=10 with 10 and
 50 steps. Each reports the median milliseconds per call and the SHA-256 of
@@ -228,13 +228,13 @@ def measure_correlation(topo: Topology, repeats: int) -> dict:
         if not proposals:
             break
         moves.append(proposals[0])
-        ev.move(*proposals[0])
+        ev.move(proposals[:1])
     seconds = []
     for _ in range(repeats):
         ev = _CorrEval(users, placement, assignment)
         start = time.perf_counter()
         for move in moves:
-            ev.move(*move)
+            ev.move([move])
         seconds.append(time.perf_counter() - start)
     return {"users": len(users), "servers": SERVERS,
             "matrix_ns_per_column": round(build_s * 1e9 / SERVERS),

@@ -3,8 +3,8 @@
 The greedy evaluates, for every user, the rank correlation against every
 server's would-be profile (the user's own profile always counted in), then
 applies all proposed reassignments at once. A batch only sticks if the total
-correlation strictly improves; otherwise it is rolled back and the search
-stops, which keeps the simultaneous update from oscillating.
+correlation strictly improves; otherwise the search stops on the assignment
+from before it, which keeps the simultaneous update from oscillating.
 
 A coefficient is Spearman's rho = 1 - 6*sum(d^2) / (n(n^2-1)) on descending
 midranks over the full service universe, without a tie-correction term: on
@@ -25,11 +25,12 @@ and it is exact, not approximate, so that ties in the ranks are reproducible:
   (`rng.left_sum`), whatever the Python version;
 - the users x servers matrix is built one server column at a time, so memory
   stays at users x universe rather than users x servers x universe; a move
-  (one Pareto walk step) re-ranks two columns, its user's old and new server.
+  (a greedy batch or one Pareto walk step) re-ranks only the columns it touches.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -55,10 +56,10 @@ class _CorrEval:
     """The rank correlations of one assignment: rho[user, server], each user
     counted in, users and servers in id order.
 
-    The users' own ranks are computed once. `move` changes the assignment and
-    rebuilds only the two servers it touches: for every other server j, a
-    user's candidate row is `sums[j]` or `sums[j] + P[user]` both before and
-    after the move.
+    The users' own ranks are computed once. The assignment lives only in
+    `owner`; `move` is the one way to change it and rebuilds only the servers
+    it touches: for every other server j, a user's candidate row is `sums[j]`
+    or `sums[j] + P[user]` both before and after the move.
     """
 
     def __init__(self, users: list[UserGroup], placement: Placement, assignment: Assignment):
@@ -78,7 +79,6 @@ class _CorrEval:
         self.R = midranks_descending(self.P)
         # in id order; rejects a placement or an assignment that does not fit
         self.servers = tuple(_members(self.users, placement, assignment))
-        self.assignment = dict(assignment)
         self.user_index = {u.node: i for i, u in enumerate(self.users)}
         self.server_index = {s: j for j, s in enumerate(self.servers)}
         self.owner = np.array([self.server_index[assignment[u.node]] for u in self.users])
@@ -98,14 +98,20 @@ class _CorrEval:
         d = midranks_descending(candidates / candidates.sum(axis=1, keepdims=True)) - self.R
         self.rho[:, j] = 1.0 - 6.0 * (d * d).sum(axis=1) / self.denom
 
-    def move(self, user: NodeId, server: NodeId):
-        """Reassign `user` to `server`, a (user, server) pair from `proposals`."""
-        i = self.user_index[user]
-        source, target = self.owner[i], self.server_index[server]
-        self.assignment[user] = server
-        self.owner[i] = target
-        self._rebuild(source)
-        self._rebuild(target)
+    @property
+    def assignment(self) -> Assignment:
+        """A new dict of the current assignment, users in id order."""
+        return {u.node: self.servers[j] for u, j in zip(self.users, self.owner.tolist())}
+
+    def move(self, moves: list[tuple[NodeId, NodeId]]):
+        """Apply (user, server) pairs from `proposals`; rebuild each touched server once."""
+        touched = set()
+        for user, server in moves:
+            i, j = self.user_index[user], self.server_index[server]
+            touched.update((self.owner[i], j))
+            self.owner[i] = j
+        for j in sorted(touched):
+            self._rebuild(j)
 
     def own(self) -> np.ndarray:
         """Each user's coefficient with its own server, in user-id order."""
@@ -149,31 +155,23 @@ def greedy_correlation(
 ) -> tuple[Assignment, float, list[BatchRecord]]:
     """Simultaneous-reassignment greedy for total profile correlation.
 
-    Each round's proposals are applied as a batch; a batch that does not
-    strictly raise the total correlation is reverted and the loop ends.
-    Returns the final assignment, its total correlation (the log's last
-    `total_corr_before`) and the log.
+    Each round's proposals are applied as a batch to one evaluator; if a
+    batch does not strictly raise the total correlation, the search ends with
+    the assignment from before it. Returns the final assignment, its total
+    correlation (the log's last `total_corr_before`) and the log.
     """
     ev = _CorrEval(users, placement, initial)
     total = ev.total()
     log: list[BatchRecord] = []
-    iteration = 0
-    while True:
-        iteration += 1
-        proposals = ev.proposals()
-        if not proposals:
-            log.append(BatchRecord(iteration, 0, total, total, False))
-            break
-        batch = dict(ev.assignment)
-        batch.update(proposals)
-        candidate = _CorrEval(users, placement, batch)  # if kept, it serves the next round
-        new_total = candidate.total()
+    for iteration in count(1):
+        kept, proposals = ev.assignment, ev.proposals()
+        ev.move(proposals)  # no proposals: nothing changes, and the round is not accepted
+        new_total = ev.total()
         accepted = new_total > total
         log.append(BatchRecord(iteration, len(proposals), total, new_total, accepted))
         if not accepted:
-            break
-        ev, total = candidate, new_total
-    return ev.assignment, total, log
+            return kept, total, log
+        total = new_total
 
 
 def relocate_servers(

@@ -129,7 +129,7 @@ def _load_placement(path: str, topo: Topology) -> tuple[str, ...]:
 
     try:
         servers = json.loads(Path(path).read_bytes())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"bad placement JSON: {exc}") from exc
     if not isinstance(servers, list) or not servers:
         raise ValidationError("placement JSON must be a non-empty list of node ids")
@@ -178,7 +178,7 @@ def cmd_place(args) -> int:
 
 
 def _warn_if_stalled(log: list[BatchRecord]):
-    """One stderr line when the correlation greedy rolled back its first batch."""
+    """One stderr line when the correlation greedy rejected its first batch."""
     if log and log[0].moves_proposed and not log[0].accepted:
         first = log[0]
         print(f"warning: the correlation greedy rejected its first batch of "

@@ -79,7 +79,7 @@ def front_sweep(topo: Topology, users: list[UserGroup], k: int, steps: int) -> P
         proposals = ev.proposals()
         if not proposals:
             break
-        ev.move(*proposals[0])
+        ev.move(proposals[:1])
         recorded.append(_point(dist, place0, ev.assignment, ev.total(), step))
 
     # relocation keeps the greedy's groups, so its final total is the end point's

@@ -150,10 +150,11 @@ def load_trace(data: bytes) -> list[UserGroup]:
     Expects exactly the header node_id,service_id,count; per node the profile
     probability of a service is its count share. Priorities default to 1.0.
     """
-    text = data.decode("utf-8-sig")
-    reader = csv.reader(io.StringIO(text))
     try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))
         header = next(reader)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"trace is not UTF-8: {exc}") from None
     except StopIteration:
         raise ValidationError("empty trace file") from None
     if [h.strip() for h in header] != ["node_id", "service_id", "count"]:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdnsim.assignment
 from cdnsim import (
     CacheConfig,
+    Profile,
     Scenario,
     Topology,
     UserGroup,
@@ -21,6 +23,7 @@ from cdnsim import (
     user_correlations,
 )
 from cdnsim.assignment import _CorrEval
+from cdnsim.profiles import midranks_descending
 from cdnsim.rng import make_rng
 from conftest import path_topology, profile_from_dict, random_connected_topology, random_profile
 from oracles import relocate_servers_ranking, total_correlation
@@ -97,6 +100,27 @@ class TestGreedyCorrelation:
         opt, _ = exhaustive_optimum(users, ("w", "z"))
         assert total == pytest.approx(opt)
         assert total == log[-1].total_corr_before and not log[-1].accepted
+
+    def test_a_batch_re_ranks_only_the_servers_it_touches(self, monkeypatch):
+        # u1 and u2 make s1 rank like A, so u3 (B, the reverse of A) leaves s1
+        # for s2, where u4 likes B too; u5 keeps s3, which no move touches
+        uni = ("a", "b", "c", "d")
+        a_, b_, c_ = ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.3, 0.4, 0.1, 0.2])
+        users = [UserGroup(node=f"u{i}", profile=Profile(uni, np.array(p)))
+                 for i, p in enumerate([a_, a_, b_, b_, c_], start=1)]
+        a0 = {"u1": "s1", "u2": "s1", "u3": "s1", "u4": "s2", "u5": "s3"}
+        calls = [0]
+
+        def counting(values):
+            calls[0] += 1
+            return midranks_descending(values)
+
+        monkeypatch.setattr(cdnsim.assignment, "midranks_descending", counting)
+        a, _, log = greedy_correlation(users, ("s1", "s2", "s3"), a0)
+        assert a == {**a0, "u3": "s2"}
+        assert [(b.moves_proposed, b.accepted) for b in log] == [(1, True), (0, False)]
+        # the users' own ranks and 3 columns to start, then s1 and s2 once
+        assert calls[0] == 1 + 3 + 2
 
     @pytest.mark.parametrize("seed", range(15))
     def test_accepted_iterations_strictly_increase(self, seed):

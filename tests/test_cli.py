@@ -229,7 +229,7 @@ class TestAssign:
         rows = read_csv(tmp_path / "assignment.csv")[1:]
         assert left_sum(float(rho) for _, _, rho, _ in rows) == total
         assert rows[0][:3] == ["n000", "n001", "0.501023102310231"]
-        # the first batch proposes 118 moves, lowers the total and is rolled back
+        # the first batch proposes 118 moves, lowers the total and is rejected
         warnings = captured.err.splitlines()
         assert len(warnings) == 1
         assert warnings[0].startswith("warning: the correlation greedy rejected "
@@ -252,6 +252,20 @@ class TestAssign:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
             "error: placement entries must be node id strings, not ")
+
+
+@pytest.mark.parametrize("source", ["trace", "placement"])
+def test_input_file_that_is_not_utf8(topo3, tmp_path, source, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"node_id,service_id,count\nA,\xff,3\n")
+    placement = tmp_path / "placement.json"
+    placement.write_bytes(b'["A"\xff]')
+    argv = {"trace": ["place", "--k", "1", "--trace", str(trace)],
+            "placement": ["assign", "--placement", str(placement)]}[source]
+    assert main([*argv, "--topology", str(topo3), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    message = {"trace": "trace is not UTF-8", "placement": "bad placement JSON"}[source]
+    assert len(err) == 1 and err[0].startswith(f"error: {message}: ") and "0xff" in err[0]
 
 
 @pytest.mark.parametrize("source", ["origin", "trace", "placement"])

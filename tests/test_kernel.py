@@ -5,6 +5,7 @@ reference bit for bit, ties included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdnsim import (
@@ -23,7 +24,7 @@ from cdnsim import (
 from cdnsim.assignment import _CorrEval
 from cdnsim.profiles import midranks_descending
 from cdnsim.rng import derive_seed, make_rng
-from conftest import random_connected_topology, ring_topology
+from conftest import desk_topology, random_connected_topology, ring_topology
 from oracles import PairwiseCorr, midranks_loop, total_correlation
 
 EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -142,6 +143,14 @@ def walks(draw):
     return users, placement, assignment, moves
 
 
+def assert_matches_a_fresh_evaluator(ev, users, placement):
+    fresh = _CorrEval(users, placement, ev.assignment)
+    assert np.array_equal(ev.sums, fresh.sums)
+    assert np.array_equal(ev.rho, fresh.rho)
+    assert np.array_equal(ev.own(), fresh.own())
+    assert ev.total() == fresh.total()
+
+
 class TestAgainstPairwiseOracle:
     @EXACT
     @given(instances())
@@ -161,16 +170,17 @@ class TestAgainstPairwiseOracle:
     @EXACT
     @given(walks())
     def test_moves_match_a_fresh_evaluator(self, walk):
-        # a move rebuilds two servers; every other column must already be right
+        # a move rebuilds the servers it touches; every other column must
+        # already be right, after one pair at a time or the whole walk at once
         users, placement, assignment, moves = walk
         ev = _CorrEval(users, placement, assignment)
         for user, server in moves:
-            ev.move(user, server)
-            fresh = _CorrEval(users, placement, ev.assignment)
-            assert np.array_equal(ev.sums, fresh.sums)
-            assert np.array_equal(ev.rho, fresh.rho)
-            assert np.array_equal(ev.own(), fresh.own())
-            assert ev.total() == fresh.total()
+            ev.move([(user, server)])
+            assert_matches_a_fresh_evaluator(ev, users, placement)
+        batch = _CorrEval(users, placement, assignment)
+        batch.move(moves)
+        assert_matches_a_fresh_evaluator(batch, users, placement)
+        assert batch.assignment == ev.assignment
         oracle = PairwiseCorr(users, placement)
         assert np.array_equal(ev.rho, oracle.matrix(ev.assignment))
         assert ev.own().tolist() == oracle.own(ev.assignment)
@@ -203,6 +213,24 @@ class TestAgainstPairwiseOracle:
         assert final == expected_final
         assert total == oracle.total(final) == log[-1].total_corr_before
         assert not log[-1].accepted
+
+
+@pytest.mark.parametrize("seed, accepted", [(2, 13), (5, 8)])
+def test_desk_greedy_with_many_batches_matches_oracle(seed, accepted):
+    """Criterion 10's topology, alpha 0.3, universe 100, profile size 15,
+    k=2: the greedy accepts many batches on one evaluator. Seed 2 ends on a
+    rejected batch, seed 5 on a round with no proposals."""
+    topo = desk_topology()
+    users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=seed)
+    placement, _, _ = dragoon(topo, users, 2)
+    a0 = closest_assignment(topo, users, placement)
+    final, total, log = greedy_correlation(users, placement, a0)
+    expected_final, expected_log = PairwiseCorr(users, placement).greedy(a0)
+    assert [tuple(b) for b in log] == expected_log
+    assert final == expected_final
+    assert total == total_correlation(users, final) == log[-1].total_corr_before
+    assert sum(b.accepted for b in log) == accepted
+    assert (log[-1].moves_proposed == 0) == (seed == 5)
 
 
 def test_ring_instance_matches_oracle():

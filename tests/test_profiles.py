@@ -143,6 +143,12 @@ class TestLoadTrace:
         with pytest.raises(ValidationError, match="no data"):
             load_trace(b"node_id,service_id,count\n")
 
+    def test_not_utf8(self):
+        with pytest.raises(ValidationError, match="trace is not UTF-8: .*can't decode byte 0xff"):
+            load_trace(b"node_id,service_id,count\nn1,\xff,3\n")
+        with pytest.raises(ValidationError, match="trace is not UTF-8"):
+            load_trace(b"\xff")
+
 
 def one_server(*profiles: Profile) -> dict[str, float]:
     """user_correlations of users u0, u1, ... all assigned to one server."""
