@@ -36,7 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OPTIMIZERS, ValidationError, _check_choice
-from .placement import Assignment, Placement, _members, closest_assignment, dragoon, one_center
+from .placement import (Assignment, Placement, _by_node, _members, closest_assignment, dragoon,
+                        one_center)
 from .profiles import UserGroup, midranks_descending
 from .rng import left_sum
 from .topology import NodeId, Topology
@@ -54,7 +55,7 @@ class BatchRecord(NamedTuple):
 
 class _CorrEval:
     """The rank correlations of one assignment: rho[user, server], each user
-    counted in, users and servers in id order.
+    counted in, users (from `_by_node`) and servers in id order.
 
     The users' own ranks are computed once. The assignment lives only in
     `owner`; `move` is the one way to change it and rebuilds only the servers
@@ -63,9 +64,7 @@ class _CorrEval:
     """
 
     def __init__(self, users: list[UserGroup], placement: Placement, assignment: Assignment):
-        if not users:
-            raise ValidationError("no users to assign")
-        self.users = sorted(users, key=lambda u: u.node)
+        self.users = _by_node(users)
         for u in self.users:
             if u.profile is None:
                 raise ValidationError(f"user {u.node!r} has no profile")
@@ -196,9 +195,8 @@ def relocate_servers(
             new_location[s] = one_center(topo, members, candidates=free)
             taken.add(new_location[s])
 
-    new_placement = tuple(sorted(new_location.values()))
-    new_assignment = {u.node: new_location[assignment[u.node]] for u in users}
-    return new_placement, new_assignment
+    return (tuple(sorted(new_location.values())),
+            {u.node: new_location[assignment[u.node]] for u in users})
 
 
 def optimize(

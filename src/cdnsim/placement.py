@@ -38,15 +38,22 @@ class MoveRecord(NamedTuple):
     avg_dist: float
 
 
+def _by_node(users: list[UserGroup]) -> list[UserGroup]:
+    """The one check of a user list: not empty, one user per node; returns it in node-id order."""
+    if not users:
+        raise ValidationError("no users")
+    if len({u.node for u in users}) != len(users):
+        raise ValidationError("duplicate user nodes")
+    return sorted(users, key=lambda u: u.node)
+
+
 class _Eval:
-    """The one owner of priority * distance: users in node-id order, every
-    (max, mean) reduced in that order, so the order of `users` never matters."""
+    """The one owner of priority * distance: users from `_by_node`, every
+    (max, mean) reduced in node-id order, so the order of `users` never matters."""
 
     def __init__(self, topo: Topology, users: list[UserGroup]):
-        if not users:
-            raise ValidationError("no users")
         self.topo = topo
-        self.users = sorted(users, key=lambda u: u.node)
+        self.users = _by_node(users)
         self.rows = np.array([topo.index(u.node) for u in self.users], dtype=int)
         self.prios = np.array([u.priority for u in self.users])
         # bounds every weighted sum; Python floats reach inf without a numpy warning
@@ -78,8 +85,8 @@ def _check_k(k: int, n: int):
         raise InfeasibleError(f"k={k} out of range 1..{n}")
 
 
-def _check_placement(placement: Placement):
-    """The one check of a placement from outside; it runs before anything sorts one."""
+def _check_placement(placement: Placement) -> list[NodeId]:
+    """The one check of a placement from outside; returns it in id order."""
     if not placement:
         raise ValidationError("empty placement")
     for s in placement:
@@ -87,15 +94,16 @@ def _check_placement(placement: Placement):
             raise ValidationError(f"placement entries must be node id strings, not {s!r}")
     if len(set(placement)) != len(placement):
         raise ValidationError("placement contains duplicate nodes")
+    return sorted(placement)
 
 
 def _members(users: list[UserGroup], placement: Placement,
              assignment: Assignment) -> dict[NodeId, list[UserGroup]]:
     """Each server in id order with its users in node-id order: the one check
     that `assignment` maps exactly the users into a valid placement."""
-    _check_placement(placement)
-    members: dict[NodeId, list[UserGroup]] = {s: [] for s in sorted(placement)}
-    for u in sorted(users, key=lambda u: u.node):
+    users = _by_node(users)
+    members: dict[NodeId, list[UserGroup]] = {s: [] for s in _check_placement(placement)}
+    for u in users:
         if u.node not in assignment:
             raise ValidationError(f"user {u.node!r} missing from assignment")
         server = assignment[u.node]
@@ -111,16 +119,12 @@ def _members(users: list[UserGroup], placement: Placement,
 
 def closest_assignment(topo: Topology, users: list[UserGroup],
                        placement: Placement) -> Assignment:
-    """Map each user to its nearest server; distance ties go to the lower id."""
-    if not users:
-        raise ValidationError("no users")
-    _check_placement(placement)
-    servers = sorted(placement)
-    rows = [topo.index(u.node) for u in users]
-    cols = [topo.index(s) for s in servers]
+    """Map each user, in node-id order, to its nearest server; ties go to the lower id."""
+    ev = _Eval(topo, users)
+    servers = _check_placement(placement)
     # argmin takes the first minimum of each row, i.e. the lowest server id
-    best = topo.distances[np.ix_(rows, cols)].argmin(axis=1)
-    return {u.node: servers[j] for u, j in zip(users, best)}
+    best = topo.distances[np.ix_(ev.rows, [topo.index(s) for s in servers])].argmin(axis=1)
+    return {u.node: servers[j] for u, j in zip(ev.users, best)}
 
 
 def one_center(

@@ -79,6 +79,8 @@ class UserGroup:
     profile: Profile | None = None
 
     def __post_init__(self):
+        if not isinstance(self.node, str):
+            raise ValidationError(f"user node ids must be strings, not {self.node!r}")
         _check_real(f"user {self.node!r} priority", self.priority)
 
 
@@ -104,10 +106,13 @@ def make_universe(size: int) -> tuple[ServiceId, ...]:
 
 
 def zipf_pmf(alpha: float, n: int) -> np.ndarray:
-    """Normalized 1/r^alpha over ranks 1..n; descending, sums to 1."""
+    """Normalized 1/r^alpha over ranks 1..n; descending, sums to 1, no entry is 0."""
     _check_real("alpha", alpha, zero=True)
-    weights = np.arange(1, _check_int("n", n, 1) + 1, dtype=np.float64) ** (-float(alpha))
-    return weights / weights.sum()
+    pmf = np.arange(1, _check_int("n", n, 1) + 1, dtype=np.float64) ** (-float(alpha))
+    pmf /= pmf.sum()
+    if pmf[-1] == 0.0:
+        raise ValidationError(f"alpha={alpha!r} is too large for n={n}: rank {n} underflows to 0")
+    return pmf
 
 
 def generate_profile(rng_seed: int, universe: tuple[ServiceId, ...],
@@ -117,8 +122,8 @@ def generate_profile(rng_seed: int, universe: tuple[ServiceId, ...],
     The support is drawn without replacement, weighted by `global_pmf`
     (universe order = popularity order); within the support the pmf `within`
     is dealt onto a random permutation, so a user's favourite service is not
-    necessarily a globally popular one. `generate_users` passes the Zipf pmfs
-    of its model, computed once for all users.
+    necessarily a globally popular one. `generate_users` passes its model's Zipf
+    pmfs, computed once; `zipf_pmf` has no 0 entry, which would drop a service.
     """
     if len(universe) != len(global_pmf):
         raise ValidationError("universe size does not match the global pmf")

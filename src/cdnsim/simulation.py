@@ -41,8 +41,6 @@ class Scenario:
         _check_int("requests_per_user", self.requests_per_user, 100)
         for node in (self.origin, *self.placement, *(u.node for u in self.users)):
             self.topology.index(node)  # rejects an unknown node
-        if len({u.node for u in self.users}) != len(self.users):
-            raise ValidationError("duplicate user nodes")
         _members(self.users, self.placement, self.assignment)
         return self
 

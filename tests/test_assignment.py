@@ -15,8 +15,10 @@ from cdnsim import (
     closest_assignment,
     dragoon,
     experiment_sweep,
+    farthest_first_init,
     front_sweep,
     greedy_correlation,
+    one_center,
     optimize,
     relocate_servers,
     run,
@@ -159,11 +161,17 @@ class TestGreedyCorrelation:
 
 
 def _profile_calls(topo, users, assignment):
-    """Each public entry point that reads the users' profiles or assignment."""
-    servers = tuple(sorted(set(assignment.values())))
+    """Each public entry point that takes a user list; an empty `assignment`
+    places its one server at the topology's first node."""
+    servers = tuple(sorted(set(assignment.values()))) or topo.node_ids[:1]
     scenario = Scenario(topology=topo, users=users, placement=servers, assignment=assignment,
                         cache=CacheConfig(2), origin=servers[0], master_seed=0)
     return {
+        "dragoon": lambda: dragoon(topo, users, 2),
+        "farthest_first_init": lambda: farthest_first_init(topo, users, 2),
+        "one_center": lambda: one_center(topo, users),
+        "closest_assignment": lambda: closest_assignment(topo, users, servers),
+        "optimize_distance": lambda: optimize(topo, users, k=2),
         "user_correlations": lambda: user_correlations(users, assignment),
         "relocate_servers": lambda: relocate_servers(topo, users, servers, assignment),
         "greedy_correlation": lambda: greedy_correlation(users, servers, assignment),
@@ -173,6 +181,19 @@ def _profile_calls(topo, users, assignment):
         "cache_size_sweep": lambda: experiment_sweep(scenario, "cache_size", [2, 3]),
         "server_count_sweep": lambda: experiment_sweep(scenario, "server_count", [2]),
     }
+
+
+@pytest.mark.parametrize("name", list(_profile_calls(path_topology(["A", "B"]), [], {})))
+@pytest.mark.parametrize("nodes, message", [("AAC", "duplicate user nodes"), ("", "no users")],
+                         ids=["repeated_node", "empty"])
+def test_user_list_is_checked_by_every_stage(name, nodes, message, path3):
+    """A repeated node would count one user twice, and an empty list has no
+    objective: every stage rejects both before it computes anything."""
+    users = [UserGroup(node=n, profile=random_profile(i, UNIVERSE_ABC))
+             for i, n in enumerate(nodes)]
+    call = _profile_calls(path3, users, {n: n for n in nodes})[name]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("name", ["user_correlations", "greedy_correlation", "optimize",

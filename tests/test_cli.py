@@ -123,6 +123,16 @@ class TestNonFiniteInput:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: alpha must be a finite real >= 0, got {alpha}\n"
 
+    def test_place_underflowing_alpha(self, topo3, tmp_path, capsys):
+        """At alpha 300, 1/100^alpha is 0: profiles would like fewer services than asked."""
+        argv = ["place", "--topology", str(topo3), "--k", "1", "--alpha", "300",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: alpha=300.0 is too large for n=100: "
+                                "rank 100 underflows to 0\n")
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize("argv", [
     ["validate", "--out", "x"],

@@ -114,6 +114,46 @@ def test_only_errors_rejects_a_bool_for_a_number():
     assert owners == ["errors.py"]
 
 
+def node_sorts(source: str) -> list[str]:
+    """Functions, as Class.method or function, that call `sorted` or `.sort`
+    with a `key` lambda reading `.node`, once per call."""
+    found = []
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name) and child.func.id == "sorted"
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == "sort"):
+                found.extend(scope or "<module>" for k in child.keywords
+                             if k.arg == "key" and isinstance(k.value, ast.Lambda)
+                             and any(isinstance(n, ast.Attribute) and n.attr == "node"
+                                     for n in ast.walk(k.value.body)))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_node_sorts_are_found():
+    source = ("def by_node(users):\n    return sorted(users, key=lambda u: u.node)\n"
+              "class Eval:\n    def __init__(self, users):\n"
+              "        users.sort(key=lambda u: (u.node, u.priority))\n"
+              "        sorted(users, key=lambda u: u.priority)\n"
+              "        sorted(users, key=by_node)\n"
+              "sorted([], key=lambda p: p.node)\n")
+    assert node_sorts(source) == ["by_node", "Eval.__init__", "<module>"]
+
+
+def test_only_by_node_sorts_a_user_list():
+    """`placement._by_node` checks a user list and puts it in node-id order; a
+    stage that sorted users itself could take a list that check never saw."""
+    owners = [f"{p.stem}.{name}" for p in MODULES for name in node_sorts(p.read_text())]
+    assert owners == ["placement._by_node"]
+
+
 def readme_library_example() -> str:
     """The python block of README's "Library" section."""
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]

@@ -24,6 +24,7 @@ from cdnsim import (
     user_correlations,
 )
 from cdnsim.placement import PlacementObjective, _Eval
+from cdnsim.rng import make_rng
 from conftest import (
     dummy_profile,
     random_connected_topology,
@@ -68,6 +69,15 @@ class TestClosestAssignment:
             # independent scan: smallest (distance, id) pair wins
             best = min(servers, key=lambda s: (topo.distance(u.node, s), s))
             assert a[u.node] == best
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_keys_come_in_node_id_order(self, seed):
+        topo = random_connected_topology(seed, 9, weighted=True)
+        users = uniform_users(topo)
+        make_rng(seed).shuffle(users)
+        assert [u.node for u in users] != list(topo.node_ids)
+        a = closest_assignment(topo, users, tuple(topo.node_ids[3:6]))
+        assert list(a) == list(topo.node_ids)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(shuffled_instances())

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,23 @@ class TestZipfPmf:
         assert abs(pmf.sum() - 1.0) < 1e-12
         assert (np.diff(pmf) <= 0).all()
         assert (pmf > 0).all()
+
+    @pytest.mark.parametrize("alpha, n", [(300, 100), (1000, 100), (1e308, 100), (99, 2000),
+                                          (276, 15)])
+    def test_alpha_that_underflows_a_rank_is_rejected(self, alpha, n):
+        """1/n^alpha at 0 would drop rank n from every profile drawn with this pmf."""
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"alpha={alpha!r} is too large for n={n}")):
+            zipf_pmf(alpha, n)
+
+    def test_generate_users_rejects_an_underflowing_alpha(self):
+        with pytest.raises(ValidationError, match="alpha=300 is too large for n=100"):
+            generate_users(desk_topology(), ZipfModel(300, 100, 15), 0)
+
+    @pytest.mark.parametrize("alpha, universe_size", [(161, 100), (98, 2000)])
+    def test_largest_alphas_still_give_full_profiles(self, alpha, universe_size):
+        users = generate_users(desk_topology(), ZipfModel(alpha, universe_size, 15), 0)
+        assert {len(u.profile.support) for u in users} == {15}
 
 
 def zipf_profile(model: ZipfModel, seed: int):
@@ -226,6 +244,14 @@ def test_profile_validation():
         Profile(("A", "B"), np.array([1.2, -0.2]))
     with pytest.raises(ValidationError):
         UserGroup(node="n", priority=0.0)
+
+
+@pytest.mark.parametrize("node", [1, ["A"], None])
+def test_user_node_id_must_be_a_string(node):
+    """Every stage sorts users by node id, so an id that is no string is an input error."""
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"user node ids must be strings, not {node!r}") + "$"):
+        UserGroup(node=node)
 
 
 def test_non_finite_input_rejected():
