@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OPTIMIZERS, ValidationError, _check_choice
-from .placement import (Assignment, Placement, _by_node, _members, closest_assignment, dragoon,
-                        one_center)
+from .placement import (Assignment, Placement, _by_node, _check_placement, _members,
+                        closest_assignment, dragoon, one_center)
 from .profiles import UserGroup, midranks_descending
 from .rng import left_sum
 from .topology import NodeId, Topology
@@ -181,10 +181,10 @@ def relocate_servers(
 ) -> tuple[Placement, Assignment]:
     """Move each server to the 1-center of its assigned users.
 
-    Group membership is preserved; the assignment comes back with its targets
-    renamed to the new locations. Servers without users keep their node. If
-    two groups want the same node, the later server (id order) takes its best
-    still-free candidate.
+    Group membership is preserved: the placement comes back in id order, the
+    assignment in user-id order with its targets renamed to the new locations.
+    Servers without users keep their node. If two groups want the same node,
+    the later server (id order) takes its best still-free candidate.
     """
     groups = _members(users, placement, assignment)
     new_location = {s: s for s, members in groups.items() if not members}
@@ -196,7 +196,7 @@ def relocate_servers(
             taken.add(new_location[s])
 
     return (tuple(sorted(new_location.values())),
-            {u.node: new_location[assignment[u.node]] for u in users})
+            {u.node: new_location[assignment[u.node]] for u in _by_node(users)})
 
 
 def optimize(
@@ -210,12 +210,15 @@ def optimize(
 
     Without a `placement`, dragoon places `k` servers. Users go to their
     closest server; the "correlation" optimizer then runs greedy_correlation
-    and relocate_servers. The log is the greedy's, empty for "distance".
+    and relocate_servers. Returns the placement in id order, the assignment
+    in user-id order and the greedy's log (empty for "distance").
     """
     _check_choice("optimizer", optimizer, OPTIMIZERS)
-    if placement is None:
-        if k is None:
-            raise ValidationError("optimize needs k or a placement")
+    if placement is not None:
+        placement = tuple(_check_placement(placement))
+    elif k is None:
+        raise ValidationError("optimize needs k or a placement")
+    else:
         placement, _, _ = dragoon(topo, users, k)
     assignment = closest_assignment(topo, users, placement)
     log: list[BatchRecord] = []

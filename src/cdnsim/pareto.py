@@ -22,7 +22,7 @@ from .topology import Topology
 @dataclass(frozen=True)
 class SolutionPoint:
     placement: Placement
-    assignment: tuple[tuple[str, str], ...]  # sorted (user, server) pairs
+    assignment: tuple[tuple[str, str], ...]  # (user, server) pairs in user-id order
     avg_dist: float
     total_corr: float
     max_dist: float
@@ -53,8 +53,8 @@ def _point(
 ) -> SolutionPoint:
     max_dist, avg_dist = dist.assigned(assignment)
     return SolutionPoint(
-        placement=tuple(sorted(placement)),
-        assignment=tuple(sorted(assignment.items())),
+        placement=placement,
+        assignment=tuple(assignment.items()),
         avg_dist=avg_dist,
         max_dist=max_dist,
         total_corr=total_corr,

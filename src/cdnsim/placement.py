@@ -132,14 +132,14 @@ def one_center(
     users: list[UserGroup],
     candidates: tuple[NodeId, ...] | None = None,
 ) -> NodeId:
-    """Exhaustive single-server optimum over all candidate nodes."""
+    """Exhaustive single-server optimum over all candidate nodes; ties go to the lower id."""
     if candidates is None:
         candidates = topo.node_ids
     if not candidates:
         raise ValidationError("no candidate nodes")
-    weighted = _Eval(topo, users).weighted(candidates)
-    maxs = weighted.max(axis=0)
-    avgs = weighted.mean(axis=0)
+    # one contiguous row per candidate reduces bit for bit like `_reduce`
+    rows = np.ascontiguousarray(_Eval(topo, users).weighted(candidates).T)
+    maxs, avgs = rows.max(axis=1), rows.mean(axis=1)
     best = min(range(len(candidates)), key=lambda i: (maxs[i], avgs[i], candidates[i]))
     return candidates[best]
 

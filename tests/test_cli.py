@@ -278,7 +278,7 @@ def test_input_file_that_is_not_utf8(topo3, tmp_path, source, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {message}: ") and "0xff" in err[0]
 
 
-@pytest.mark.parametrize("source", ["origin", "trace", "placement"])
+@pytest.mark.parametrize("source", ["origin", "trace", "placement", "simulate_placement"])
 def test_unknown_node_from_outside_input(topo3, tmp_path, source, capsys):
     """A node the topology lacks, named by a flag, a trace row or a placement
     file, gets the one message `Topology.index` gives."""
@@ -288,9 +288,26 @@ def test_unknown_node_from_outside_input(topo3, tmp_path, source, capsys):
     placement.write_text('["Z"]')
     argv = {"origin": ["simulate", "--k", "1", "--origin", "Z"],
             "trace": ["place", "--k", "1", "--trace", str(trace)],
-            "placement": ["assign", "--placement", str(placement)]}[source]
+            "placement": ["assign", "--placement", str(placement)],
+            "simulate_placement": ["simulate", "--placement", str(placement)]}[source]
     assert main([*argv, "--topology", str(topo3), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: unknown node 'Z'\n"
+
+
+@pytest.mark.parametrize("command", ["assign", "simulate"])
+@pytest.mark.parametrize("entries, message", [
+    ('["A", "A"]', "placement contains duplicate nodes"),
+    ("[]", "placement JSON must be a non-empty list of node ids"),
+    ("{}", "placement JSON must be a non-empty list of node ids"),
+])
+def test_bad_placement_file(topo3, tmp_path, command, entries, message, capsys):
+    """A placement file is read as JSON by the CLI and checked by the library,
+    one message each, whichever command reads it."""
+    placement = tmp_path / "placement.json"
+    placement.write_text(entries)
+    assert main([command, "--placement", str(placement), "--topology", str(topo3),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSimulate:

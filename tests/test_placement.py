@@ -28,6 +28,7 @@ from cdnsim.rng import make_rng
 from conftest import (
     dummy_profile,
     random_connected_topology,
+    ring_topology,
     star_topology,
     uniform_users,
 )
@@ -46,6 +47,32 @@ def shuffled_instances(draw):
                        profile=dummy_profile()) for n in nodes]
     servers = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
     return topo, users, tuple(servers)
+
+
+def _objective_center(topo, users, candidates):
+    ev = _Eval(topo, users)
+    return min(candidates, key=lambda c: (ev.objective((c,)), c))
+
+
+@st.composite
+def center_instances(draw):
+    """(topology, users with float priorities, candidates in shuffled order):
+    mirror-symmetric rings, where candidates tie in exact arithmetic but their
+    float means can differ in the last bit, and random weighted graphs."""
+    priority = st.floats(0.1, 5.0)
+    if draw(st.booleans()):
+        n = draw(st.integers(16, 40))
+        topo = ring_topology(n)
+        half = [draw(priority) for _ in range(n // 2 + 1)]
+        priorities = [half[min(i, n - i)] for i in range(n)]
+    else:
+        topo = random_connected_topology(draw(st.integers(0, 10_000)),
+                                         draw(st.integers(2, 20)), weighted=True)
+        priorities = [draw(priority) for _ in topo.node_ids]
+    users = [UserGroup(node=n, priority=w, profile=dummy_profile())
+             for n, w in zip(topo.node_ids, priorities)]
+    candidates = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
+    return topo, users, tuple(candidates)
 
 
 class TestClosestAssignment:
@@ -138,6 +165,26 @@ class TestOneCenter:
             if best is None or key < best:
                 best = key
         assert got == best[2]
+
+    @pytest.mark.parametrize("slope, center", [(0.3, "n04"), (1.3, "n05")])
+    def test_ring_ties_follow_the_objective(self, slope, center):
+        """On a mirror-symmetric ring n04 and n05 are equal in exact arithmetic;
+        `_Eval` rates them equal at slope 0.3 (the lower id wins) and gives n05
+        the smaller mean at 1.3, and `one_center` agrees with it both times."""
+        topo = ring_topology(9)
+        users = [UserGroup(node=n, priority=1.0 + slope * min(i, 9 - i),
+                           profile=dummy_profile()) for i, n in enumerate(topo.node_ids)]
+        assert one_center(topo, users) == center == _objective_center(topo, users,
+                                                                      topo.node_ids)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(center_instances())
+    def test_matches_the_objective(self, instance):
+        """`one_center` is the candidate with the smallest `_Eval.objective`,
+        ties to the lower id, on float priorities too."""
+        topo, users, candidates = instance
+        assert one_center(topo, users, candidates) == _objective_center(topo, users,
+                                                                         candidates)
 
 
 class TestFarthestFirst:
@@ -393,3 +440,50 @@ def test_users_are_a_set(name, instance):
     placement, closest, _ = optimize(topo, users, k=k)
     call = _order_free_calls(topo, k, placement, closest, seed)[name]
     assert call(shuffled_users) == call(users)
+
+
+@st.composite
+def shuffled_plans(draw):
+    """(topology, users shuffled, k, a placement of k nodes shuffled)."""
+    topo, _, shuffled_users, k, _ = draw(weighted_user_sets())
+    return topo, shuffled_users, k, tuple(draw(st.permutations(topo.node_ids))[:k])
+
+
+def _plans(topo, users, k, placement):
+    """Each public planner's (placement, assignment) pairs, None for a part it
+    does not return; the given placement and assignment come in shuffled order."""
+    closest = closest_assignment(topo, users, placement)
+    shuffled = {u.node: closest[u.node] for u in users}
+    return {
+        "dragoon": lambda: [(dragoon(topo, users, k)[0], None)],
+        "farthest_first_init": lambda: [(farthest_first_init(topo, users, k), None)],
+        "closest_assignment": lambda: [(None, closest)],
+        "greedy_correlation": lambda: [(None, greedy_correlation(users, placement, shuffled)[0])],
+        "relocate_servers": lambda: [relocate_servers(topo, users, placement, shuffled)],
+        "optimize_k_distance": lambda: [optimize(topo, users, k=k)[:2]],
+        "optimize_k_correlation": lambda: [optimize(topo, users, k=k,
+                                                    optimizer="correlation")[:2]],
+        "optimize_placement_distance": lambda: [optimize(topo, users, placement=placement)[:2]],
+        "optimize_placement_correlation": lambda: [
+            optimize(topo, users, placement=placement, optimizer="correlation")[:2]],
+        "front_sweep": lambda: [(p.placement, dict(p.assignment))
+                                for p in front_sweep(topo, users, k, 6)],
+    }
+
+
+@pytest.mark.parametrize("name", ["dragoon", "farthest_first_init", "closest_assignment",
+                                  "greedy_correlation", "relocate_servers",
+                                  "optimize_k_distance", "optimize_k_correlation",
+                                  "optimize_placement_distance",
+                                  "optimize_placement_correlation", "front_sweep"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(instance=shuffled_plans())
+def test_every_plan_comes_in_id_order(name, instance):
+    """Every planner returns its placement as a tuple in id order and its
+    assignment with the users in node-id order, whatever order it was given."""
+    topo, users, k, placement = instance
+    for servers, assignment in _plans(topo, users, k, placement)[name]():
+        if servers is not None:
+            assert type(servers) is tuple and list(servers) == sorted(servers)
+        if assignment is not None:
+            assert list(assignment) == sorted(u.node for u in users)
