@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer micro-benchmarks: `cache.replay` per policy, APSP, user profiles,
-the rank-correlation batch, the Pareto walk and CLI start-up.
+midranks, the rank-correlation batch, the greedy, the Pareto walk and CLI
+start-up.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --label after
 
@@ -29,14 +30,25 @@ reports the median milliseconds per call, `profile_mib`, the MiB of
 universe and every profile), and the SHA-256 of the users' stacked dense
 probability vectors.
 
+Rank layer: `profiles.midranks_descending` on one server's candidate matrix
+(the rows one `rho` column ranks: every user's would-be profile of the first
+server, normalized) for the desk instance below, 124 x 100, and for the same
+instance with the cache-churn profiles, 124 x 2000. Each shape reports the
+median nanoseconds per call and the SHA-256 of the ranks.
+
 Correlation layer: `assignment._CorrEval` on the desk instance with the
 0.3/100/15 profiles, k=10 servers placed by `dragoon` and the
-closest-server assignment. Building the evaluator ranks one column per server;
-it reports the median nanoseconds per column and the SHA-256 of the `rho`
-matrix. A fixed sequence of walk moves (the first 40 steps of the steepest
-walk from that assignment, each a one-pair `move` that re-ranks two columns)
-is then replayed on a fresh evaluator; it reports the median nanoseconds per
-move and the SHA-256 of the final `rho`.
+closest-server assignment. The evaluator ranks its columns when `rho` is
+first read, one per server; building it and reading `rho` once reports the
+median nanoseconds per column and the SHA-256 of the `rho` matrix. A fixed
+sequence of walk moves (the first 40 steps of the steepest walk from that
+assignment, each a one-pair `move` followed by a `rho` read that re-ranks two
+columns) is then replayed on a fresh evaluator whose `rho` was read once; it
+reports the median nanoseconds per move and the SHA-256 of the final `rho`.
+
+Greedy layer: `assignment.greedy_correlation` from that closest-server
+assignment; it reports the median milliseconds per call and the total
+correlation it returns.
 
 Pareto layer: `pareto.front_sweep` on the same desk users at k=10 with 10 and
 50 steps. Each reports the median milliseconds per call and the SHA-256 of
@@ -80,11 +92,13 @@ from cdnsim import (
     dragoon,
     front_sweep,
     generate_users,
+    greedy_correlation,
     parse_topology,
     replay,
 )
 from cdnsim.assignment import _CorrEval
 from cdnsim.cache import POLICIES
+from cdnsim.profiles import midranks_descending
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -105,6 +119,7 @@ SERVERS = 10
 WALK_MOVES = 40
 FRONT_STEPS = (10, 50)
 STARTUP_RUNS = 21
+RANK_CALLS = 20  # midrank calls per repeat: one call is well under a millisecond
 
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float) -> list[str]:
@@ -216,11 +231,43 @@ def desk_users(topo: Topology):
     return generate_users(topo, ZipfModel(alpha, universe, size), DESK_SEED)
 
 
+def desk_plan(topo: Topology, users) -> tuple:
+    """The dragoon placement at k=SERVERS and its closest-server assignment."""
+    placement = dragoon(topo, users, SERVERS)[0]
+    return placement, closest_assignment(topo, users, placement)
+
+
+def candidate_matrix(users, placement, assignment) -> np.ndarray:
+    """The normalized candidate rows of the first server: its members' sum,
+    plus the user's own profile for every non-member, as its `rho` column ranks them."""
+    ev = _CorrEval(users, placement, assignment)
+    candidates = ev.sums[0] + ev.P
+    candidates[ev.owner == 0] = ev.sums[0]
+    return candidates / candidates.sum(axis=1, keepdims=True)
+
+
+def measure_ranks(topo: Topology, repeats: int) -> list[dict]:
+    cells = []
+    for alpha, universe, size in PROFILE_SHAPES[::-1]:
+        users = generate_users(topo, ZipfModel(alpha, universe, size), DESK_SEED)
+        matrix = candidate_matrix(users, *desk_plan(topo, users))
+        median, ranks = timed(lambda: midranks_descending(matrix), repeats * RANK_CALLS)
+        cells.append({"universe": universe, "rows": len(matrix),
+                      "ns_per_call": round(median * 1e9),
+                      "sha256": hashlib.sha256(ranks.tobytes()).hexdigest()})
+    return cells
+
+
 def measure_correlation(topo: Topology, repeats: int) -> dict:
     users = desk_users(topo)
-    placement = dragoon(topo, users, SERVERS)[0]
-    assignment = closest_assignment(topo, users, placement)
-    build_s, ev = timed(lambda: _CorrEval(users, placement, assignment), repeats)
+    placement, assignment = desk_plan(topo, users)
+
+    def build():
+        ev = _CorrEval(users, placement, assignment)
+        ev.rho  # ranks every column
+        return ev
+
+    build_s, ev = timed(build, repeats)
     total, matrix = ev.total(), ev.rho.copy()
     moves = []
     for _ in range(WALK_MOVES):
@@ -232,9 +279,11 @@ def measure_correlation(topo: Topology, repeats: int) -> dict:
     seconds = []
     for _ in range(repeats):
         ev = _CorrEval(users, placement, assignment)
+        ev.rho  # the starting columns are the matrix cell's work, not the walk's
         start = time.perf_counter()
         for move in moves:
             ev.move([move])
+            ev.rho  # re-ranks the two columns the move left stale
         seconds.append(time.perf_counter() - start)
     return {"users": len(users), "servers": SERVERS,
             "matrix_ns_per_column": round(build_s * 1e9 / SERVERS),
@@ -243,6 +292,15 @@ def measure_correlation(topo: Topology, repeats: int) -> dict:
             "walk": {"moves": len(moves),
                      "ns_per_move": round(statistics.median(seconds) * 1e9 / len(moves)),
                      "sha256": hashlib.sha256(ev.rho.tobytes()).hexdigest()}}
+
+
+def measure_greedy(topo: Topology, repeats: int) -> dict:
+    users = desk_users(topo)
+    placement, assignment = desk_plan(topo, users)
+    median, (_, total, log) = timed(lambda: greedy_correlation(users, placement, assignment),
+                                    repeats)
+    return {"servers": SERVERS, "rounds": len(log), "ms_per_call": round(median * 1e3, 2),
+            "total": total}
 
 
 def measure_front(topo: Topology, repeats: int) -> list[dict]:
@@ -286,7 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     run["apsp"] = measure_apsp(REPEATS)
     desk = desk_topology()
     run["profiles"] = measure_profiles(desk, REPEATS)
+    run["ranks"] = measure_ranks(desk, REPEATS)
     run["correlation"] = measure_correlation(desk, REPEATS)
+    run["greedy"] = measure_greedy(desk, REPEATS)
     run["front_sweep"] = measure_front(desk, REPEATS)
     run["startup"] = measure_startup(STARTUP_RUNS)
     run["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
@@ -312,9 +372,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  users {cell['alpha']}/{cell['universe']}/{cell['profile_size']:<4}"
               f" {cell['ms_per_call']:>9.2f} ms/call {cell['profile_mib']:>7.3f} MiB"
               f"  sha256={cell['sha256']}")
+    for cell in run["ranks"]:
+        print(f"  midranks {cell['rows']}x{cell['universe']:<5} {cell['ns_per_call']:>9} ns/call"
+              f"  sha256={cell['sha256']}")
     corr = run["correlation"]
     print(f"  corr matrix {corr['matrix_ns_per_column']:>9} ns/column  sha256={corr['sha256']}")
     print(f"  corr walk {corr['walk']['ns_per_move']:>11} ns/move  sha256={corr['walk']['sha256']}")
+    print(f"  greedy k={run['greedy']['servers']} {run['greedy']['ms_per_call']:>11.2f} ms/call"
+          f"  total={run['greedy']['total']!r}")
     for cell in run["front_sweep"]:
         print(f"  front {cell['steps']:>2} steps {cell['ms_per_call']:>9.1f} ms/call"
               f"  sha256={cell['sha256']}")

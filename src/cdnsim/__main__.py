@@ -1,5 +1,3 @@
-import sys
+from .cli import main_and_exit
 
-from .cli import main
-
-sys.exit(main())
+main_and_exit()

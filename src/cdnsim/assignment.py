@@ -2,9 +2,9 @@
 
 The greedy evaluates, for every user, the rank correlation against every
 server's would-be profile (the user's own profile always counted in), then
-applies all proposed reassignments at once. A batch only sticks if the total
-correlation strictly improves; otherwise the search stops on the assignment
-from before it, which keeps the simultaneous update from oscillating.
+tries all proposed reassignments at once. A batch is applied only if the
+total correlation strictly improves; otherwise the search stops on the
+assignment it has, which keeps the simultaneous update from oscillating.
 
 A coefficient is Spearman's rho = 1 - 6*sum(d^2) / (n(n^2-1)) on descending
 midranks over the full service universe, without a tie-correction term: on
@@ -23,9 +23,13 @@ and it is exact, not approximate, so that ties in the ranks are reproducible:
 - midranks are multiples of 0.5, so sum(d^2) is exact in any order;
 - the total adds the users' coefficients left to right in user-id order
   (`rng.left_sum`), whatever the Python version;
-- the users x servers matrix is built one server column at a time, so memory
-  stays at users x universe rather than users x servers x universe; a move
-  (a greedy batch or one Pareto walk step) re-ranks only the columns it touches.
+- totals and own coefficients come from rows: every member of a server has
+  the same candidate row, its sum vector, so one ranked row per occupied
+  server gives them all, and a batch's total is tried without moving;
+- the users x servers matrix serves only the proposals. It is ranked one
+  server column at a time, so memory stays at users x universe rather than
+  users x servers x universe, and only when read: a move (an accepted greedy
+  batch or one Pareto walk step) leaves stale only the columns it touches.
 """
 
 from __future__ import annotations
@@ -54,13 +58,18 @@ class BatchRecord(NamedTuple):
 
 
 class _CorrEval:
-    """The rank correlations of one assignment: rho[user, server], each user
-    counted in, users (from `_by_node`) and servers in id order.
+    """The rank correlations of one assignment, users (from `_by_node`) and
+    servers in id order, each user counted in.
 
     The users' own ranks are computed once. The assignment lives only in
-    `owner`; `move` is the one way to change it and rebuilds only the servers
-    it touches: for every other server j, a user's candidate row is `sums[j]`
-    or `sums[j] + P[user]` both before and after the move.
+    `owner`, with one sum row per server in `sums`; `move` is the one way to
+    change them. All members of server j share one candidate row, `sums[j]`,
+    so the own coefficients and the total take one ranked row per occupied
+    server, and `total_after` gives the total a batch would reach without
+    moving. The users x servers matrix `rho` serves only `proposals`: it is
+    ranked one column per server when read, and a move marks only the
+    columns it touches as stale, because for every other server j a user's
+    candidate row is `sums[j]` or `sums[j] + P[user]` both before and after.
     """
 
     def __init__(self, users: list[UserGroup], placement: Placement, assignment: Assignment):
@@ -81,21 +90,55 @@ class _CorrEval:
         self.user_index = {u.node: i for i, u in enumerate(self.users)}
         self.server_index = {s: j for j, s in enumerate(self.servers)}
         self.owner = np.array([self.server_index[assignment[u.node]] for u in self.users])
-        self.sums = np.zeros((len(self.servers), n))
-        self.rho = np.empty((len(self.users), len(self.servers)))
-        for j in range(len(self.servers)):
-            self._rebuild(j)
+        self.sums = np.stack([self._sum_row(self.owner, j) for j in range(len(self.servers))])
+        self._rho = np.empty((len(self.users), len(self.servers)))
+        self._stale = set(range(len(self.servers)))
+
+    def _sum_row(self, owner: np.ndarray, j: int) -> np.ndarray:
+        """Server j's sum row under `owner`, from zeros with `+=` in user-id order."""
+        row = np.zeros(self.P.shape[1])
+        for i in np.flatnonzero(owner == j):
+            row += self.P[i]
+        return row
+
+    def _after(self, moves: list[tuple[NodeId, NodeId]]):
+        """`owner` and `sums` after (user, server) pairs, and the servers they
+        change, each rebuilt once; the evaluator itself does not change."""
+        owner = self.owner.copy()
+        for user, server in moves:
+            owner[self.user_index[user]] = self.server_index[server]
+        changed = owner != self.owner
+        touched = sorted(set(self.owner[changed].tolist()) | set(owner[changed].tolist()))
+        sums = self.sums.copy()
+        for j in touched:
+            sums[j] = self._sum_row(owner, j)
+        return owner, sums, touched
+
+    def _own(self, owner: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """Each user's coefficient with its own server, in user-id order, from
+        one ranked sum row per occupied server; an empty server's zero row is
+        never normalized."""
+        # not np.unique, whose first call imports numpy.ma
+        occupied = np.flatnonzero(np.bincount(owner, minlength=len(self.servers)))
+        rows = sums[occupied]
+        ranks = midranks_descending(rows / rows.sum(axis=1, keepdims=True))
+        d = ranks[np.searchsorted(occupied, owner)] - self.R
+        return 1.0 - 6.0 * (d * d).sum(axis=1) / self.denom
 
     def _rebuild(self, j: int):
-        """Server j's sum row from scratch, then its rho column."""
-        members = np.flatnonzero(self.owner == j)  # in user-id order
-        self.sums[j] = 0.0
-        for i in members:
-            self.sums[j] += self.P[i]
+        """Server j's rho column from its sum row."""
         candidates = self.sums[j] + self.P
-        candidates[members] = self.sums[j]
+        candidates[self.owner == j] = self.sums[j]
         d = midranks_descending(candidates / candidates.sum(axis=1, keepdims=True)) - self.R
-        self.rho[:, j] = 1.0 - 6.0 * (d * d).sum(axis=1) / self.denom
+        self._rho[:, j] = 1.0 - 6.0 * (d * d).sum(axis=1) / self.denom
+
+    @property
+    def rho(self) -> np.ndarray:
+        """rho[user, server]; ranks the columns that moves left stale first."""
+        for j in sorted(self._stale):
+            self._rebuild(j)
+        self._stale.clear()
+        return self._rho
 
     @property
     def assignment(self) -> Assignment:
@@ -103,27 +146,29 @@ class _CorrEval:
         return {u.node: self.servers[j] for u, j in zip(self.users, self.owner.tolist())}
 
     def move(self, moves: list[tuple[NodeId, NodeId]]):
-        """Apply (user, server) pairs from `proposals`; rebuild each touched server once."""
-        touched = set()
-        for user, server in moves:
-            i, j = self.user_index[user], self.server_index[server]
-            touched.update((self.owner[i], j))
-            self.owner[i] = j
-        for j in sorted(touched):
-            self._rebuild(j)
+        """Apply (user, server) pairs from `proposals`: rebuild each touched
+        server's sum row once and leave its column stale."""
+        self.owner, self.sums, touched = self._after(moves)
+        self._stale.update(touched)
 
     def own(self) -> np.ndarray:
         """Each user's coefficient with its own server, in user-id order."""
-        return self.rho[np.arange(len(self.users)), self.owner]
+        return self._own(self.owner, self.sums)
 
     def total(self) -> float:
         return left_sum(self.own().tolist())
+
+    def total_after(self, moves: list[tuple[NodeId, NodeId]]) -> float:
+        """The total `move(moves)` would give, bit for bit, without moving."""
+        owner, sums, _ = self._after(moves)
+        return left_sum(self._own(owner, sums).tolist())
 
     def proposals(self) -> list[tuple[NodeId, NodeId]]:
         """(user, server) for each user whose best coefficient is positive and
         strictly above its current one; ties go to the lower server id. Moves
         come in order of falling gain, equal gains in user-id order."""
-        rho, current = self.rho, self.own()
+        rho = self.rho
+        current = rho[np.arange(len(self.users)), self.owner]  # own(), bit for bit
         # the own server never passes: its coefficient equals `current`
         better = (rho > 0) & (rho > current[:, None])
         # argmax takes the first maximum, i.e. the lowest server id
@@ -154,22 +199,22 @@ def greedy_correlation(
 ) -> tuple[Assignment, float, list[BatchRecord]]:
     """Simultaneous-reassignment greedy for total profile correlation.
 
-    Each round's proposals are applied as a batch to one evaluator; if a
-    batch does not strictly raise the total correlation, the search ends with
-    the assignment from before it. Returns the final assignment, its total
+    Each round's proposals are tried as a batch on one evaluator and applied
+    only if they strictly raise the total correlation; otherwise the search
+    ends on the current assignment. Returns the final assignment, its total
     correlation (the log's last `total_corr_before`) and the log.
     """
     ev = _CorrEval(users, placement, initial)
     total = ev.total()
     log: list[BatchRecord] = []
     for iteration in count(1):
-        kept, proposals = ev.assignment, ev.proposals()
-        ev.move(proposals)  # no proposals: nothing changes, and the round is not accepted
-        new_total = ev.total()
+        proposals = ev.proposals()
+        new_total = ev.total_after(proposals)  # no proposals: the total stays, not accepted
         accepted = new_total > total
         log.append(BatchRecord(iteration, len(proposals), total, new_total, accepted))
         if not accepted:
-            return kept, total, log
+            return ev.assignment, total, log
+        ev.move(proposals)
         total = new_total
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -326,3 +327,13 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+
+
+def main_and_exit():
+    """The `cdnsim` process: `main()`, then flush stdout and stderr and exit
+    with its code, skipping interpreter teardown. Every output file is closed
+    by then; `--help` and an unexpected exception exit the normal way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -201,24 +201,34 @@ def load_trace(data: bytes) -> list[UserGroup]:
 def midranks_descending(values: np.ndarray) -> np.ndarray:
     """1-based ranks, largest value first, ties sharing their average rank.
 
-    Takes one vector or a 2-D array of rows and ranks each row on its own. A
-    tie group spans sorted positions i..j and gets (i + j) / 2 + 1, which is
-    exact in float64, so the ranks do not depend on how many rows share a call.
+    Takes an array of any number of dimensions and ranks each row along the
+    last axis on its own. A tie group spans sorted positions i..j (1-based)
+    and gets (i + j) / 2, which is exact in float64, so the ranks do not
+    depend on how many rows share a call or on the order a sort leaves ties in.
     """
     v = np.asarray(values, dtype=np.float64)
     n = v.shape[-1]
     if n == 0:
         return np.empty(v.shape, dtype=np.float64)
-    order = np.argsort(-v, axis=-1, kind="stable")
-    ordered = np.take_along_axis(v, order, axis=-1)
-    starts = np.ones(v.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends = np.ones(v.shape, dtype=bool)
-    ends[..., :-1] = starts[..., 1:]
-    pos = np.arange(n)
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
-    ranks = np.empty(v.shape, dtype=np.float64)
-    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=-1)
-    return ranks
+    rows = -v.reshape(-1, n)
+    # one sort of all rows; flat indices into `rows`, each row's descending order
+    order = (np.argsort(rows, axis=-1) + np.arange(0, rows.size, n)[:, None]).ravel()
+    ordered = rows.ravel()[order]
+    positions = np.tile(np.arange(1.0, n + 1), len(rows))
+    # tied[t]: sorted elements t and t + 1 are equal and in the same row
+    tied = ordered[1:] == ordered[:-1]
+    tied[n - 1::n] = False
+    t = np.flatnonzero(tied)
+    if t.size:
+        opens = np.ones(t.size, dtype=bool)  # t starts a new tie run
+        opens[1:] = t[1:] != t[:-1] + 1
+        run = np.cumsum(opens) - 1
+        first = t[opens]
+        last = t[np.append(opens[1:], True)] + 1
+        mean = (positions[first] + positions[last]) / 2
+        positions[t] = mean[run]
+        positions[t + 1] = mean[run]
+    ranks = np.empty(rows.size, dtype=np.float64)
+    ranks[order] = positions
+    return ranks.reshape(v.shape)
 

@@ -12,11 +12,13 @@ from cdnsim import (
     Topology,
     UserGroup,
     ValidationError,
+    ZipfModel,
     closest_assignment,
     dragoon,
     experiment_sweep,
     farthest_first_init,
     front_sweep,
+    generate_users,
     greedy_correlation,
     one_center,
     optimize,
@@ -27,7 +29,8 @@ from cdnsim import (
 from cdnsim.assignment import _CorrEval
 from cdnsim.profiles import midranks_descending
 from cdnsim.rng import make_rng
-from conftest import path_topology, profile_from_dict, random_connected_topology, random_profile
+from conftest import (desk_topology, path_topology, profile_from_dict, random_connected_topology,
+                      random_profile)
 from oracles import relocate_servers_ranking, total_correlation
 
 UNIVERSE_ABC = ("A", "B", "C")
@@ -121,8 +124,25 @@ class TestGreedyCorrelation:
         a, _, log = greedy_correlation(users, ("s1", "s2", "s3"), a0)
         assert a == {**a0, "u3": "s2"}
         assert [(b.moves_proposed, b.accepted) for b in log] == [(1, True), (0, False)]
-        # the users' own ranks and 3 columns to start, then s1 and s2 once
-        assert calls[0] == 1 + 3 + 2
+        # the users' own ranks and the starting total's rows; the first round's
+        # 3 columns and its trial's rows; then only s1 and s2 re-ranked, and
+        # the empty round's trial rows
+        assert calls[0] == 1 + 1 + (3 + 1) + (2 + 1)
+
+    def test_a_rejected_batch_ranks_no_column(self, monkeypatch):
+        # criterion 10's instance at k=10 rejects its first batch: the greedy
+        # ranks the 10 columns its proposals need, and none for the trial
+        topo = desk_topology()
+        users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124)
+        placement, _, _ = dragoon(topo, users, 10)
+        a0 = closest_assignment(topo, users, placement)
+        rebuilt = []
+        rebuild = _CorrEval._rebuild
+        monkeypatch.setattr(_CorrEval, "_rebuild", lambda ev, j: rebuilt.append(j) or rebuild(ev, j))
+        final, _, log = greedy_correlation(users, placement, a0)
+        assert [(b.moves_proposed, b.accepted) for b in log] == [(118, False)]
+        assert final == a0
+        assert rebuilt == list(range(10))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_accepted_iterations_strictly_increase(self, seed):

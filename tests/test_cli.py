@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -508,3 +511,46 @@ class TestDeterminism:
             assert code == 0
             outputs.append((out / "simulation.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestProcess:
+    """A `python -m cdnsim` process ends through `cli.main_and_exit`, which
+    skips interpreter teardown: its piped output and exit code still arrive."""
+
+    @staticmethod
+    def cdnsim(*argv):
+        # a pipe is block-buffered unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, "-m", "cdnsim", *argv],
+                              capture_output=True, text=True, timeout=120, env=env)
+
+    def test_piped_stdout_gets_every_line(self, topo12, tmp_path, capsys):
+        argv = ["place", "--topology", str(topo12), "--k", "3"]
+        proc = self.cdnsim(*argv, "--out", str(tmp_path / "process"))
+        assert main([*argv, "--out", str(tmp_path / "in-process")]) == 0
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert [line.split(":")[0] for line in proc.stdout.splitlines()] == ["placement",
+                                                                           "objective"]
+        for name in ("placement.json", "placement_log.csv"):
+            assert ((tmp_path / "process" / name).read_bytes()
+                    == (tmp_path / "in-process" / name).read_bytes())
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["validate"], 0, "stdout", "topology ok: 3 nodes, 2 edges\n"),
+        (["place", "--k", "x"], 1, "stderr", "error: argument --k: invalid int value"),
+        (["place", "--k", "5"], 2, "stderr", "error: k=5 out of range 1..3\n"),
+        (["validate", "--missing"], 3, "stderr", "error: [Errno 2]"),
+        (["--help"], 0, "stdout", "usage: cdnsim"),
+    ], ids=["ok", "bad_flag", "infeasible_k", "missing_topology", "help"])
+    def test_exit_codes_come_through(self, topo3, tmp_path, argv, code, stream, text):
+        if argv == ["validate", "--missing"]:
+            argv = ["validate", "--topology", str(tmp_path / "missing.graphml")]
+        elif argv != ["--help"]:
+            argv = [*argv, "--topology", str(topo3)]
+            if argv[0] == "place":
+                argv += ["--out", str(tmp_path / "out")]
+        proc = self.cdnsim(*argv)
+        assert proc.returncode == code
+        assert text in getattr(proc, stream)
+

@@ -114,9 +114,9 @@ def test_only_errors_rejects_a_bool_for_a_number():
     assert owners == ["errors.py"]
 
 
-def node_sorts(source: str) -> list[str]:
-    """Functions, as Class.method or function, that call `sorted` or `.sort`
-    with a `key` lambda reading `.node`, once per call."""
+def scoped_calls(source: str, wanted) -> list[str]:
+    """The function, as Class.method or function (or <module>), of each call
+    node that `wanted` accepts, once per call."""
     found = []
 
     def visit(node: ast.AST, scope: str):
@@ -124,17 +124,32 @@ def node_sorts(source: str) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Call) and (
-                    isinstance(child.func, ast.Name) and child.func.id == "sorted"
-                    or isinstance(child.func, ast.Attribute) and child.func.attr == "sort"):
-                found.extend(scope or "<module>" for k in child.keywords
-                             if k.arg == "key" and isinstance(k.value, ast.Lambda)
-                             and any(isinstance(n, ast.Attribute) and n.attr == "node"
-                                     for n in ast.walk(k.value.body)))
+            elif isinstance(child, ast.Call) and wanted(child):
+                found.append(scope or "<module>")
             visit(child, inner)
 
     visit(ast.parse(source), "")
     return found
+
+
+def node_sorts(source: str) -> list[str]:
+    """Functions, as Class.method or function, that call `sorted` or `.sort`
+    with a `key` lambda reading `.node`, once per call."""
+    return scoped_calls(source, lambda call: (
+        (isinstance(call.func, ast.Name) and call.func.id == "sorted"
+         or isinstance(call.func, ast.Attribute) and call.func.attr == "sort")
+        and any(k.arg == "key" and isinstance(k.value, ast.Lambda)
+                and any(isinstance(n, ast.Attribute) and n.attr == "node"
+                        for n in ast.walk(k.value.body))
+                for k in call.keywords)))
+
+
+def exits_without_teardown(source: str) -> list[str]:
+    """Functions, as Class.method or function, that call `_exit` (`os._exit`
+    or a bare imported `_exit`), once per call."""
+    return scoped_calls(source, lambda call: (
+        isinstance(call.func, ast.Attribute) and call.func.attr == "_exit"
+        or isinstance(call.func, ast.Name) and call.func.id == "_exit"))
 
 
 def test_node_sorts_are_found():
@@ -152,6 +167,24 @@ def test_only_by_node_sorts_a_user_list():
     stage that sorted users itself could take a list that check never saw."""
     owners = [f"{p.stem}.{name}" for p in MODULES for name in node_sorts(p.read_text())]
     assert owners == ["placement._by_node"]
+
+
+def test_exits_without_teardown_are_found():
+    source = ("import os\nfrom os import _exit\n"
+              "def leave(code):\n    os._exit(code)\n"
+              "class Runner:\n    def stop(self):\n        _exit(0)\n"
+              "        sys.exit(1)\n"
+              "os._exit(2)\n")
+    assert exits_without_teardown(source) == ["leave", "Runner.stop", "<module>"]
+
+
+def test_only_the_process_entry_point_skips_teardown():
+    """`cli.main_and_exit` ends the `cdnsim` process after flushing stdout and
+    stderr; an `os._exit` anywhere else would drop buffered output, and
+    in-process callers of `main` must get its return code back."""
+    owners = [f"{p.stem}.{name}" for p in MODULES
+              for name in exits_without_teardown(p.read_text())]
+    assert owners == ["cli.main_and_exit"]
 
 
 def readme_library_example() -> str:

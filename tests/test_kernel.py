@@ -17,6 +17,7 @@ from cdnsim import (
     generate_profile,
     generate_users,
     greedy_correlation,
+    load_trace,
     make_universe,
     user_correlations,
     zipf_pmf,
@@ -58,6 +59,26 @@ def row_batches(draw):
     return np.stack([tie_heavy_row(rng, n, kind) for _ in range(m)])
 
 
+@st.composite
+def ranked_arrays(draw):
+    """A 1-, 2- or 3-D array of rows of 1-40 values: heavy ties among few
+    values with +-0.0 and +-inf, all-equal rows, or long runs of zeros at
+    both ends of every row."""
+    n = draw(st.one_of(st.integers(1, 2), st.integers(3, 40)))
+    shape = (*draw(st.lists(st.integers(1, 4), max_size=2)), n)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    values = rng.choice([0.0, -0.0, np.inf, -np.inf, 0.25, 0.5, 1.0, -1.0], size=shape)
+    kind = draw(st.sampled_from(["few values", "equal", "zero ends"]))
+    if kind == "equal":
+        values[...] = values[..., :1]
+    elif kind == "zero ends":
+        edge = n // 3
+        values[..., edge:n - edge] = rng.integers(1, 4, size=(*shape[:-1], n - 2 * edge)) / 4
+        values[..., :edge] = 0.0
+        values[..., n - edge:] = -0.0
+    return values
+
+
 class TestMidranks:
     @EXACT
     @given(row_batches())
@@ -78,6 +99,15 @@ class TestMidranks:
 
     def test_empty(self):
         assert midranks_descending(np.array([])).shape == (0,)
+
+    @EXACT
+    @given(ranked_arrays())
+    def test_any_shape_matches_loop(self, values):
+        ranks = midranks_descending(values)
+        assert ranks.shape == values.shape
+        rows = values.reshape(-1, values.shape[-1])
+        for row, row_ranks in zip(rows, ranks.reshape(rows.shape)):
+            assert np.array_equal(row_ranks, midranks_loop(row))
 
 
 def _users_from_counts(seed: int, nodes: list[str], universe_size: int) -> list[UserGroup]:
@@ -100,6 +130,18 @@ def _users_from_zipf(seed: int, nodes: list[str], universe_size: int,
     return [UserGroup(node=n, profile=generate_profile(derive_seed(seed, n), universe,
                                                        global_pmf, within))
             for n in nodes]
+
+
+def _users_from_trace(seed: int, nodes: list[str], universe_size: int) -> list[UserGroup]:
+    """`load_trace` profiles: the first user requests every service and each
+    other user between one service and all of them, so support sizes differ."""
+    rng = make_rng(derive_seed(seed, "kernel-trace"))
+    lines = ["node_id,service_id,count"]
+    for node in nodes:
+        size = universe_size if node == nodes[0] else int(rng.integers(1, universe_size + 1))
+        liked = rng.permutation(universe_size)[:size]
+        lines += [f"{node},s{s:03d},{int(rng.integers(1, 6))}" for s in liked.tolist()]
+    return load_trace("\n".join(lines).encode())
 
 
 @st.composite
@@ -140,6 +182,32 @@ def walks(draw):
         server = draw(st.sampled_from([s for s in placement if s != current[user]]))
         current[user] = server
         moves.append((user, server))
+    return users, placement, assignment, moves
+
+
+@st.composite
+def batches(draw):
+    """An instance with at least two servers and Zipf or `load_trace` profiles,
+    and a batch of any users to any servers; half the time the batch ends by
+    moving every member of one server away, which empties it."""
+    _, users, placement, assignment = draw(instances())
+    assume(len(placement) >= 2)
+    nodes = [u.node for u in users]
+    if draw(st.booleans()):
+        seed, size = draw(st.integers(0, 2**32)), draw(st.integers(2, 30))
+        users = (_users_from_trace(seed, nodes, size) if draw(st.booleans())
+                 else _users_from_zipf(seed, nodes, size, draw(st.sampled_from([0.3, 1.0]))))
+    current = dict(assignment)
+    moves = []
+    for _ in range(draw(st.integers(0, 8))):
+        move = (draw(st.sampled_from(sorted(nodes))), draw(st.sampled_from(placement)))
+        current[move[0]] = move[1]
+        moves.append(move)
+    if draw(st.booleans()):
+        emptied = draw(st.sampled_from(sorted(set(current.values()))))
+        others = [s for s in placement if s != emptied]
+        moves += [(u, draw(st.sampled_from(others)))
+                  for u in sorted(nodes) if current[u] == emptied]
     return users, placement, assignment, moves
 
 
@@ -185,6 +253,23 @@ class TestAgainstPairwiseOracle:
         assert np.array_equal(ev.rho, oracle.matrix(ev.assignment))
         assert ev.own().tolist() == oracle.own(ev.assignment)
         assert ev.total() == oracle.total(ev.assignment)
+
+    @EXACT
+    @given(batches())
+    def test_trial_totals_and_lazy_columns_are_exact(self, batch):
+        # a batch's trial total is the total after the move, bit for bit, and
+        # leaves the evaluator as it was; the own coefficients, ranked from
+        # one row per server, are the diagonal of the lazily ranked matrix
+        users, placement, assignment, moves = batch
+        ev = _CorrEval(users, placement, assignment)
+        owner, sums = ev.owner.copy(), ev.sums.copy()
+        trial = ev.total_after(moves)
+        assert np.array_equal(ev.owner, owner) and np.array_equal(ev.sums, sums)
+        assert np.array_equal(ev.own(), ev.rho[np.arange(len(ev.users)), ev.owner])
+        ev.move(moves)
+        assert trial == ev.total()
+        assert_matches_a_fresh_evaluator(ev, users, placement)
+        assert np.array_equal(ev.own(), ev.rho[np.arange(len(ev.users)), ev.owner])
 
     @EXACT
     @given(instances())

@@ -220,7 +220,8 @@ class TestWalkAgainstPairwiseOracle:
 
 def test_a_walk_step_re_ranks_two_columns(monkeypatch):
     # one step more re-ranks the candidate rows of the two servers the move
-    # changes, one row per user each; the end points cost the same either way
+    # changes, one row per user each, and its total ranks one row per occupied
+    # server (all 10); the end points cost the same either way
     topo = desk_topology()
     users = generate_users(topo, ZipfModel(0.3, 100, 15), master_seed=124)
     rows = [0]
@@ -235,4 +236,4 @@ def test_a_walk_step_re_ranks_two_columns(monkeypatch):
         rows[0] = 0
         front_sweep(topo, users, 10, steps)
         ranked.append(rows[0])
-    assert ranked[1] - ranked[0] == 2 * len(users)
+    assert ranked[1] - ranked[0] == 2 * len(users) + 10
