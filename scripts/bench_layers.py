@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer micro-benchmarks: `cache.replay` per policy, APSP, user profiles,
-midranks, the rank-correlation batch, the greedy, the Pareto walk and CLI
-start-up.
+placement, midranks, the rank-correlation batch, the greedy, the Pareto walk
+and CLI start-up.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --label after
 
@@ -29,6 +29,11 @@ reports the median milliseconds per call, `profile_mib`, the MiB of
 `tracemalloc`-traced allocations that one more call's users hold (the
 universe and every profile), and the SHA-256 of the users' stacked dense
 probability vectors.
+
+Placement layer: `placement.dragoon` on the desk topology with the
+0.3/100/15 profiles (master seed 124) at k=5 and k=10. Each k reports the
+median milliseconds per call, its move count and the SHA-256 of the `repr`
+of its result: the placement, the objective and the move log.
 
 Rank layer: `profiles.midranks_descending` on one server's candidate matrix
 (the rows one `rho` column ranks: every user's would-be profile of the first
@@ -120,6 +125,8 @@ WALK_MOVES = 40
 FRONT_STEPS = (10, 50)
 STARTUP_RUNS = 21
 RANK_CALLS = 20  # midrank calls per repeat: one call is well under a millisecond
+PLACEMENT_KS = (5, 10)
+DRAGOON_CALLS = 3  # dragoon calls per repeat: one call takes a few milliseconds
 
 
 def zipf_trace(seed: int, length: int, universe: int, alpha: float) -> list[str]:
@@ -237,6 +244,17 @@ def desk_plan(topo: Topology, users) -> tuple:
     return placement, closest_assignment(topo, users, placement)
 
 
+def measure_dragoon(topo: Topology, repeats: int) -> list[dict]:
+    users = desk_users(topo)
+    cells = []
+    for k in PLACEMENT_KS:
+        median, result = timed(lambda: dragoon(topo, users, k), repeats * DRAGOON_CALLS)
+        cells.append({"servers": k, "moves": len(result[2]),
+                      "ms_per_call": round(median * 1e3, 2),
+                      "sha256": hashlib.sha256(repr(result).encode()).hexdigest()})
+    return cells
+
+
 def candidate_matrix(users, placement, assignment) -> np.ndarray:
     """The normalized candidate rows of the first server: its members' sum,
     plus the user's own profile for every non-member, as its `rho` column ranks them."""
@@ -344,6 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     run["apsp"] = measure_apsp(REPEATS)
     desk = desk_topology()
     run["profiles"] = measure_profiles(desk, REPEATS)
+    run["dragoon"] = measure_dragoon(desk, REPEATS)
     run["ranks"] = measure_ranks(desk, REPEATS)
     run["correlation"] = measure_correlation(desk, REPEATS)
     run["greedy"] = measure_greedy(desk, REPEATS)
@@ -371,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     for cell in run["profiles"]:
         print(f"  users {cell['alpha']}/{cell['universe']}/{cell['profile_size']:<4}"
               f" {cell['ms_per_call']:>9.2f} ms/call {cell['profile_mib']:>7.3f} MiB"
+              f"  sha256={cell['sha256']}")
+    for cell in run["dragoon"]:
+        print(f"  dragoon k={cell['servers']:<3} {cell['ms_per_call']:>9.2f} ms/call"
               f"  sha256={cell['sha256']}")
     for cell in run["ranks"]:
         print(f"  midranks {cell['rows']}x{cell['universe']:<5} {cell['ns_per_call']:>9} ns/call"

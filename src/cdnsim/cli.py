@@ -265,21 +265,20 @@ def cmd_simulate(args) -> int:
     for flag in _SWEPT_FLAGS.get(args.sweep, ()):
         if getattr(args, flag) is not None:
             raise ValidationError(f"--{flag} is not allowed with --sweep {args.sweep}")
+    if args.sweep:  # the values are parsed before any planning
+        if not args.values:
+            raise ValidationError("--sweep requires --values")
+        values = [v.strip() for v in args.values.split(",") if v.strip()]
+        if args.sweep != "policy":
+            try:
+                values = [int(v) for v in values]
+            except ValueError as exc:
+                raise ValidationError(f"bad sweep value: {exc}") from exc
     topo = _load_topology(args)
     users = _load_users(args, topo)
     scenario = _assemble_scenario(args, topo, users)
     out = _outdir(args)
     if args.sweep:
-        if not args.values:
-            raise ValidationError("--sweep requires --values")
-        raw = [v.strip() for v in args.values.split(",") if v.strip()]
-        if args.sweep == "policy":
-            values = raw
-        else:
-            try:
-                values = [int(v) for v in raw]
-            except ValueError as exc:
-                raise ValidationError(f"bad sweep value: {exc}") from exc
         table = experiment_sweep(scenario, args.sweep, values, optimizer=args.optimizer)
         rows = [_sim_row(value, result) for value, result in table]
     else:

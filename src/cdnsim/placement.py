@@ -8,6 +8,7 @@ breaks ties by node id, so identical inputs always give identical placements.
 from __future__ import annotations
 
 import math
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -48,36 +49,48 @@ def _by_node(users: list[UserGroup]) -> list[UserGroup]:
 
 
 class _Eval:
-    """The one owner of priority * distance: users from `_by_node`, every
-    (max, mean) reduced in node-id order, so the order of `users` never matters."""
+    """The one owner of priority * distance: users from `_by_node`, one table
+    row per node (its weighted distance to every user, in user-id order), and
+    `_reduce` over contiguous rows for every (max, mean), so `scan` and
+    `objective` round alike and the order of `users` never matters."""
 
     def __init__(self, topo: Topology, users: list[UserGroup]):
         self.topo = topo
         self.users = _by_node(users)
         self.rows = np.array([topo.index(u.node) for u in self.users], dtype=int)
-        self.prios = np.array([u.priority for u in self.users])
+        # one row per node, its distance to every user: `distances` is exactly symmetric
+        self.table = np.take(topo.distances, self.rows, axis=1)
         # bounds every weighted sum; Python floats reach inf without a numpy warning
         total = sum(u.priority for u in self.users)
-        if not math.isfinite(total * float(topo.distances[self.rows].max(initial=0.0))):
+        if not math.isfinite(total * float(self.table.max(initial=0.0))):
             raise ValidationError(f"priority x distance overflows (priorities sum to {total!r})")
+        self.table *= np.array([u.priority for u in self.users], dtype=float)
 
-    def weighted(self, nodes: tuple[NodeId, ...]) -> np.ndarray:
-        """Priority * distance, users x `nodes`."""
-        cols = [self.topo.index(s) for s in nodes]
-        return self.prios[:, None] * self.topo.distances[np.ix_(self.rows, cols)]
+    def closest(self, servers) -> np.ndarray:
+        """Each user's weighted distance to its closest server; inf with no server."""
+        return self.table[[self.topo.index(s) for s in servers]].min(axis=0, initial=np.inf)
 
     def objective(self, servers: Placement) -> PlacementObjective:
         """Each user at its closest server."""
-        return _reduce(self.weighted(servers).min(axis=1))
+        return _reduce(self.closest(servers)[None])[0]
 
     def assigned(self, assignment: Assignment) -> PlacementObjective:
         """Each user at its assigned server."""
         cols = [self.topo.index(assignment[u.node]) for u in self.users]
-        return _reduce(self.prios * self.topo.distances[self.rows, cols])
+        return _reduce(self.table[cols, np.arange(len(cols))][None])[0]
+
+    def scan(self, candidates, base=None) -> tuple[PlacementObjective, NodeId]:
+        """The candidate with the smallest (max, mean, id) when each user is at the
+        closer of the candidate and its `base` distance (without one: the candidate)."""
+        rows = self.table[[self.topo.index(c) for c in candidates]]
+        if base is not None:
+            rows = np.minimum(rows, base)
+        return min(zip(_reduce(rows), candidates))
 
 
-def _reduce(weighted: np.ndarray) -> PlacementObjective:
-    return PlacementObjective(float(weighted.max()), float(weighted.mean()))
+def _reduce(rows: np.ndarray) -> list[PlacementObjective]:
+    """(max, mean) of each contiguous row: the one reduction, so a row rounds alike anywhere."""
+    return list(map(PlacementObjective, rows.max(axis=1).tolist(), rows.mean(axis=1).tolist()))
 
 
 def _check_k(k: int, n: int):
@@ -127,21 +140,13 @@ def closest_assignment(topo: Topology, users: list[UserGroup],
     return {u.node: servers[j] for u, j in zip(ev.users, best)}
 
 
-def one_center(
-    topo: Topology,
-    users: list[UserGroup],
-    candidates: tuple[NodeId, ...] | None = None,
-) -> NodeId:
+def one_center(topo: Topology, users: list[UserGroup],
+               candidates: tuple[NodeId, ...] | None = None) -> NodeId:
     """Exhaustive single-server optimum over all candidate nodes; ties go to the lower id."""
-    if candidates is None:
-        candidates = topo.node_ids
+    candidates = topo.node_ids if candidates is None else candidates
     if not candidates:
         raise ValidationError("no candidate nodes")
-    # one contiguous row per candidate reduces bit for bit like `_reduce`
-    rows = np.ascontiguousarray(_Eval(topo, users).weighted(candidates).T)
-    maxs, avgs = rows.max(axis=1), rows.mean(axis=1)
-    best = min(range(len(candidates)), key=lambda i: (maxs[i], avgs[i], candidates[i]))
-    return candidates[best]
+    return _Eval(topo, users).scan(candidates)[1]
 
 
 def farthest_first_init(topo: Topology, users: list[UserGroup], k: int) -> Placement:
@@ -179,26 +184,17 @@ def dragoon(topo: Topology, users: list[UserGroup],
     placement = set(farthest_first_init(topo, users, k))
     current = ev.objective(tuple(placement))
     log: list[MoveRecord] = []
-    iteration = 0
-    while True:
-        iteration += 1
+    for iteration in count(1):
         moved = False
         for idx, server in enumerate(sorted(placement)):
-            best: tuple[PlacementObjective, NodeId] | None = None
-            for nb in topo.neighbors(server):
-                if nb in placement:
-                    continue
-                cand = tuple(placement - {server} | {nb})
-                obj = ev.objective(cand)
-                if best is None or (obj, nb) < best:
-                    best = (obj, nb)
-            if best is not None and best[0] < current:
+            free = [nb for nb in topo.neighbors(server) if nb not in placement]
+            best, nb = ev.scan(free, ev.closest(placement - {server})) if free else (current, None)
+            if best < current:
                 placement.remove(server)
-                placement.add(best[1])
-                current = best[0]
+                placement.add(nb)
+                current = best
                 moved = True
-                log.append(MoveRecord(iteration, idx, server, best[1],
-                                      current.max_dist, current.avg_dist))
+                log.append(MoveRecord(iteration, idx, server, nb, *current))
         if not moved:
             break
     return tuple(sorted(placement)), current, log

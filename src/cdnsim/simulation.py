@@ -38,11 +38,15 @@ class Scenario:
     requests_per_user: int = 100
 
     def validate(self) -> "Scenario":
+        self._groups()
+        return self
+
+    def _groups(self) -> dict[NodeId, list[UserGroup]]:
+        """The checks of `validate`; returns each server's members, grouped by `_members`."""
         _check_int("requests_per_user", self.requests_per_user, 100)
         for node in (self.origin, *self.placement, *(u.node for u in self.users)):
             self.topology.index(node)  # rejects an unknown node
-        _members(self.users, self.placement, self.assignment)
-        return self
+        return _members(self.users, self.placement, self.assignment)
 
 
 @dataclass
@@ -93,8 +97,9 @@ def run(scenario: Scenario,
     node-id order: request r of every member, then r + 1. The network load
     adds, server by server in id order, one user-to-server distance per
     request in stream order, then misses x the origin distance."""
-    s = scenario.validate()
-    dist = _Eval(s.topology, s.users)  # first: it rejects overflowing priorities before any replay
+    s, groups = scenario, scenario._groups()  # the one check and grouping of the plan
+    # first: `_Eval` rejects overflowing priorities before any replay
+    max_dist, avg_dist = _Eval(s.topology, s.users).assigned(s.assignment)
     if requests is None:
         requests = _requests(s)
     for u in s.users:
@@ -102,7 +107,7 @@ def run(scenario: Scenario,
             raise ValidationError(f"request table needs {s.requests_per_user} for user {u.node!r}")
     per_server: dict[NodeId, CacheStats] = {}
     network_load = 0.0
-    for server, members in _members(s.users, s.placement, s.assignment).items():
+    for server, members in groups.items():
         stream = list(chain.from_iterable(zip(*(requests[u.node] for u in members))))
         distances = [s.topology.distance(u.node, server) for u in members]
         # one addition per request, in stream order: count x distance rounds differently
@@ -114,7 +119,6 @@ def run(scenario: Scenario,
     overall = CacheStats()
     for stats in per_server.values():
         overall = overall.add(stats)
-    max_dist, avg_dist = dist.assigned(s.assignment)
     return SimulationResult(
         per_server=per_server,
         overall=overall,
@@ -134,17 +138,17 @@ def experiment_sweep(
     """One run per axis value under a shared master seed.
 
     server_count re-plans each value through optimize with `optimizer`;
-    cache_size and policy keep the base placement and assignment. Every axis
-    draws the request table once, after the first value's scenario validates,
-    and replays it for every value.
+    cache_size and policy keep the base placement and assignment. Every
+    value's scenario is built, so a bad value fails, before the first replay.
+    Every axis draws the request table once, after the first value's scenario
+    validates, and replays it for every value.
     """
     _check_choice("sweep axis", axis, SWEEP_AXES)
     if not values:
         raise ValidationError("sweep needs at least one value")
     _check_choice("optimizer", optimizer, OPTIMIZERS)
 
-    requests = None
-    results = []
+    scenarios = []
     for value in values:
         if axis == "cache_size":
             scenario = replace(base, cache=replace(base.cache, capacity=value))
@@ -154,7 +158,6 @@ def experiment_sweep(
             placement, assignment, _ = optimize(base.topology, base.users, k=value,
                                                 optimizer=optimizer)
             scenario = replace(base, placement=placement, assignment=assignment)
-        if requests is None:
-            requests = _requests(scenario.validate())
-        results.append((value, run(scenario, requests)))
-    return results
+        scenarios.append(scenario)
+    requests = _requests(scenarios[0].validate())
+    return [(value, run(scenario, requests)) for value, scenario in zip(values, scenarios)]

@@ -24,7 +24,10 @@ These are the straightforward versions the fast paths replaced:
   `placement._Eval`: they check streams and correlations, not distances);
 - for the closest-server `argmin` over the user x server submatrix and the
   masked `argmax` of the farthest-first start, the per-user and per-node
-  loops they replaced.
+  loops they replaced;
+- for dragoon's neighbour step, one `_Eval.scan` over the free neighbours,
+  the loop that rated each neighbour's whole placement with
+  `_Eval.objective`.
 
 The baselines the acceptance criteria measure against live here too: the
 exact placement by enumeration, the pairwise dominance test that the
@@ -44,11 +47,19 @@ from cdnsim.assignment import optimize, user_correlations
 from cdnsim.cache import _HIR_FRACTION, CacheStats, replay
 from cdnsim.errors import InfeasibleError, ValidationError, _check_int
 from cdnsim.pareto import SolutionPoint, non_dominated
-from cdnsim.placement import Placement, PlacementObjective, _check_k, _Eval, one_center
+from cdnsim.placement import (
+    MoveRecord,
+    Placement,
+    PlacementObjective,
+    _check_k,
+    _Eval,
+    farthest_first_init,
+    one_center,
+)
 from cdnsim.profiles import ServiceId, UserGroup
 from cdnsim.rng import derive_seed, left_sum, make_rng
 from cdnsim.simulation import SimulationResult, generate_requests
-from cdnsim.topology import Topology
+from cdnsim.topology import NodeId, Topology
 
 _NEVER = float("inf")
 
@@ -569,3 +580,34 @@ def farthest_first_init_loop(topo, users, k: int):
         placed.append(ids[best_i])
         dist_to_set = np.minimum(dist_to_set, topo.distances[cols, topo.index(ids[best_i])])
     return tuple(sorted(placed))
+
+
+def dragoon_loop(topo, users, k: int):
+    """`placement.dragoon` rating each free neighbour by the objective of its whole placement."""
+    ev = _Eval(topo, users)
+    placement = set(farthest_first_init(topo, users, k))
+    current = ev.objective(tuple(placement))
+    log: list[MoveRecord] = []
+    iteration = 0
+    while True:
+        iteration += 1
+        moved = False
+        for idx, server in enumerate(sorted(placement)):
+            best: tuple[PlacementObjective, NodeId] | None = None
+            for nb in topo.neighbors(server):
+                if nb in placement:
+                    continue
+                cand = tuple(placement - {server} | {nb})
+                obj = ev.objective(cand)
+                if best is None or (obj, nb) < best:
+                    best = (obj, nb)
+            if best is not None and best[0] < current:
+                placement.remove(server)
+                placement.add(best[1])
+                current = best[0]
+                moved = True
+                log.append(MoveRecord(iteration, idx, server, best[1],
+                                      current.max_dist, current.avg_dist))
+        if not moved:
+            break
+    return tuple(sorted(placement)), current, log

@@ -8,7 +8,7 @@ import pytest
 
 import cdnsim.assignment
 import cdnsim.simulation
-from cdnsim import optimize
+from cdnsim import optimize, replay
 from cdnsim.cli import main
 from cdnsim.rng import left_sum
 from conftest import desk_topology, random_connected_topology
@@ -354,6 +354,37 @@ class TestSimulate:
                      "--sweep", "server_count", "--values", "1,2,3",
                      "--out", str(tmp_path)]) == 0
         assert planned == [1, 2, 3]
+
+    @pytest.mark.parametrize("argv, planned, code, message", [
+        (["--k", "2", "--sweep", "cache_size", "--values", "50,x"], 0, 1,
+         "bad sweep value: invalid literal for int() with base 10: 'x'"),
+        (["--k", "2", "--sweep", "cache_size", "--values", "50,100,0"], 1, 1,
+         "cache capacity must be an int >= 1, got 0"),
+        (["--k", "2", "--sweep", "policy", "--values", "LRU,LFU,lru"], 1, 1,
+         "unknown policy 'lru'; one of ('LRU', 'LRU2', 'LFU', 'LIRS', 'BELADY')"),
+        (["--sweep", "server_count", "--values", "2,3,999"], 3, 2, "k=999 out of range 1..12"),
+    ], ids=["unparsable", "capacity", "policy", "server_count"])
+    def test_a_bad_sweep_value_fails_before_any_replay(self, topo12, tmp_path, monkeypatch,
+                                                       argv, planned, code, message, capsys):
+        """An unparsable value fails before the plan, and every value is checked
+        before the first replay."""
+        plans, replays = [], []
+
+        def counting_optimize(*args, **kwargs):
+            plans.append(kwargs["k"])
+            return optimize(*args, **kwargs)
+
+        def counting_replay(*args):
+            replays.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(cdnsim.assignment, "optimize", counting_optimize)
+        monkeypatch.setattr(cdnsim.simulation, "optimize", counting_optimize)
+        monkeypatch.setattr(cdnsim.simulation, "replay", counting_replay)
+        assert main(["simulate", "--topology", str(topo12), "--universe", "20",
+                     "--profile-size", "5", *argv, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (len(plans), replays) == (planned, [])
 
     def test_server_count_sweep_needs_no_k(self, topo12, tmp_path):
         common = ["simulate", "--topology", str(topo12), "--universe", "20",

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: only the stdlib `ast` module."""
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -12,6 +13,14 @@ from pathlib import Path
 import pytest
 
 import cdnsim
+from cdnsim import (
+    CacheConfig,
+    Scenario,
+    ZipfModel,
+    closest_assignment,
+    generate_users,
+)
+from conftest import path_topology
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cdnsim"
@@ -249,3 +258,34 @@ def test_every_export_resolves():
     assert cdnsim.__all__ and all(getattr(cdnsim, name) is not None for name in cdnsim.__all__)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cdnsim.no_such_name
+
+
+def bench_tracer():
+    """`bench/tracer.py`, loaded from its file without touching `bench/`."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_hooks_read_real_results():
+    """Every function the benchmark's tracer hooks is a function it finds by
+    name, and each hook reads that function's result on a small instance into a
+    non-zero count: a renamed function or a changed return shape fails here."""
+    tracer_module = bench_tracer()
+    tracer = tracer_module.Tracer(cdnsim)
+    assert set(tracer_module.HOOKS) <= set(tracer.functions)
+    topo = path_topology(["A", "B", "C", "D", "E"])
+    users = generate_users(topo, ZipfModel(0.3, 20, 5), 7)
+    placement = ("A", "E")  # dragoon at k=1 moves from the farthest-first A to C
+    closest = closest_assignment(topo, users, placement)
+    args = {
+        "placement.dragoon": (topo, users, 1),
+        "assignment.greedy_correlation": (users, placement, closest),
+        "pareto.front_sweep": (topo, users, 2, 3),
+        "simulation.run": (Scenario(topo, users, placement, closest, CacheConfig(2), "C", 7),),
+    }
+    for name, hook in tracer_module.HOOKS.items():
+        tracer.reset()
+        hook(tracer, args[name], tracer.functions[name](*args[name]))
+        assert sum(tracer.counts.values()) > 0, name

@@ -264,6 +264,38 @@ class TestDragoon:
         assert all(objs[i] > objs[i + 1] for i in range(len(objs) - 1))
 
 
+@st.composite
+def dragoon_instances(draw):
+    """(topology, users with float priorities on a subset of its nodes, k).
+    Priorities such as 2/3 and 1e-3 round in binary, so a mean can differ in
+    its last bit between two reductions of the same values."""
+    topo = random_connected_topology(draw(st.integers(0, 10_000)), draw(st.integers(3, 40)),
+                                     weighted=draw(st.booleans()))
+    priority = st.one_of(st.sampled_from([2 / 3, 1e-3, 1.0, 2.45]), st.floats(1e-3, 5.0))
+    nodes = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
+    users = [UserGroup(node=n, priority=draw(priority), profile=dummy_profile()) for n in nodes]
+    return topo, users, draw(st.integers(1, min(6, len(topo.node_ids))))
+
+
+class TestDragoonScan:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(dragoon_instances())
+    def test_matches_the_per_neighbour_loop(self, instance):
+        """One scan per neighbour step gives the placement, objective and move
+        log of rating every neighbour's whole placement with `_Eval.objective`."""
+        topo, users, k = instance
+        assert dragoon(topo, users, k) == oracles.dragoon_loop(topo, users, k)
+
+    def test_objective_only_for_the_start(self, monkeypatch):
+        calls = []
+        objective = _Eval.objective
+        monkeypatch.setattr(_Eval, "objective",
+                            lambda ev, servers: calls.append(servers) or objective(ev, servers))
+        topo = random_connected_topology(13, 30, weighted=True)
+        _, _, log = dragoon(topo, uniform_users(topo), 4)
+        assert log and len(calls) == 1
+
+
 class TestBruteForce:
     def test_path3(self, path3):
         placement, obj = oracles.brute_force_placement(path3, uniform_users(path3), 1)

@@ -19,6 +19,7 @@ from cdnsim import (
 from cdnsim import simulation
 from cdnsim.assignment import optimize
 from cdnsim.cache import POLICIES
+from cdnsim.placement import _members
 from cdnsim.rng import derive_seed, make_rng
 from cdnsim.simulation import _requests
 from conftest import path_topology, profile_from_dict, random_connected_topology, random_profile
@@ -246,6 +247,18 @@ def test_run_rejects_a_table_that_does_not_fit(edit):
     with pytest.raises(ValidationError, match=re.escape(
             f"request table needs 100 for user {s.users[0].node!r}")):
         run(s, table)
+
+
+def test_run_checks_and_groups_its_plan_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _members(*args)
+
+    monkeypatch.setattr(simulation, "_members", counted)
+    run(small_scenario(seed=4))
+    assert len(calls) == 1
 
 
 class TestScenarioValidation:
