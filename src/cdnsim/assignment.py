@@ -75,8 +75,6 @@ class _CorrEval:
     def __init__(self, users: list[UserGroup], placement: Placement, assignment: Assignment):
         self.users = _by_node(users)
         for u in self.users:
-            if u.profile is None:
-                raise ValidationError(f"user {u.node!r} has no profile")
             if u.profile.universe != self.users[0].profile.universe:
                 raise ValidationError(f"user {u.node!r} has a different universe")
         n = len(self.users[0].profile.universe)

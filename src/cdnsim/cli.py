@@ -118,7 +118,6 @@ def _load_users(args, topo: Topology) -> list[UserGroup]:
         users = load_trace(Path(args.trace).read_bytes())
         for u in users:
             topo.index(u.node)  # rejects an unknown node
-            u.priority = topo.priorities[u.node]
         return users
     model = ZipfModel(alpha=args.alpha, universe_size=args.universe,
                       profile_size=args.profile_size)
@@ -269,6 +268,8 @@ def cmd_simulate(args) -> int:
         if not args.values:
             raise ValidationError("--sweep requires --values")
         values = [v.strip() for v in args.values.split(",") if v.strip()]
+        if not values:  # the message `experiment_sweep` gives, before any planning
+            raise ValidationError("sweep needs at least one value")
         if args.sweep != "policy":
             try:
                 values = [int(v) for v in values]

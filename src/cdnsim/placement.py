@@ -49,10 +49,10 @@ def _by_node(users: list[UserGroup]) -> list[UserGroup]:
 
 
 class _Eval:
-    """The one owner of priority * distance: users from `_by_node`, one table
-    row per node (its weighted distance to every user, in user-id order), and
-    `_reduce` over contiguous rows for every (max, mean), so `scan` and
-    `objective` round alike and the order of `users` never matters."""
+    """The one owner of priority * distance, and the one reader of node priorities:
+    users from `_by_node`, one table row per node (its weighted distance to every
+    user, in user-id order), and `_reduce` over contiguous rows for every (max, mean),
+    so `scan` and `objective` round alike and the order of `users` never matters."""
 
     def __init__(self, topo: Topology, users: list[UserGroup]):
         self.topo = topo
@@ -60,11 +60,12 @@ class _Eval:
         self.rows = np.array([topo.index(u.node) for u in self.users], dtype=int)
         # one row per node, its distance to every user: `distances` is exactly symmetric
         self.table = np.take(topo.distances, self.rows, axis=1)
+        priorities = [topo.priorities[u.node] for u in self.users]
         # bounds every weighted sum; Python floats reach inf without a numpy warning
-        total = sum(u.priority for u in self.users)
+        total = sum(priorities)
         if not math.isfinite(total * float(self.table.max(initial=0.0))):
             raise ValidationError(f"priority x distance overflows (priorities sum to {total!r})")
-        self.table *= np.array([u.priority for u in self.users], dtype=float)
+        self.table *= np.array(priorities, dtype=float)
 
     def closest(self, servers) -> np.ndarray:
         """Each user's weighted distance to its closest server; inf with no server."""

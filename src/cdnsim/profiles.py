@@ -70,18 +70,19 @@ class Profile:
         return f"Profile({len(self.universe)} services, top={top})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserGroup:
-    """All end-users behind one access node, aggregated to one demand point."""
+    """All end-users behind one access node, aggregated to one demand point; the
+    topology's priority of that node weighs the group in every distance objective."""
 
     node: NodeId
-    priority: float = 1.0
-    profile: Profile | None = None
+    profile: Profile
 
     def __post_init__(self):
         if not isinstance(self.node, str):
             raise ValidationError(f"user node ids must be strings, not {self.node!r}")
-        _check_real(f"user {self.node!r} priority", self.priority)
+        if not isinstance(self.profile, Profile):
+            raise ValidationError(f"user {self.node!r} has no profile")
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def generate_users(topo: Topology, model: ZipfModel, master_seed: int) -> list[U
     for node in topo.node_ids:
         profile = generate_profile(derive_seed(master_seed, "profile", node), universe,
                                    global_pmf, within)
-        users.append(UserGroup(node=node, priority=topo.priorities[node], profile=profile))
+        users.append(UserGroup(node=node, profile=profile))
     return users
 
 
@@ -153,7 +154,7 @@ def load_trace(data: bytes) -> list[UserGroup]:
     """Load user groups from a request-count trace CSV.
 
     Expects exactly the header node_id,service_id,count; per node the profile
-    probability of a service is its count share. Priorities default to 1.0.
+    probability of a service is its count share; the node's priority is the topology's.
     """
     try:
         reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))

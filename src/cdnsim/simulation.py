@@ -70,8 +70,6 @@ def generate_requests(user: UserGroup, master_seed: int, count: int) -> list[Ser
     maps to the last liked service.
     """
     profile = user.profile
-    if profile is None:
-        raise ValidationError(f"user {user.node!r} has no profile")
     _check_int("count", count, 0)
     rng = make_rng(derive_seed(master_seed, "requests", user.node))
     cdf = np.cumsum(profile.values)

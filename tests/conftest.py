@@ -27,6 +27,12 @@ def star_topology(center: str, leaves: list[str]) -> Topology:
     return Topology(nodes, [(center, l, 1.0) for l in leaves])
 
 
+def with_priorities(topo: Topology, priorities: dict[str, float]) -> Topology:
+    """`topo` with the given node priorities; every other node keeps its own."""
+    return Topology([(n, priorities.get(n, topo.priorities[n])) for n in topo.node_ids],
+                    list(topo.edges))
+
+
 def random_connected_topology(seed: int, n: int, weighted: bool = False) -> Topology:
     """Random spanning tree plus up to n extra edges; weights in [1, 5) if weighted."""
     rng = make_rng(derive_seed(seed, "graph"))

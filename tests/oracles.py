@@ -209,7 +209,7 @@ def relocate_servers_ranking(topo, users, placement, assignment):
             new_location[s] = s
             continue
         rows = [topo.index(u.node) for u in members]
-        prios = np.array([u.priority for u in members])
+        prios = np.array([topo.priorities[u.node] for u in members])
         weighted = prios[:, None] * topo.distances[rows, :]
         maxs = weighted.max(axis=0)
         avgs = weighted.mean(axis=0)

@@ -216,18 +216,6 @@ def test_user_list_is_checked_by_every_stage(name, nodes, message, path3):
         call()
 
 
-@pytest.mark.parametrize("name", ["user_correlations", "greedy_correlation", "optimize",
-                                  "front_sweep", "run", "cache_size_sweep",
-                                  "server_count_sweep"])
-def test_user_without_profile_is_rejected(name, path3):
-    users = [UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC)),
-             UserGroup(node="B"),
-             UserGroup(node="C", profile=random_profile(2, UNIVERSE_ABC))]
-    call = _profile_calls(path3, users, {"A": "A", "B": "A", "C": "C"})[name]
-    with pytest.raises(ValidationError, match="user 'B' has no profile"):
-        call()
-
-
 @pytest.mark.parametrize("name", ["user_correlations", "relocate_servers", "run",
                                   "greedy_correlation"])
 def test_user_missing_from_assignment_is_rejected(name, path3):
@@ -275,9 +263,8 @@ def relocation_instances(draw):
         for _ in range(draw(st.integers(0, n))):
             a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
             edges.append((ids[a], ids[b], float(rng.choice(weights))))
-    topo = Topology([(i, 1.0) for i in ids], edges)
-    users = [UserGroup(node=node, priority=float(rng.choice(priorities)),
-                       profile=random_profile(i, ("s0", "s1")))
+    topo = Topology([(i, float(rng.choice(priorities))) for i in ids], edges)
+    users = [UserGroup(node=node, profile=random_profile(i, ("s0", "s1")))
              for i, node in enumerate(ids)]
     k = draw(st.integers(1, n))
     servers = tuple(sorted(rng.choice(ids, size=k, replace=False).tolist()))
@@ -333,7 +320,7 @@ class TestRelocateServers:
         for u in users:
             groups.setdefault(new_a[u.node], []).append(u)
         for server, members in groups.items():
-            w = lambda c: [m.priority * topo.distance(m.node, c) for m in members]
+            w = lambda c: [topo.priorities[m.node] * topo.distance(m.node, c) for m in members]
             best = min(topo.node_ids, key=lambda c: (max(w(c)), float(np.mean(w(c))), c))
             claimed = set(placement) - {server}
             if best not in claimed:

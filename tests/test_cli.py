@@ -335,10 +335,26 @@ class TestSimulate:
         ratios = [float(r[1]) for r in rows]
         assert all(ratios[i] >= ratios[i + 1] for i in range(len(ratios) - 1))
 
-    def test_empty_sweep_values(self, topo12, tmp_path):
-        assert main(["simulate", "--topology", str(topo12), "--k", "2",
-                     "--sweep", "cache_size", "--values", ",",
-                     "--out", str(tmp_path)]) == 1
+    def test_empty_sweep_values(self, topo12, tmp_path, monkeypatch, capsys):
+        """Values that parse to an empty list fail before any planning or run."""
+        calls = []
+
+        def counting(name, call):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cdnsim.assignment, "optimize", counting("optimize", optimize))
+        monkeypatch.setattr(cdnsim.simulation, "optimize", counting("optimize", optimize))
+        monkeypatch.setattr(cdnsim.simulation, "run", counting("run", cdnsim.simulation.run))
+        for values in (",", " , "):
+            assert main(["simulate", "--topology", str(topo12), "--k", "2",
+                         "--sweep", "cache_size", "--values", values,
+                         "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == "error: sweep needs at least one value\n"
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_server_count_sweep_plans_each_value_once(self, topo12, tmp_path, monkeypatch):
         planned = []
@@ -440,6 +456,14 @@ class TestSimulate:
         assert main(["simulate", "--topology", str(topo12),
                      "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: simulate needs --placement or --k\n"
+
+    @pytest.mark.parametrize("values", [None, ""], ids=["absent", "empty"])
+    def test_sweep_needs_values(self, topo12, tmp_path, values, capsys):
+        flag = [] if values is None else ["--values", values]
+        assert main(["simulate", "--topology", str(topo12), "--k", "2",
+                     "--sweep", "cache_size", *flag, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: --sweep requires --values\n"
+        assert not (tmp_path / "out").exists()
 
     def test_values_need_a_sweep(self, topo12, tmp_path, capsys):
         assert main(["simulate", "--topology", str(topo12), "--k", "2",

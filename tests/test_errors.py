@@ -14,7 +14,6 @@ import pytest
 from cdnsim import (
     CacheConfig,
     Scenario,
-    UserGroup,
     ValidationError,
     ZipfModel,
     derive_seed,
@@ -44,8 +43,6 @@ ROWS = {  # row: (call with the value, message before ", got <value>", bad value
                     BAD_INTS),
     "generate_users": (lambda v: generate_users(PATH, ZipfModel(0.3, 5, 2), v),
                        "master seed must be an int", BAD_INTS),
-    "user_priority": (lambda v: UserGroup("a", priority=v),
-                      "user 'a' priority must be a finite real > 0", BAD_REALS),
     "alpha": (lambda v: ZipfModel(alpha=v), "alpha must be a finite real >= 0", BAD_REALS),
     "zipf_pmf_alpha": (lambda v: zipf_pmf(v, 3), "alpha must be a finite real >= 0", BAD_REALS),
     "zipf_pmf_n": (lambda v: zipf_pmf(0.3, v), "n must be an int >= 1", BAD_INTS),

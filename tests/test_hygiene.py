@@ -123,9 +123,9 @@ def test_only_errors_rejects_a_bool_for_a_number():
     assert owners == ["errors.py"]
 
 
-def scoped_calls(source: str, wanted) -> list[str]:
-    """The function, as Class.method or function (or <module>), of each call
-    node that `wanted` accepts, once per call."""
+def scoped_nodes(source: str, wanted) -> list[str]:
+    """The function, as Class.method or function (or <module>), of each node
+    that `wanted` accepts, once per node."""
     found = []
 
     def visit(node: ast.AST, scope: str):
@@ -133,7 +133,7 @@ def scoped_calls(source: str, wanted) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Call) and wanted(child):
+            elif wanted(child):
                 found.append(scope or "<module>")
             visit(child, inner)
 
@@ -144,7 +144,7 @@ def scoped_calls(source: str, wanted) -> list[str]:
 def node_sorts(source: str) -> list[str]:
     """Functions, as Class.method or function, that call `sorted` or `.sort`
     with a `key` lambda reading `.node`, once per call."""
-    return scoped_calls(source, lambda call: (
+    return scoped_nodes(source, lambda call: isinstance(call, ast.Call) and (
         (isinstance(call.func, ast.Name) and call.func.id == "sorted"
          or isinstance(call.func, ast.Attribute) and call.func.attr == "sort")
         and any(k.arg == "key" and isinstance(k.value, ast.Lambda)
@@ -156,7 +156,7 @@ def node_sorts(source: str) -> list[str]:
 def exits_without_teardown(source: str) -> list[str]:
     """Functions, as Class.method or function, that call `_exit` (`os._exit`
     or a bare imported `_exit`), once per call."""
-    return scoped_calls(source, lambda call: (
+    return scoped_nodes(source, lambda call: isinstance(call, ast.Call) and (
         isinstance(call.func, ast.Attribute) and call.func.attr == "_exit"
         or isinstance(call.func, ast.Name) and call.func.id == "_exit"))
 
@@ -176,6 +176,32 @@ def test_only_by_node_sorts_a_user_list():
     stage that sorted users itself could take a list that check never saw."""
     owners = [f"{p.stem}.{name}" for p in MODULES for name in node_sorts(p.read_text())]
     assert owners == ["placement._by_node"]
+
+
+def attribute_uses(source: str, attr: str) -> list[str]:
+    """Functions, as Class.method or function (or <module>), that read or
+    write an attribute named `attr` on anything, once per use."""
+    return scoped_nodes(source, lambda node: isinstance(node, ast.Attribute)
+                        and node.attr == attr)
+
+
+def test_attribute_uses_are_found():
+    source = ("def weigh(topo, u):\n    return topo.priorities[u.node] * u.priority\n"
+              "class Users:\n    def load(self, u, topo):\n        u.priority = 1.0\n"
+              "        return getattr(u, 'priority'), topo.priorities_of\n"
+              "x.priority\n")
+    assert attribute_uses(source, "priority") == ["weigh", "Users.load", "<module>"]
+    assert attribute_uses(source, "priorities") == ["weigh"]
+
+
+def test_node_priority_has_one_reader():
+    """A user group is a node and a profile: its weight is its node's priority,
+    which the topology owns and only `placement._Eval` reads, so the library
+    and the CLI weigh the same users alike."""
+    uses = {p.stem: {*attribute_uses(p.read_text(), "priorities")} for p in MODULES}
+    assert {module: names for module, names in uses.items()
+            if names and module != "topology"} == {"placement": {"_Eval.__init__"}}
+    assert [p.name for p in MODULES if attribute_uses(p.read_text(), "priority")] == []
 
 
 def test_exits_without_teardown_are_found():

@@ -136,7 +136,7 @@ class TestFrontSweep:
         front = front_sweep(topo, users, 2, 30)
         place0, _, _ = dragoon(topo, users, 2)
         a0 = closest_assignment(topo, users, place0)
-        w = [u.priority * topo.distance(u.node, a0[u.node]) for u in users]
+        w = [topo.priorities[u.node] * topo.distance(u.node, a0[u.node]) for u in users]
         min_avg = float(np.mean(w))
         assert front[0].avg_dist == pytest.approx(min_avg)
         # recorded correlation endpoint is the best correlation on the front

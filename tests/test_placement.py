@@ -7,7 +7,6 @@ from cdnsim import (
     CacheConfig,
     InfeasibleError,
     Scenario,
-    Topology,
     UserGroup,
     ValidationError,
     ZipfModel,
@@ -31,6 +30,7 @@ from conftest import (
     ring_topology,
     star_topology,
     uniform_users,
+    with_priorities,
 )
 
 import oracles
@@ -43,8 +43,8 @@ def shuffled_instances(draw):
     topo = random_connected_topology(draw(st.integers(0, 10_000)), draw(st.integers(2, 14)),
                                      weighted=draw(st.booleans()))
     nodes = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
-    users = [UserGroup(node=n, priority=draw(st.sampled_from([0.5, 1.0, 3.0])),
-                       profile=dummy_profile()) for n in nodes]
+    topo = with_priorities(topo, {n: draw(st.sampled_from([0.5, 1.0, 3.0])) for n in nodes})
+    users = [UserGroup(node=n, profile=dummy_profile()) for n in nodes]
     servers = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
     return topo, users, tuple(servers)
 
@@ -69,8 +69,8 @@ def center_instances(draw):
         topo = random_connected_topology(draw(st.integers(0, 10_000)),
                                          draw(st.integers(2, 20)), weighted=True)
         priorities = [draw(priority) for _ in topo.node_ids]
-    users = [UserGroup(node=n, priority=w, profile=dummy_profile())
-             for n, w in zip(topo.node_ids, priorities)]
+    topo = with_priorities(topo, dict(zip(topo.node_ids, priorities)))
+    users = uniform_users(topo)
     candidates = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
     return topo, users, tuple(candidates)
 
@@ -137,11 +137,10 @@ class TestEvaluatePlacement:
         assert obj.avg_dist == pytest.approx(sum(dists) / len(dists))
 
     def test_priority_weighting(self, path3):
-        heavy = [
-            UserGroup(node="A", priority=5.0, profile=dummy_profile()),
-            UserGroup(node="C", priority=1.0, profile=dummy_profile()),
-        ]
-        obj = _Eval(path3, heavy).objective(("B",))
+        heavy = with_priorities(path3, {"A": 5.0})
+        users = [UserGroup(node="A", profile=dummy_profile()),
+                 UserGroup(node="C", profile=dummy_profile())]
+        obj = _Eval(heavy, users).objective(("B",))
         assert obj.max_dist == 5.0  # 5 * dist(A,B)
         assert obj.avg_dist == 3.0  # (5*1 + 1*1) / 2
 
@@ -160,7 +159,7 @@ class TestOneCenter:
         got = one_center(topo, users)
         best = None
         for c in topo.node_ids:
-            w = [u.priority * topo.distance(u.node, c) for u in users]
+            w = [topo.priorities[u.node] * topo.distance(u.node, c) for u in users]
             key = (max(w), sum(w) / len(w), c)
             if best is None or key < best:
                 best = key
@@ -171,9 +170,10 @@ class TestOneCenter:
         """On a mirror-symmetric ring n04 and n05 are equal in exact arithmetic;
         `_Eval` rates them equal at slope 0.3 (the lower id wins) and gives n05
         the smaller mean at 1.3, and `one_center` agrees with it both times."""
-        topo = ring_topology(9)
-        users = [UserGroup(node=n, priority=1.0 + slope * min(i, 9 - i),
-                           profile=dummy_profile()) for i, n in enumerate(topo.node_ids)]
+        ring = ring_topology(9)
+        topo = with_priorities(ring, {n: 1.0 + slope * min(i, 9 - i)
+                                      for i, n in enumerate(ring.node_ids)})
+        users = uniform_users(topo)
         assert one_center(topo, users) == center == _objective_center(topo, users,
                                                                       topo.node_ids)
 
@@ -273,7 +273,8 @@ def dragoon_instances(draw):
                                      weighted=draw(st.booleans()))
     priority = st.one_of(st.sampled_from([2 / 3, 1e-3, 1.0, 2.45]), st.floats(1e-3, 5.0))
     nodes = draw(st.permutations(topo.node_ids))[: draw(st.integers(1, len(topo.node_ids)))]
-    users = [UserGroup(node=n, priority=draw(priority), profile=dummy_profile()) for n in nodes]
+    topo = with_priorities(topo, {n: draw(priority) for n in nodes})
+    users = [UserGroup(node=n, profile=dummy_profile()) for n in nodes]
     return topo, users, draw(st.integers(1, min(6, len(topo.node_ids))))
 
 
@@ -385,6 +386,31 @@ class TestDistanceInputErrors:
         with pytest.raises(ValidationError, match="placement contains duplicate nodes"):
             call()
 
+    @pytest.mark.parametrize("name", ["optimize", "optimize_correlation", "closest_assignment",
+                                      "greedy_correlation", "user_correlations",
+                                      "relocate_servers", "run"])
+    def test_empty_placement(self, name, path3):
+        """No server has no objective: every stage that takes a plan rejects it."""
+        users = uniform_users(path3)
+        assignment = {u.node: "A" for u in users}
+        cache = CacheConfig(capacity=3, policy="LRU")
+        call = {
+            "optimize": lambda: optimize(path3, users, placement=()),
+            "optimize_correlation": lambda: optimize(path3, users, placement=(),
+                                                     optimizer="correlation"),
+            "closest_assignment": lambda: closest_assignment(path3, users, ()),
+            "greedy_correlation": lambda: greedy_correlation(users, (), assignment),
+            "user_correlations": lambda: user_correlations(users, {}),
+            "relocate_servers": lambda: relocate_servers(path3, users, (), assignment),
+            "run": lambda: run(Scenario(path3, users, (), assignment, cache, "A", 0)),
+        }[name]
+        with pytest.raises(ValidationError, match="^empty placement$"):
+            call()
+
+    def test_no_candidate_nodes(self, path3):
+        with pytest.raises(ValidationError, match="^no candidate nodes$"):
+            one_center(path3, uniform_users(path3), candidates=())
+
     @pytest.mark.parametrize("name", ["optimize", "closest_assignment", "greedy_correlation",
                                       "user_correlations", "relocate_servers"])
     def test_placement_entry_that_is_not_a_string(self, name, path3):
@@ -440,7 +466,7 @@ def weighted_user_sets(draw):
     seed = draw(st.integers(0, 10_000))
     base = random_connected_topology(seed, draw(st.integers(3, 16)), weighted=True)
     priority = st.sampled_from([0.3, 0.7, 1.9, 2.45])
-    topo = Topology([(n, draw(priority)) for n in base.node_ids], list(base.edges))
+    topo = with_priorities(base, {n: draw(priority) for n in base.node_ids})
     users = generate_users(topo, ZipfModel(0.3, 20, 5), seed)
     k = draw(st.integers(1, min(4, len(users))))
     return topo, users, draw(st.permutations(users)), k, seed

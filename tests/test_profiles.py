@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -161,6 +162,21 @@ class TestLoadTrace:
         with pytest.raises(ValidationError, match="no data"):
             load_trace(b"node_id,service_id,count\n")
 
+    @pytest.mark.parametrize("data, message", [
+        (b"", "empty trace file"),
+        (b"node_id,service_id,count\nn1,a\n", "line 2: expected 3 columns, got 2"),
+        (b"node_id,service_id,count\nn1,a,3\nn2, ,3\n", "line 3: empty service id"),
+        (b"node_id,service_id,count\nn1,a,x\n", "line 2: bad count 'x'"),
+    ], ids=["empty-file", "column-count", "empty-service", "bad-count"])
+    def test_bad_trace_is_rejected(self, data, message):
+        with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+            load_trace(data)
+
+    def test_blank_lines_are_skipped(self):
+        users = load_trace(b"node_id,service_id,count\n\nn1,a,3\n   \nn1,b,1\n\n")
+        assert [u.node for u in users] == ["n1"]
+        assert users[0].profile.entries == {"a": 0.75, "b": 0.25}
+
     def test_not_utf8(self):
         with pytest.raises(ValidationError, match="trace is not UTF-8: .*can't decode byte 0xff"):
             load_trace(b"node_id,service_id,count\nn1,\xff,3\n")
@@ -242,8 +258,14 @@ def test_profile_validation():
         profile_from_dict({"A": 0.5, "B": 0.6}, ("A", "B"))
     with pytest.raises(ValidationError):
         Profile(("A", "B"), np.array([1.2, -0.2]))
-    with pytest.raises(ValidationError):
-        UserGroup(node="n", priority=0.0)
+    for probs in ([1.0], [0.5, 0.25, 0.25], [[0.5, 0.5]]):
+        with pytest.raises(ValidationError, match="^probability vector does not match universe$"):
+            Profile(("A", "B"), np.array(probs))
+
+
+def test_profile_repr_names_size_and_top_services():
+    profile = profile_from_dict({"a": 0.25, "b": 0.5, "c": 0.125, "d": 0.125})
+    assert repr(profile) == "Profile(4 services, top=[('b', 0.5), ('a', 0.25), ('c', 0.125)])"
 
 
 @pytest.mark.parametrize("node", [1, ["A"], None])
@@ -251,7 +273,32 @@ def test_user_node_id_must_be_a_string(node):
     """Every stage sorts users by node id, so an id that is no string is an input error."""
     with pytest.raises(ValidationError,
                        match=re.escape(f"user node ids must be strings, not {node!r}") + "$"):
-        UserGroup(node=node)
+        UserGroup(node=node, profile=profile_from_dict({"a": 1.0}))
+
+
+@pytest.mark.parametrize("profile", [None, {"a": 1.0}, np.array([1.0])],
+                         ids=["none", "dict", "array"])
+def test_user_without_profile_is_rejected(profile):
+    """A user group is a node and a profile: every group has one from the
+    start, so no stage downstream checks for it."""
+    with pytest.raises(ValidationError, match="^user 'B' has no profile$"):
+        UserGroup(node="B", profile=profile)
+    with pytest.raises(ValidationError, match="^user node ids must be strings, not 2$"):
+        UserGroup(node=2, profile=profile)  # the node is checked first
+
+
+def test_user_group_is_a_node_and_a_profile():
+    """The priority of a user's node lives in the topology only, and a group
+    keeps the node and profile it was checked with."""
+    profile = profile_from_dict({"a": 1.0})
+    assert [f.name for f in fields(UserGroup)] == ["node", "profile"]
+    with pytest.raises(TypeError):
+        UserGroup(node="n")  # the profile is required
+    with pytest.raises(TypeError):
+        UserGroup(node="n", priority=2.0, profile=profile)
+    user = UserGroup(node="n", profile=profile)
+    with pytest.raises(FrozenInstanceError):
+        user.profile = None
 
 
 def test_non_finite_input_rejected():
@@ -259,10 +306,6 @@ def test_non_finite_input_rejected():
         Profile(("a", "b"), np.array([np.nan, np.nan]))
     with pytest.raises(ValidationError, match="non-finite probability"):
         Profile(("a", "b"), np.array([np.inf, 0.0]))
-    for priority in (np.nan, np.inf):
-        with pytest.raises(ValidationError,
-                           match=f"user 'n' priority must be a finite real > 0, got {priority}$"):
-            UserGroup(node="n", priority=priority)
     for alpha in (np.nan, np.inf):
         with pytest.raises(ValidationError,
                            match=f"alpha must be a finite real >= 0, got {alpha}$"):

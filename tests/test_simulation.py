@@ -22,7 +22,13 @@ from cdnsim.cache import POLICIES
 from cdnsim.placement import _members
 from cdnsim.rng import derive_seed, make_rng
 from cdnsim.simulation import _requests
-from conftest import path_topology, profile_from_dict, random_connected_topology, random_profile
+from conftest import (
+    path_topology,
+    profile_from_dict,
+    random_connected_topology,
+    random_profile,
+    with_priorities,
+)
 from oracles import run_per_request
 
 
@@ -171,8 +177,8 @@ def weighted_scenarios(draw, policy):
     rng = make_rng(derive_seed(seed, "priorities"))
     universe = tuple(f"s{i}" for i in range(draw(st.integers(1, 15))))
     nodes = draw(st.permutations(topo.node_ids))[:draw(st.integers(1, len(topo.node_ids)))]
-    users = [UserGroup(node=n, priority=round(float(rng.random()) * 4 + 0.1, 2),
-                       profile=random_profile(seed + i, universe))
+    topo = with_priorities(topo, {n: round(float(rng.random()) * 4 + 0.1, 2) for n in nodes})
+    users = [UserGroup(node=n, profile=random_profile(seed + i, universe))
              for i, n in enumerate(nodes)]
     placement = tuple(draw(st.permutations(topo.node_ids))[:draw(st.integers(1, 4))])
     return Scenario(

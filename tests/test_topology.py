@@ -67,6 +67,30 @@ def test_parse_errors():
         parse_topology(disconnected)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    (b'<node id="B"/>', b"<node/>", "node element without id"),
+    (b'<node id="B"/>', b'<node id="B"><data key="d1">high</data></node>',
+     "node 'B': bad priority 'high'"),
+    (b'<edge source="A" target="B">', b'<edge source="A">', "edge element without source/target"),
+    (b'<edge source="A" target="B">', b'<edge target="B">', "edge element without source/target"),
+    (b">3.5<", b">fast<", "edge ('A', 'B'): bad weight 'fast'"),
+], ids=["node-id", "priority-text", "edge-target", "edge-source", "weight-text"])
+def test_malformed_graphml_element_rejected(old, new, message):
+    doc = GRAPHML_ATTRS.replace(old, new)
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        parse_topology(doc, weight_key="LinkSpeed")
+
+
+def test_node_children_other_than_data_are_skipped():
+    doc = GRAPHML_ATTRS.replace(b'<node id="A">', b'<node id="A"><desc>edge router</desc>')
+    assert parse_topology(doc).priorities == {"A": 2.5, "B": 1.0}
+
+
+def test_topology_without_nodes_is_rejected():
+    with pytest.raises(ValidationError, match="^topology has no nodes$"):
+        Topology([], [])
+
+
 def test_negative_weight_rejected():
     doc = GRAPHML_ATTRS.replace(b">3.5<", b">-1<")
     with pytest.raises(ValidationError, match=re.escape(
