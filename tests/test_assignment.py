@@ -216,6 +216,23 @@ def test_user_list_is_checked_by_every_stage(name, nodes, message, path3):
         call()
 
 
+@pytest.mark.parametrize("name", ["user_correlations", "greedy_correlation", "optimize",
+                                  "front_sweep", "run", "cache_size_sweep",
+                                  "server_count_sweep"])
+def test_user_without_profile_is_rejected(name, path3):
+    """Each stage that reads profiles runs on these users, and a user without
+    one is rejected when its group is built, before any stage is reached."""
+    def users(b_profile):
+        return [UserGroup(node="A", profile=random_profile(0, UNIVERSE_ABC)),
+                UserGroup(node="B", profile=b_profile),
+                UserGroup(node="C", profile=random_profile(2, UNIVERSE_ABC))]
+
+    assignment = {"A": "A", "B": "A", "C": "C"}
+    assert _profile_calls(path3, users(random_profile(1, UNIVERSE_ABC)), assignment)[name]()
+    with pytest.raises(ValidationError, match="^user 'B' has no profile$"):
+        _profile_calls(path3, users(None), assignment)[name]()
+
+
 @pytest.mark.parametrize("name", ["user_correlations", "relocate_servers", "run",
                                   "greedy_correlation"])
 def test_user_missing_from_assignment_is_rejected(name, path3):
