@@ -14,10 +14,10 @@ disagrees with this form, which the optimization is calibrated against.
 Every coefficient in this module comes from one batched kernel (`_CorrEval`),
 and it is exact, not approximate, so that ties in the ranks are reproducible:
 
-- a server's sum vector accumulates its members' profiles with `+=` in
-  user-id order and is rebuilt from scratch for each server a move changes,
-  never updated by subtraction, because float rounding can create or break
-  exact ties and ties change ranks;
+- a server's sum vector adds its members' profiles left to right in user-id
+  order (`rng.left_sum`) and is rebuilt from scratch for each server a move
+  changes, never updated by subtraction, because float rounding can create or
+  break exact ties and ties change ranks;
 - each candidate row is normalized on its own (`row / row.sum()`), which is
   bit for bit the one-vector computation;
 - midranks are multiples of 0.5, so sum(d^2) is exact in any order;
@@ -93,11 +93,8 @@ class _CorrEval:
         self._stale = set(range(len(self.servers)))
 
     def _sum_row(self, owner: np.ndarray, j: int) -> np.ndarray:
-        """Server j's sum row under `owner`, from zeros with `+=` in user-id order."""
-        row = np.zeros(self.P.shape[1])
-        for i in np.flatnonzero(owner == j):
-            row += self.P[i]
-        return row
+        """Server j's sum row under `owner`: `left_sum` of its members' rows, or zeros."""
+        return np.zeros(self.P.shape[1]) + left_sum(self.P[owner == j])
 
     def _after(self, moves: list[tuple[NodeId, NodeId]]):
         """`owner` and `sums` after (user, server) pairs, and the servers they

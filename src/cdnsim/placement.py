@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ValidationError, _check_int
 from .profiles import UserGroup
+from .rng import left_sum
 from .topology import NodeId, Topology
 
 Placement = tuple[NodeId, ...]
@@ -62,7 +63,7 @@ class _Eval:
         self.table = np.take(topo.distances, self.rows, axis=1)
         priorities = [topo.priorities[u.node] for u in self.users]
         # bounds every weighted sum; Python floats reach inf without a numpy warning
-        total = sum(priorities)
+        total = left_sum(priorities)
         if not math.isfinite(total * float(self.table.max(initial=0.0))):
             raise ValidationError(f"priority x distance overflows (priorities sum to {total!r})")
         self.table *= np.array(priorities, dtype=float)

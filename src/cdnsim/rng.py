@@ -107,8 +107,8 @@ def _exact_pick(remaining: np.ndarray, u: float, drawn: list[int]) -> int:
 
 
 def left_sum(values) -> float:
-    """Float sum accumulated strictly left to right, as `sum()` was before
-    Python 3.12 compensated its round-off, so totals match across versions."""
+    """The one ordered float sum: left to right, as `sum()` was before Python 3.12
+    compensated its round-off, so totals match; numpy rows add elementwise."""
     return reduce(operator.add, values, 0.0)
 
 

@@ -10,6 +10,7 @@ cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -91,10 +92,10 @@ def run(scenario: Scenario,
 
     `requests` maps every user's node to its `requests_per_user` requests, as
     `generate_requests` draws them; without it `run` draws them itself, and a
-    sweep draws them once and passes them to each run. A server's stream interleaves its members round-robin in
-    node-id order: request r of every member, then r + 1. The network load
-    adds, server by server in id order, one user-to-server distance per
-    request in stream order, then misses x the origin distance."""
+    sweep draws them once and passes them to each run. A server's stream interleaves its
+    members round-robin in node-id order: request r of every member, then r + 1. The network
+    load adds, server by server in id order, one user-to-server distance per request in stream
+    order, then misses x the origin distance; a load that overflows is a ValidationError."""
     s, groups = scenario, scenario._groups()  # the one check and grouping of the plan
     # first: `_Eval` rejects overflowing priorities before any replay
     max_dist, avg_dist = _Eval(s.topology, s.users).assigned(s.assignment)
@@ -113,6 +114,8 @@ def run(scenario: Scenario,
         stats = replay(stream, s.cache)
         network_load += stats.misses * s.topology.distance(server, s.origin)
         per_server[server] = stats
+    if not math.isfinite(network_load):  # finite distances can add up to inf
+        raise ValidationError(f"network load overflows to {network_load!r}")
 
     overall = CacheStats()
     for stats in per_server.values():

@@ -5,6 +5,8 @@ These are the straightforward versions the fast paths replaced:
 - for the batched correlation kernel, a per-element midrank loop and a
   per-(user, server) evaluator that rebuilds and ranks one candidate vector
   at a time;
+- for a server's sum row, `rng.left_sum` of its members' rows, the `+=` loop
+  over its members;
 - the server relocation that ranked every node itself before it called
   `placement.one_center`;
 - for the cache replays, which evict by keys computed from the trace (LRU-2,
@@ -114,6 +116,15 @@ def midranks_loop(values) -> np.ndarray:
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = in_order
     return ranks
+
+
+def sum_row_loop(P: np.ndarray, owner: np.ndarray, j: int) -> np.ndarray:
+    """Server j's sum row under `owner`: zeros, then `+=` each member's row of
+    `P` in user-id order."""
+    row = np.zeros(P.shape[1])
+    for i in np.flatnonzero(owner == j):
+        row += P[i]
+    return row
 
 
 class PairwiseCorr:

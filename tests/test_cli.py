@@ -116,6 +116,25 @@ class TestNonFiniteInput:
         assert "priority x distance overflows" in captured.err
         assert "objective" not in captured.out
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "cache_size", "--values", "1,2"]],
+                             ids=["run", "sweep"])
+    def test_simulate_overflowing_network_load(self, tmp_path, sweep, capsys):
+        # every distance is finite, but 300 requests of about 1e306 each are not
+        graph = GRAPHML_3
+        for end in ("B", "C"):  # the path A-B-C with weights 1e306
+            graph = graph.replace(f'target="{end}"/>',
+                                  f'target="{end}"><data key="w">1e306</data></edge>')
+        path = tmp_path / "heavy.graphml"
+        path.write_text(graph)
+        out = tmp_path / "out"
+        argv = ["simulate", "--topology", str(path), "--weight-key", "w", "--k", "1",
+                "--universe", "3", "--profile-size", "2", "--out", str(out), *sweep]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: network load overflows to inf\n"
+        assert "network_load" not in captured.out
+        assert not (out / "simulation.csv").exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_assign_non_finite_alpha(self, topo3, tmp_path, alpha, capsys):
         placement = tmp_path / "placement.json"

@@ -204,6 +204,31 @@ def test_node_priority_has_one_reader():
     assert [p.name for p in MODULES if attribute_uses(p.read_text(), "priority")] == []
 
 
+def builtin_sum_calls(source: str) -> list[str]:
+    """Functions, as Class.method or function (or <module>), that call the
+    builtin `sum` by its bare name, once per call; `np.sum` and `.sum()` are
+    attributes and do not count."""
+    return scoped_nodes(source, lambda call: isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name) and call.func.id == "sum")
+
+
+def test_builtin_sum_calls_are_found():
+    source = ("def total(xs):\n    return sum(xs)\n"
+              "class Eval:\n    def __init__(self, p):\n        self.t = sum(p, 0.0)\n"
+              "        self.u = np.sum(p) + p.sum() + left_sum(p)\n"
+              "sum([])\n")
+    assert builtin_sum_calls(source) == ["total", "Eval.__init__", "<module>"]
+
+
+def test_only_integer_counts_use_the_builtin_sum():
+    """From Python 3.12 the builtin `sum` compensates float round-off, so a float
+    total it gave could differ between versions; `rng.left_sum` adds every float
+    total in order, and the builtin is left only to `load_trace`'s integer counts,
+    which it adds exactly."""
+    owners = [f"{p.stem}.{name}" for p in MODULES for name in builtin_sum_calls(p.read_text())]
+    assert owners == ["profiles.load_trace"]
+
+
 def test_exits_without_teardown_are_found():
     source = ("import os\nfrom os import _exit\n"
               "def leave(code):\n    os._exit(code)\n"

@@ -26,7 +26,7 @@ from cdnsim.assignment import _CorrEval
 from cdnsim.profiles import midranks_descending
 from cdnsim.rng import derive_seed, make_rng
 from conftest import desk_topology, random_connected_topology, ring_topology
-from oracles import PairwiseCorr, midranks_loop, total_correlation
+from oracles import PairwiseCorr, midranks_loop, sum_row_loop, total_correlation
 
 EXACT = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -209,6 +209,55 @@ def batches(draw):
         moves += [(u, draw(st.sampled_from(others)))
                   for u in sorted(nodes) if current[u] == emptied]
     return users, placement, assignment, moves
+
+
+@st.composite
+def sum_row_instances(draw):
+    """`load_trace` users with counts of 1, 2 and 3, whose probabilities such
+    as 1/3 and 2/7 round in binary, placed so that some servers hold no user,
+    some one and some several, in interleaved user-id order, and a batch of
+    moves of any users to any servers."""
+    sizes = draw(st.lists(st.sampled_from([0, 1, 1, 2, 4]), min_size=2, max_size=5))
+    assume(any(sizes))
+    nodes = [f"u{i}" for i in range(sum(sizes))]
+    services = draw(st.integers(2, 8))
+    lines = ["node_id,service_id,count"]
+    for node in nodes:  # the first user likes every service, so the universe has them all
+        liked = (range(services) if node == nodes[0]
+                 else sorted(draw(st.sets(st.integers(0, services - 1), min_size=1))))
+        lines += [f"{node},s{s},{draw(st.sampled_from([1, 2, 3]))}" for s in liked]
+    placement = tuple(f"v{j}" for j in range(len(sizes)))
+    members = iter(draw(st.permutations(nodes)))
+    assignment = {next(members): server for server, size in zip(placement, sizes)
+                  for _ in range(size)}
+    moves = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(placement)),
+                          max_size=6))
+    return load_trace("\n".join(lines).encode()), placement, assignment, moves
+
+
+@EXACT
+@given(sum_row_instances())
+def test_sum_rows_are_the_loop_they_replace(instance):
+    """Every sum row the kernel holds or tries is, bit for bit, the `+=` loop
+    over its members in user-id order: after construction, in the trial sums
+    of `total_after` and after `move`."""
+    users, placement, assignment, moves = instance
+    ev = _CorrEval(users, placement, assignment)
+
+    def assert_loop_sums(owner, sums):
+        loop = np.stack([sum_row_loop(ev.P, owner, j) for j in range(len(placement))])
+        assert sums.tobytes() == loop.tobytes()
+
+    assert_loop_sums(ev.owner, ev.sums)
+    trials = []
+    own = ev._own
+    ev._own = lambda owner, sums: trials.append((owner, sums)) or own(owner, sums)
+    ev.total_after(moves)
+    [(owner, sums)] = trials
+    assert_loop_sums(owner, sums)
+    ev.move(moves)
+    assert np.array_equal(ev.owner, owner)
+    assert_loop_sums(ev.owner, ev.sums)
 
 
 def assert_matches_a_fresh_evaluator(ev, users, placement):

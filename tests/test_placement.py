@@ -1,4 +1,6 @@
 import re
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from cdnsim.placement import PlacementObjective, _Eval
 from cdnsim.rng import make_rng
 from conftest import (
     dummy_profile,
+    path_topology,
     random_connected_topology,
     ring_topology,
     star_topology,
@@ -262,6 +265,19 @@ class TestDragoon:
         _, _, log = dragoon(topo, users, 2)
         objs = [(m.max_dist, m.avg_dist) for m in log]
         assert all(objs[i] > objs[i + 1] for i in range(len(objs) - 1))
+
+    def test_priority_total_does_not_depend_on_the_python_version(self):
+        """Added left to right, these priorities total 8.988465674311579e+307,
+        and that total times the largest distance, 2, is finite; Python 3.12's
+        compensated `sum()` gives 8.98846567431158e+307, and twice that is inf."""
+        big = 0.75 * 2.0**969
+        topo = with_priorities(path_topology(["A", "B", "C"]),
+                               {"A": sys.float_info.max / 2, "B": big, "C": big})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            placement, objective, _ = dragoon(topo, uniform_users(topo), 1)
+        assert placement == ("A",)
+        assert objective == (7.484401160755199e+291, 3.7422005803775996e+291)
 
 
 @st.composite

@@ -149,6 +149,16 @@ class TestRun:
         expected = sum(topo.distance(n, "B") for n in topo.node_ids) * 100
         assert r.network_load == pytest.approx(expected)
 
+    def test_overflowing_network_load_is_rejected(self):
+        # priority x distance is finite (3 x 2e306), 300 requests of 1e306 are not
+        topo = path_topology(["A", "B", "C"], weight=1e306)
+        users = [UserGroup(node=n, profile=profile_from_dict({"a": 0.5, "b": 0.5}))
+                 for n in topo.node_ids]
+        s = Scenario(topo, users, ("B",), dict.fromkeys(topo.node_ids, "B"),
+                     CacheConfig(1), "B", 0)
+        with pytest.raises(ValidationError, match=r"^network load overflows to inf$"):
+            run(s)
+
     def test_belady_policy_runs_offline(self):
         online = run(small_scenario(seed=4, policy="LRU", capacity=3))
         offline = run(small_scenario(seed=4, policy="BELADY", capacity=3))
