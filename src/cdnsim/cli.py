@@ -1,14 +1,17 @@
 """Command-line front end: place, assign, simulate, pareto, validate.
 
-Every command but validate writes deterministic, header-first CSV/JSON files
-into --out and prints a short human summary to stdout. Exit codes: 0 ok,
-1 invalid configuration, 2 infeasible request, 3 I/O failure.
+A command returns its deterministic, header-first CSV/JSON files (none for
+validate) and a short human summary. Only after it succeeded does `main`
+create --out, write the files and print the summary to stdout, so a command
+that fails leaves no --out behind. Exit codes: 0 ok, 1 invalid configuration,
+2 infeasible request, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -30,6 +33,8 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 _EXIT_CODES = {InfeasibleError: EXIT_INFEASIBLE, ValidationError: EXIT_CONFIG, OSError: EXIT_IO}
+# what a command produced: its output files' text by file name, its summary lines
+_Output = tuple[dict[str, str], list[str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,42 +139,33 @@ def _load_placement(path: str) -> tuple[str, ...]:
     return tuple(servers)  # as given: `optimize` checks the entries and sorts them
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _csv(header: list[str], rows: list[list]) -> str:
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _placement_json(placement: tuple[str, ...]) -> str:
+    return json.dumps(list(placement), indent=2) + "\n"
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> _Output:
     topo = _load_topology(args)
-    print(f"topology ok: {len(topo.node_ids)} nodes, {len(topo.edges)} edges")
-    return EXIT_OK
+    return {}, [f"topology ok: {len(topo.node_ids)} nodes, {len(topo.edges)} edges"]
 
 
-def cmd_place(args) -> int:
+def cmd_place(args) -> _Output:
     from .placement import dragoon
 
     topo = _load_topology(args)
     users = _load_users(args, topo)
     placement, objective, log = dragoon(topo, users, args.k)
-    out = _outdir(args)
-    (out / "placement.json").write_text(json.dumps(list(placement), indent=2) + "\n")
-    _write_csv(
-        out / "placement_log.csv",
-        ["iteration", "server", "from", "to", "max_dist", "avg_dist"],
-        [[m.iteration, m.server, m.from_node, m.to_node,
-          repr(m.max_dist), repr(m.avg_dist)] for m in log],
-    )
-    print(f"placement: {' '.join(placement)}")
-    print(f"objective: max_dist={objective.max_dist} avg_dist={objective.avg_dist}")
-    return EXIT_OK
+    log_csv = _csv(["iteration", "server", "from", "to", "max_dist", "avg_dist"],
+                   [[m.iteration, m.server, m.from_node, m.to_node,
+                     repr(m.max_dist), repr(m.avg_dist)] for m in log])
+    return ({"placement.json": _placement_json(placement), "placement_log.csv": log_csv},
+            [f"placement: {' '.join(placement)}",
+             f"objective: max_dist={objective.max_dist} avg_dist={objective.avg_dist}"])
 
 
 def _warn_if_stalled(log: list[BatchRecord]):
@@ -182,7 +178,7 @@ def _warn_if_stalled(log: list[BatchRecord]):
               file=sys.stderr)
 
 
-def cmd_assign(args) -> int:
+def cmd_assign(args) -> _Output:
     from .assignment import optimize, user_correlations
 
     topo = _load_topology(args)
@@ -191,24 +187,21 @@ def cmd_assign(args) -> int:
                                           placement=_load_placement(args.placement),
                                           optimizer="correlation")
     _warn_if_stalled(log)
-    out = _outdir(args)
     rhos = user_correlations(users, assignment)
     rows = [[node, assignment[node], repr(rho), repr(topo.distance(node, assignment[node]))]
             for node, rho in rhos.items()]
-    _write_csv(out / "assignment.csv",
-               ["user_node", "server_node", "rho", "distance"], rows)
-    _write_csv(
-        out / "assignment_log.csv",
-        ["iteration", "moves_proposed", "total_corr_before", "total_corr_after",
-         "accepted"],
-        [[b.iteration, b.moves_proposed, repr(b.total_corr_before),
-          repr(b.total_corr_after), b.accepted] for b in log],
-    )
-    (out / "assignment_placement.json").write_text(json.dumps(list(placement), indent=2) + "\n")
+    files = {
+        "assignment.csv": _csv(["user_node", "server_node", "rho", "distance"], rows),
+        "assignment_log.csv": _csv(
+            ["iteration", "moves_proposed", "total_corr_before", "total_corr_after",
+             "accepted"],
+            [[b.iteration, b.moves_proposed, repr(b.total_corr_before),
+              repr(b.total_corr_after), b.accepted] for b in log]),
+        "assignment_placement.json": _placement_json(placement),
+    }
     # the greedy's log always ends on a rejected or empty round, at the final total
-    print(f"total_corr: {log[-1].total_corr_before}")
-    print(f"relocated placement: {' '.join(placement)}")
-    return EXIT_OK
+    return files, [f"total_corr: {log[-1].total_corr_before}",
+                   f"relocated placement: {' '.join(placement)}"]
 
 
 def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario:
@@ -256,7 +249,7 @@ _SWEPT_FLAGS = {"server_count": ("k", "placement"), "policy": ("policy",),
                 "cache_size": ("capacity",)}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> _Output:
     from .simulation import experiment_sweep, run
 
     if args.values is not None and not args.sweep:
@@ -278,36 +271,30 @@ def cmd_simulate(args) -> int:
     topo = _load_topology(args)
     users = _load_users(args, topo)
     scenario = _assemble_scenario(args, topo, users)
-    out = _outdir(args)
     if args.sweep:
         table = experiment_sweep(scenario, args.sweep, values, optimizer=args.optimizer)
-        rows = [_sim_row(value, result) for value, result in table]
+        rows, summary = [_sim_row(value, result) for value, result in table], []
     else:
         result = run(scenario)
         rows = [_sim_row("-", result)]
-        print(f"miss_ratio: {result.miss_ratio}")
-        print(f"network_load: {result.network_load}")
-    _write_csv(out / "simulation.csv", _SIM_HEADER, rows)
-    return EXIT_OK
+        summary = [f"miss_ratio: {result.miss_ratio}",
+                   f"network_load: {result.network_load}"]
+    return {"simulation.csv": _csv(_SIM_HEADER, rows)}, summary
 
 
-def cmd_pareto(args) -> int:
+def cmd_pareto(args) -> _Output:
     from .pareto import front_sweep
 
     topo = _load_topology(args)
     users = _load_users(args, topo)
     front = front_sweep(topo, users, args.k, args.steps)
-    out = _outdir(args)
-    _write_csv(
-        out / "pareto.csv",
+    pareto_csv = _csv(
         ["avg_dist", "total_corr", "max_dist", "miss_ratio", "placement",
          "seed", "step"],
         [[repr(p.avg_dist), repr(p.total_corr), repr(p.max_dist),
           "",  # miss_ratio: the front is not simulated; the column keeps readers working
-          " ".join(p.placement), args.seed, p.step] for p in front],
-    )
-    print(f"front size: {len(front)}")
-    return EXIT_OK
+          " ".join(p.placement), args.seed, p.step] for p in front])
+    return {"pareto.csv": pareto_csv}, [f"front size: {len(front)}"]
 
 
 _COMMANDS = {
@@ -323,10 +310,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        files, summary = _COMMANDS[args.command](args)
+        if files:  # only now, so a command that failed left no --out behind
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (out / name).write_text(text, newline="")  # csv ends rows in \r\n
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    for line in summary:
+        print(line)
+    return EXIT_OK
 
 
 def main_and_exit():

@@ -115,6 +115,20 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert "priority x distance overflows" in captured.err
         assert "objective" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_assign_overflowing_priority(self, tmp_path, capsys):
+        # the placement loads, then relocating its server overflows
+        placement = tmp_path / "placement.json"
+        placement.write_text('["A"]')
+        argv = ["assign", "--topology", self.graphml(tmp_path, priority="1e308"),
+                "--priority-key", "p", "--placement", str(placement),
+                "--universe", "5", "--profile-size", "3", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "priority x distance overflows" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "cache_size", "--values", "1,2"]],
                              ids=["run", "sweep"])
@@ -133,7 +147,7 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.err == "error: network load overflows to inf\n"
         assert "network_load" not in captured.out
-        assert not (out / "simulation.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_assign_non_finite_alpha(self, topo3, tmp_path, alpha, capsys):
@@ -571,6 +585,37 @@ class TestPareto:
             assert {r[5] for r in rows[1:]} == {seed}
             fronts.append([r[:5] + r[6:] for r in rows])
         assert fronts[0] == fronts[1]
+
+    def test_one_step_fails_after_loading_and_leaves_no_out(self, topo12, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pareto", "--topology", str(topo12), "--k", "2", "--steps", "1",
+                     "--universe", "12", "--profile-size", "4", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: steps must be an int >= 2, got 1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["place", "--k", "1"],
+    ["assign", "--placement", "{placement}"],
+    ["simulate", "--k", "1"],
+    ["pareto", "--k", "1", "--steps", "2"],
+], ids=lambda argv: argv[0])
+def test_out_naming_a_file_is_an_io_failure(topo3, tmp_path, argv, capsys):
+    """The command's work succeeds, then --out cannot be a directory: exit 3,
+    no summary on stdout, and the file is left as it was."""
+    placement = tmp_path / "placement.json"
+    placement.write_text('["A"]')
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    argv = [str(placement) if a == "{placement}" else a for a in argv]
+    assert main([*argv, "--topology", str(topo3), "--universe", "5", "--profile-size", "3",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 17] File exists")
+    assert captured.out == ""
+    assert out.read_text() == "not a directory"
 
 
 class TestDeterminism:

@@ -247,6 +247,45 @@ def test_only_the_process_entry_point_skips_teardown():
     assert owners == ["cli.main_and_exit"]
 
 
+def file_writes(source: str) -> list[str]:
+    """Functions, as Class.method or function (or <module>), that create a
+    directory (`mkdir`, `makedirs`), write a file (`write_text`, `write_bytes`)
+    or call `open` with a constant write mode, positional or `mode=`, once per
+    call."""
+    def writes(call: ast.AST) -> bool:
+        if not isinstance(call, ast.Call):
+            return False
+        name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(
+            call.func, "id", None)
+        if name in ("mkdir", "makedirs", "write_text", "write_bytes"):
+            return True
+        modes = [a.value for a in [*call.args, *(k.value for k in call.keywords)]
+                 if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        return name == "open" and any(set(m) <= set("rwxabt+") and set(m) & set("wax+")
+                                      for m in modes)
+
+    return scoped_nodes(source, writes)
+
+
+def test_file_writes_are_found():
+    source = ("def save(out, text):\n    out.mkdir(parents=True)\n"
+              "    (out / 'a.csv').write_text(text)\n"
+              "class Log:\n    def dump(self, p):\n        with open(p, 'a') as fh:\n"
+              "            fh.write('x')\n"
+              "        with p.open(mode='wb') as fh:\n            pass\n"
+              "        open(p).read(), p.open('r'), open('w.txt'), p.read_text()\n"
+              "Path('x').write_bytes(b'')\n")
+    assert file_writes(source) == ["save", "save", "Log.dump", "Log.dump", "<module>"]
+
+
+def test_only_main_writes_files():
+    """A command returns its files and `cli.main` writes them once the command
+    succeeded, so a command that fails leaves no --out behind and no library
+    function creates a directory or writes a file."""
+    owners = [f"{p.stem}.{name}" for p in MODULES for name in file_writes(p.read_text())]
+    assert owners and set(owners) == {"cli.main"}
+
+
 def readme_library_example() -> str:
     """The python block of README's "Library" section."""
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
