@@ -1,10 +1,11 @@
 """Command-line front end: place, assign, simulate, pareto, validate.
 
-A command returns its deterministic, header-first CSV/JSON files (none for
-validate) and a short human summary. Only after it succeeded does `main`
-create --out, write the files and print the summary to stdout, so a command
-that fails leaves no --out behind. Exit codes: 0 ok, 1 invalid configuration,
-2 infeasible request, 3 I/O failure.
+`main` reads and parses --topology before the command runs and hands it the
+topology. A command returns its deterministic, header-first CSV/JSON files
+(none for validate) and a short human summary. Only after it succeeded does
+`main` create --out, write the files and print the summary to stdout, so a
+command that fails leaves no --out behind. Exit codes: 0 ok, 1 invalid
+configuration, 2 infeasible request, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -108,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_topology(args) -> Topology:
-    return parse_topology(
-        Path(args.topology).read_bytes(),
-        weight_key=args.weight_key,
-        priority_key=args.priority_key,
-    )
-
-
 def _load_users(args, topo: Topology) -> list[UserGroup]:
     from .profiles import ZipfModel, generate_users, load_trace
 
@@ -149,15 +142,13 @@ def _placement_json(placement: tuple[str, ...]) -> str:
     return json.dumps(list(placement), indent=2) + "\n"
 
 
-def cmd_validate(args) -> _Output:
-    topo = _load_topology(args)
+def cmd_validate(args, topo: Topology) -> _Output:
     return {}, [f"topology ok: {len(topo.node_ids)} nodes, {len(topo.edges)} edges"]
 
 
-def cmd_place(args) -> _Output:
+def cmd_place(args, topo: Topology) -> _Output:
     from .placement import dragoon
 
-    topo = _load_topology(args)
     users = _load_users(args, topo)
     placement, objective, log = dragoon(topo, users, args.k)
     log_csv = _csv(["iteration", "server", "from", "to", "max_dist", "avg_dist"],
@@ -178,10 +169,9 @@ def _warn_if_stalled(log: list[BatchRecord]):
               file=sys.stderr)
 
 
-def cmd_assign(args) -> _Output:
+def cmd_assign(args, topo: Topology) -> _Output:
     from .assignment import optimize, user_correlations
 
-    topo = _load_topology(args)
     users = _load_users(args, topo)
     placement, assignment, log = optimize(topo, users,
                                           placement=_load_placement(args.placement),
@@ -249,7 +239,7 @@ _SWEPT_FLAGS = {"server_count": ("k", "placement"), "policy": ("policy",),
                 "cache_size": ("capacity",)}
 
 
-def cmd_simulate(args) -> _Output:
+def cmd_simulate(args, topo: Topology) -> _Output:
     from .simulation import experiment_sweep, run
 
     if args.values is not None and not args.sweep:
@@ -268,7 +258,6 @@ def cmd_simulate(args) -> _Output:
                 values = [int(v) for v in values]
             except ValueError as exc:
                 raise ValidationError(f"bad sweep value: {exc}") from exc
-    topo = _load_topology(args)
     users = _load_users(args, topo)
     scenario = _assemble_scenario(args, topo, users)
     if args.sweep:
@@ -282,10 +271,9 @@ def cmd_simulate(args) -> _Output:
     return {"simulation.csv": _csv(_SIM_HEADER, rows)}, summary
 
 
-def cmd_pareto(args) -> _Output:
+def cmd_pareto(args, topo: Topology) -> _Output:
     from .pareto import front_sweep
 
-    topo = _load_topology(args)
     users = _load_users(args, topo)
     front = front_sweep(topo, users, args.k, args.steps)
     pareto_csv = _csv(
@@ -310,7 +298,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        files, summary = _COMMANDS[args.command](args)
+        # every command starts from the topology; a planning command reads its
+        # users itself, simulate only after it checked its sweep flags
+        topo = parse_topology(Path(args.topology).read_bytes(), weight_key=args.weight_key,
+                              priority_key=args.priority_key)
+        files, summary = _COMMANDS[args.command](args, topo)
         if files:  # only now, so a command that failed left no --out behind
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)

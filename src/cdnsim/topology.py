@@ -35,10 +35,11 @@ class Topology:
     ):
         """nodes: (id, priority) pairs; edges: (a, b, weight) triples.
 
-        Parallel/reverse duplicate edges collapse to the maximum weight.
-        Raises ValidationError on duplicate ids, self-loops surviving as the
-        only connection, non-positive or non-finite weights or priorities, or a
-        disconnected graph.
+        Parallel/reverse duplicate edges collapse to the maximum weight, and a
+        self-loop is dropped once its weight is checked. Raises ValidationError
+        on duplicate ids, non-positive or non-finite weights (a self-loop's
+        too) or priorities, or a disconnected graph, such as one with a node
+        whose only edge is a self-loop.
         """
         self.priorities: dict[NodeId, float] = {}
         for nid, prio in nodes:
@@ -57,9 +58,9 @@ class Topology:
             if not (isinstance(a, str) and isinstance(b, str)
                     and a in self.priorities and b in self.priorities):
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown node")
-            if a == b:
-                continue  # self-loops carry no distance information
             w = float(_check_real(f"edge ({a!r}, {b!r}) weight", w))
+            if a == b:
+                continue  # a self-loop carries no distance information
             key = (a, b) if a < b else (b, a)
             collapsed[key] = max(collapsed.get(key, 0.0), w)
         self.edges: tuple[tuple[NodeId, NodeId, float], ...] = tuple(

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import cdnsim.assignment
+import cdnsim.profiles
 import cdnsim.simulation
-from cdnsim import optimize, replay
+from cdnsim import generate_users, optimize, replay
 from cdnsim.cli import main
 from cdnsim.rng import left_sum
 from conftest import desk_topology, random_connected_topology
@@ -498,11 +499,30 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: --sweep requires --values\n"
         assert not (tmp_path / "out").exists()
 
-    def test_values_need_a_sweep(self, topo12, tmp_path, capsys):
-        assert main(["simulate", "--topology", str(topo12), "--k", "2",
-                     "--values", "1,2,banana", "--out", str(tmp_path)]) == 1
+    def test_values_need_a_sweep(self, topo12, tmp_path, monkeypatch, capsys):
+        """The sweep flags are checked before any profile is drawn."""
+        drawn = []
+
+        def counting_generate_users(*args):
+            drawn.append(args)
+            return generate_users(*args)
+
+        monkeypatch.setattr(cdnsim.profiles, "generate_users", counting_generate_users)
+        common = ["simulate", "--topology", str(topo12), "--k", "2", "--out", str(tmp_path)]
+        assert main([*common, "--values", "1,2,banana"]) == 1
         assert capsys.readouterr().err == "error: --values requires --sweep\n"
         assert not (tmp_path / "simulation.csv").exists()
+        assert drawn == []
+        assert main([*common, "--sweep", "cache_size", "--values", "1"]) == 0
+        assert len(drawn) == 1  # the counter sees the draw a valid run makes
+
+    def test_an_unreadable_topology_fails_before_the_sweep_flags(self, tmp_path, capsys):
+        """`main` reads --topology before the command runs, so a missing file
+        is reported ahead of `--values` without `--sweep`."""
+        assert main(["simulate", "--topology", str(tmp_path / "gone.graphml"), "--k", "2",
+                     "--values", "1", "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+        assert not (tmp_path / "out").exists()
 
     def test_desk_placement_runs_the_correlation_optimizer(self, desk, tmp_path):
         # --placement with --optimizer correlation simulates the plan `assign` writes

@@ -286,6 +286,32 @@ def test_only_main_writes_files():
     assert owners and set(owners) == {"cli.main"}
 
 
+def topology_parses(source: str) -> list[str]:
+    """Functions, as Class.method or function (or <module>), that call
+    `parse_topology`, by its bare name or as an attribute, once per call."""
+    def parses(call: ast.AST) -> bool:
+        return isinstance(call, ast.Call) and "parse_topology" == (
+            call.func.attr if isinstance(call.func, ast.Attribute)
+            else getattr(call.func, "id", None))
+
+    return scoped_nodes(source, parses)
+
+
+def test_topology_parses_are_found():
+    source = ("def load(args):\n    return parse_topology(args.data)\n"
+              "class Cli:\n    def run(self, data):\n"
+              "        return topology.parse_topology(data, weight_key='w')\n"
+              "parse = parse_topology\nparse_topology_file(b'')\nparse_topology(b'')\n")
+    assert topology_parses(source) == ["load", "Cli.run", "<module>"]
+
+
+def test_only_main_parses_the_topology():
+    """`cli.main` reads and parses --topology once, before the command runs,
+    and hands the command the topology, so no command parses it again."""
+    owners = [f"{p.stem}.{name}" for p in MODULES for name in topology_parses(p.read_text())]
+    assert owners == ["cli.main"]
+
+
 def readme_library_example() -> str:
     """The python block of README's "Library" section."""
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]

@@ -140,6 +140,20 @@ def test_lookup_of_a_node_that_is_not_a_string(node, path3):
         path3.index(node)
 
 
+@pytest.mark.parametrize("weight", ["-1.0", "0.0", "nan", "inf"])
+def test_self_loop_weight_is_checked(weight):
+    """A self-loop is dropped only after its weight passed the check every
+    other edge's weight passes, in `Topology` and in GraphML alike."""
+    message = re.escape(f"edge ('A', 'A') weight must be a finite real > 0, got {weight}") + "$"
+    with pytest.raises(ValidationError, match=message):
+        Topology([("A", 1.0), ("B", 1.0)], [("A", "A", float(weight)), ("A", "B", 1.0)])
+    loop = f'<edge source="A" target="A"><data key="d0">{weight}</data></edge></graph>'
+    doc = GRAPHML_ATTRS.replace(b"</graph>", loop.encode())
+    with pytest.raises(ValidationError, match=message):
+        parse_topology(doc, weight_key="LinkSpeed")
+    assert parse_topology(doc).edges == (("A", "B", 1.0),)  # a weight not read is 1.0
+
+
 def test_parsed_infinite_weight_rejected():
     doc = GRAPHML_ATTRS.replace(b">3.5<", b">inf<")
     with pytest.raises(ValidationError, match=re.escape(WEIGHT + "inf")):
