@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -113,10 +114,7 @@ def _load_users(args, topo: Topology) -> list[UserGroup]:
     from .profiles import ZipfModel, generate_users, load_trace
 
     if args.trace:
-        users = load_trace(Path(args.trace).read_bytes())
-        for u in users:
-            topo.index(u.node)  # rejects an unknown node
-        return users
+        return load_trace(Path(args.trace).read_bytes())
     model = ZipfModel(alpha=args.alpha, universe_size=args.universe,
                       profile_size=args.profile_size)
     return generate_users(topo, model, args.seed)
@@ -200,28 +198,27 @@ def _assemble_scenario(args, topo: Topology, users: list[UserGroup]) -> Scenario
     from .placement import one_center
     from .simulation import Scenario
 
-    if args.origin:
-        topo.index(args.origin)  # an unknown origin fails before any planning runs
-    placement = _load_placement(args.placement) if args.placement else None
-    assignment = {}
-    if args.sweep != "server_count":  # that sweep plans every swept k itself
-        if placement is None and args.k is None:
-            raise ValidationError("simulate needs --placement or --k")
-        placement, assignment, log = optimize(topo, users, k=args.k, placement=placement,
-                                              optimizer=args.optimizer)
-        _warn_if_stalled(log)
-    origin = args.origin if args.origin else one_center(topo, users)
-    return Scenario(
+    # built with no plan first: a bad cache, origin or request count fails before planning
+    scenario = Scenario(
         topology=topo,
         users=users,
-        placement=placement or (),
-        assignment=assignment,
+        placement=(),
+        assignment={},
         cache=CacheConfig(capacity=10 if args.capacity is None else args.capacity,
                           policy="LRU" if args.policy is None else args.policy),
-        origin=origin,
+        origin=args.origin if args.origin else one_center(topo, users),
         master_seed=args.seed,
         requests_per_user=args.requests,
     )
+    if args.sweep == "server_count":  # that sweep plans every swept k itself
+        return scenario
+    if args.placement is None and args.k is None:
+        raise ValidationError("simulate needs --placement or --k")
+    placement = _load_placement(args.placement) if args.placement else None
+    placement, assignment, log = optimize(topo, users, k=args.k, placement=placement,
+                                          optimizer=args.optimizer)
+    _warn_if_stalled(log)
+    return replace(scenario, placement=placement, assignment=assignment)
 
 
 _SIM_HEADER = ["axis_value", "miss_ratio", "max_dist", "avg_dist",

@@ -25,9 +25,10 @@ from .rng import derive_seed, left_sum, make_rng
 from .topology import NodeId, Topology
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Everything one simulation run depends on, cross-validated up front."""
+    """Everything one simulation run depends on. Building one checks the request
+    count, then the origin, placement and user nodes; `validate` checks the plan."""
 
     topology: Topology
     users: list[UserGroup]
@@ -38,16 +39,14 @@ class Scenario:
     master_seed: int
     requests_per_user: int = 100
 
-    def validate(self) -> "Scenario":
-        self._groups()
-        return self
-
-    def _groups(self) -> dict[NodeId, list[UserGroup]]:
-        """The checks of `validate`; returns each server's members, grouped by `_members`."""
+    def __post_init__(self):
         _check_int("requests_per_user", self.requests_per_user, 100)
         for node in (self.origin, *self.placement, *(u.node for u in self.users)):
             self.topology.index(node)  # rejects an unknown node
-        return _members(self.users, self.placement, self.assignment)
+
+    def validate(self) -> "Scenario":
+        _members(self.users, self.placement, self.assignment)
+        return self
 
 
 @dataclass
@@ -96,7 +95,8 @@ def run(scenario: Scenario,
     members round-robin in node-id order: request r of every member, then r + 1. The network
     load adds, server by server in id order, one user-to-server distance per request in stream
     order, then misses x the origin distance; a load that overflows is a ValidationError."""
-    s, groups = scenario, scenario._groups()  # the one check and grouping of the plan
+    s = scenario
+    groups = _members(s.users, s.placement, s.assignment)  # the one plan check and grouping
     # first: `_Eval` rejects overflowing priorities before any replay
     max_dist, avg_dist = _Eval(s.topology, s.users).assigned(s.assignment)
     if requests is None:
@@ -141,7 +141,7 @@ def experiment_sweep(
     server_count re-plans each value through optimize with `optimizer`;
     cache_size and policy keep the base placement and assignment. Every
     value's scenario is built, so a bad value fails, before the first replay.
-    Every axis draws the request table once, after the first value's scenario
+    Every axis draws the request table once, after the first value's plan
     validates, and replays it for every value.
     """
     _check_choice("sweep axis", axis, SWEEP_AXES)

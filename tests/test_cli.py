@@ -315,18 +315,24 @@ def test_input_file_that_is_not_utf8(topo3, tmp_path, source, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {message}: ") and "0xff" in err[0]
 
 
-@pytest.mark.parametrize("source", ["origin", "trace", "placement", "simulate_placement"])
+@pytest.mark.parametrize("source", ["origin", "trace", "placement", "simulate_placement",
+                                    "assign_trace", "simulate_trace", "pareto_trace"])
 def test_unknown_node_from_outside_input(topo3, tmp_path, source, capsys):
     """A node the topology lacks, named by a flag, a trace row or a placement
-    file, gets the one message `Topology.index` gives."""
+    file, gets the one message `Topology.index` gives, whichever command reads it."""
     trace = tmp_path / "trace.csv"
     trace.write_text("node_id,service_id,count\nA,x,3\nZ,x,1\n")
     placement = tmp_path / "placement.json"
     placement.write_text('["Z"]')
+    known = tmp_path / "known.json"
+    known.write_text('["A"]')
     argv = {"origin": ["simulate", "--k", "1", "--origin", "Z"],
             "trace": ["place", "--k", "1", "--trace", str(trace)],
             "placement": ["assign", "--placement", str(placement)],
-            "simulate_placement": ["simulate", "--placement", str(placement)]}[source]
+            "simulate_placement": ["simulate", "--placement", str(placement)],
+            "assign_trace": ["assign", "--placement", str(known), "--trace", str(trace)],
+            "simulate_trace": ["simulate", "--k", "1", "--trace", str(trace)],
+            "pareto_trace": ["pareto", "--k", "1", "--trace", str(trace)]}[source]
     assert main([*argv, "--topology", str(topo3), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: unknown node 'Z'\n"
 
@@ -413,7 +419,9 @@ class TestSimulate:
         (["--k", "2", "--sweep", "policy", "--values", "LRU,LFU,lru"], 1, 1,
          "unknown policy 'lru'; one of ('LRU', 'LRU2', 'LFU', 'LIRS', 'BELADY')"),
         (["--sweep", "server_count", "--values", "2,3,999"], 3, 2, "k=999 out of range 1..12"),
-    ], ids=["unparsable", "capacity", "policy", "server_count"])
+        (["--sweep", "server_count", "--values", "2,3", "--requests", "50"], 0, 1,
+         "requests_per_user must be an int >= 100, got 50"),
+    ], ids=["unparsable", "capacity", "policy", "server_count", "server_count_base"])
     def test_a_bad_sweep_value_fails_before_any_replay(self, topo12, tmp_path, monkeypatch,
                                                        argv, planned, code, message, capsys):
         """An unparsable value fails before the plan, and every value is checked
@@ -548,12 +556,27 @@ class TestSimulate:
 
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "policy", "--values", "LRU,LFU"]])
-    def test_desk_unknown_origin_fails_before_planning(self, desk, tmp_path, sweep, capsys):
-        # the correlation greedy stalls on this instance, so planning would warn
-        assert main(["simulate", "--k", "10", "--optimizer", "correlation", "--origin", "Z",
-                     *sweep, "--topology", str(desk), "--seed", "124",
-                     "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "error: unknown node 'Z'\n"
+    def test_desk_unknown_origin_fails_before_planning(self, desk, tmp_path, sweep,
+                                                       monkeypatch, capsys):
+        """A bad origin, cache or request count fails when the scenario is built,
+        before `optimize` runs; the correlation greedy stalls on this instance, so
+        planning would warn first."""
+        plans = []
+
+        def counting_optimize(*args, **kwargs):
+            plans.append(kwargs["k"])
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(cdnsim.assignment, "optimize", counting_optimize)
+        for flags, message in [(["--origin", "Z"], "unknown node 'Z'"),
+                               (["--capacity", "0"], "cache capacity must be an int >= 1, got 0"),
+                               (["--requests", "50"],
+                                "requests_per_user must be an int >= 100, got 50")]:
+            assert main(["simulate", "--k", "10", "--optimizer", "correlation", *flags,
+                         *sweep, "--topology", str(desk), "--seed", "124",
+                         "--out", str(tmp_path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert plans == []
 
 
 class TestPareto:

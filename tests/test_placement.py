@@ -1,6 +1,7 @@
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,12 +467,12 @@ class TestDistanceInputErrors:
             call()
 
     def test_unhashable_placement_entry_reaches_run(self, path3):
-        """`Scenario.validate` sends each placement entry through `Topology.index`."""
+        """Building a `Scenario` sends each placement entry through `Topology.index`."""
         users = uniform_users(path3)
-        scenario = Scenario(path3, users, (["A"],), {u.node: "A" for u in users},
+        scenario = Scenario(path3, users, ("A",), {u.node: "A" for u in users},
                             CacheConfig(capacity=1, policy="LRU"), "A", 0)
         with pytest.raises(ValidationError, match=re.escape("unknown node ['A']") + "$"):
-            run(scenario)
+            run(replace(scenario, placement=(["A"],)))
 
 
 @st.composite

@@ -1,6 +1,6 @@
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -280,10 +280,9 @@ def test_run_checks_and_groups_its_plan_once(monkeypatch):
 class TestScenarioValidation:
     def test_requests_per_user_floor(self):
         s = small_scenario()
-        s.requests_per_user = 99
         with pytest.raises(ValidationError,
                            match="requests_per_user must be an int >= 100, got 99$"):
-            s.validate()
+            replace(s, requests_per_user=99)
 
     @pytest.mark.parametrize("count", [150.0, True, 2.5, "150", None])
     def test_requests_per_user_must_be_an_int(self, count):
@@ -293,9 +292,15 @@ class TestScenarioValidation:
 
     def test_unknown_origin(self):
         s = small_scenario()
-        s.origin = "nope"
         with pytest.raises(ValidationError, match="unknown node 'nope'"):
-            s.validate()
+            replace(s, origin="nope")
+
+    def test_a_built_scenario_is_frozen(self):
+        """A scenario is checked once, when it is built, so its fields cannot be
+        assigned afterwards; `replace` builds and checks a new one."""
+        s = small_scenario()
+        with pytest.raises(FrozenInstanceError):
+            s.requests_per_user = 99
 
     def test_assignment_must_cover_users(self):
         s = small_scenario()
@@ -364,12 +369,11 @@ class TestExperimentSweep:
     @pytest.mark.parametrize("axis, value", [("cache_size", 3), ("policy", "LFU"),
                                              ("server_count", 2)])
     def test_bad_request_count_fails_before_the_draw(self, axis, value):
-        """The sweep draws only after a swept scenario validates, so a bad base
-        reads the scenario's message, not `generate_requests`' count check."""
-        base = replace(small_scenario(), requests_per_user=-5)
+        """A base with a bad request count cannot be built, so no sweep reaches
+        `generate_requests`' count check."""
         with pytest.raises(ValidationError,
                            match=re.escape("requests_per_user must be an int >= 100, got -5")):
-            experiment_sweep(base, axis, [value])
+            experiment_sweep(replace(small_scenario(), requests_per_user=-5), axis, [value])
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValidationError):
